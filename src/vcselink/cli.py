@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pre.add_argument("name", help="preset name")
     for cmd in (sim, pre):
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        cmd.add_argument("--threads", type=int, default=1, help="ignored; sweeps run serially")
         cmd.add_argument("--seed", type=int, default=0, help="seed for sampling-based outputs")
     return parser
 
@@ -49,9 +49,9 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
         if args.command == "simulate":
-            written = run_scenario(args.config, out_dir, threads=args.threads, seed=args.seed)
+            written = run_scenario(args.config, out_dir, seed=args.seed)
         else:
-            written = run_preset(args.name, out_dir, seed=args.seed, threads=args.threads)
+            written = run_preset(args.name, out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,6 +45,7 @@ class MisalignmentState:
 
     Angles at or beyond 90 degrees describe a link pointing away from the
     receiver half-space; they are accepted but flagged with a warning.
+    Non-finite values are rejected.
     """
 
     x_de: float = 0.0
@@ -56,6 +57,8 @@ class MisalignmentState:
 
     def __post_init__(self) -> None:
         angles = (self.phi_a, self.phi_e, self.psi_a, self.psi_e)
+        if not all(map(math.isfinite, (self.x_de, self.y_de, *angles))):
+            raise ValueError(f"misalignment values must be finite, got {self}")
         if any(abs(a) >= _HALF_PI for a in angles):
             warnings.warn(
                 "orientation angle at or beyond 90 deg; link geometry is "

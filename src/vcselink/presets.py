@@ -3,14 +3,17 @@ link design (2 m link, 850 nm, 3 mm detectors on a 12 mm lattice, 1 mW per
 laser, 20 GHz bandwidth).
 
 Each ``preset_*`` function writes plot-ready CSV data; ``run_preset``
-dispatches by name. The module also exposes the scalar helpers the
-experiments are built from (rate-vs-waist thresholds, misalignment
-crossings, the approximation-error table), which are reused by the
-acceptance test suite.
+dispatches by name. Every rate is evaluated by the ``simulate`` engine
+(``build_scenario`` -> channel matrix -> ``aggregate_rate``) on the
+reference configuration with a few sections replaced. The module also
+exposes the scalar helpers the experiments are built from (rate-vs-waist
+thresholds, misalignment crossings, the approximation-error table), which
+are reused by the acceptance test suite.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -18,43 +21,24 @@ import numpy as np
 
 from .beam import BeamParams, waist_for_spot
 from .channel import (
-    ArrayLayout,
-    GainMethod,
-    LayoutKind,
     PdGeometry,
-    build_layout,
     gain_approx_displacement,
     gain_approx_tx_tilt,
     gain_gmm,
-    mimo_matrix,
 )
 from .geometry import MisalignmentState
-from .linkbudget import (
-    LinkParams,
-    Mode,
-    aggregate_rate,
-    electrical_signal_power,
-    nmse,
-    noise_variance,
-)
+from .linkbudget import LinkParams, electrical_signal_power, nmse, noise_variance
 from .oracle import RayBundleSpec, ray_gain_mc
-from .scenario import ConfigError
+from .scenario import ConfigError, build_scenario, resolve_config
 
 __all__ = [
     "WAVELENGTH",
     "LINK_DISTANCE",
     "PD_RADIUS",
-    "ELEMENT_GAP",
     "REFERENCE_TEMPERATURE_K",
-    "reference_beam",
     "reference_params",
-    "square_system",
-    "config_receiver",
-    "aligned_rate",
+    "reference_config",
     "waist_threshold_um",
-    "displacement_rate",
-    "tx_tilt_rate",
-    "rx_tilt_rate",
     "first_crossing_below",
     "nmse_table_rows",
     "sinr_map",
@@ -65,7 +49,6 @@ __all__ = [
 WAVELENGTH = 850e-9
 LINK_DISTANCE = 2.0
 PD_RADIUS = 3e-3
-ELEMENT_GAP = 6e-3
 
 # The electrical parameter set leaves the receiver temperature open; 253 K
 # pins the thermal noise floor to the design's documented operating points
@@ -76,117 +59,66 @@ REFERENCE_TEMPERATURE_K = 253.0
 _TB = 1e12
 
 
-def reference_beam(w0: float) -> BeamParams:
-    return BeamParams(wavelength=WAVELENGTH, waist_radius=w0)
-
-
 def reference_params(temperature: float = REFERENCE_TEMPERATURE_K) -> LinkParams:
     return LinkParams(temperature=temperature)
 
 
-def square_system(k: int) -> tuple[ArrayLayout, ArrayLayout]:
-    """Matched k x k transmitter and receiver arrays."""
-    tx = build_layout(LayoutKind.SQUARE, k=k, r_pd=PD_RADIUS, delta=ELEMENT_GAP, transmitter=True)
-    rx = build_layout(LayoutKind.SQUARE, k=k, r_pd=PD_RADIUS, delta=ELEMENT_GAP)
-    return tx, rx
+def reference_config(**sections) -> dict:
+    """The reference design as a resolved ``simulate`` configuration: the
+    defaults with a 100 um waist at REFERENCE_TEMPERATURE_K. Each keyword
+    replaces one top-level section, e.g. ``misalignment={"x_de": 1e-3}``."""
+    return resolve_config(
+        {"beam": {"w0": 100e-6}, "link": {"temperature": REFERENCE_TEMPERATURE_K}, **sections}
+    )
 
 
-def config_receiver(kind: LayoutKind | str) -> ArrayLayout:
-    return build_layout(kind, r_pd=PD_RADIUS, delta=ELEMENT_GAP)
+def _rates(configs) -> list[float]:
+    """Aggregate rate of each resolved configuration through the ``simulate``
+    engine; configurations that differ only in ``mode`` share one matrix."""
+    matrices = {}
+    rates = []
+    for cfg in configs:
+        scenario = build_scenario(cfg)
+        key = json.dumps({**cfg, "mode": None}, sort_keys=True)
+        if key not in matrices:
+            matrices[key] = scenario.channel_matrix()
+        rates.append(scenario.rates(matrices[key]).aggregate)
+    return rates
 
 
-def aligned_rate(
-    k: int,
-    w0: float,
-    params: LinkParams,
-    mode: Mode | str = Mode.DIRECT,
-    method: GainMethod | str = GainMethod.EXACT_GMM,
-) -> float:
-    tx, rx = square_system(k)
-    h = mimo_matrix(reference_beam(w0), LINK_DISTANCE, tx, rx, MisalignmentState(), method)
-    return aggregate_rate(h, params, mode).aggregate
+def _square_arrays(k: int) -> dict:
+    return {"tx_array": {"kind": "square", "k": k}, "rx_array": {"kind": "square", "k": k}}
 
 
 def waist_threshold_um(
     k: int,
-    params: LinkParams,
     target: float = _TB,
     lo_um: int = 10,
     hi_um: int = 100,
 ) -> int | None:
-    """Smallest waist on a 1 um grid whose aligned k x k system reaches
-    ``target`` bit/s; None when even the largest waist falls short.
+    """Smallest waist on a 1 um grid whose aligned k x k reference system
+    (direct mode) reaches ``target`` bit/s; None when even the largest waist
+    falls short.
 
     Relies on the rate being nondecreasing in the waist over this range.
     """
-    if aligned_rate(k, hi_um * 1e-6, params) < target:
+
+    def reaches(w_um: int) -> bool:
+        cfg = reference_config(beam={"w0": w_um * 1e-6}, **_square_arrays(k))
+        return build_scenario(cfg).rates().aggregate >= target
+
+    if not reaches(hi_um):
         return None
     lo, hi = lo_um, hi_um
-    if aligned_rate(k, lo * 1e-6, params) >= target:
+    if reaches(lo):
         return lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if aligned_rate(k, mid * 1e-6, params) >= target:
+        if reaches(mid):
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def _displacement_state(r_de: float, direction: str) -> MisalignmentState:
-    if direction == "horizontal":
-        return MisalignmentState(x_de=r_de)
-    if direction == "diagonal":
-        return MisalignmentState(x_de=r_de / math.sqrt(2.0), y_de=r_de / math.sqrt(2.0))
-    raise ValueError(f"direction must be 'horizontal' or 'diagonal', got {direction!r}")
-
-
-def displacement_rate(
-    rx_kind: LayoutKind | str,
-    r_de: float,
-    params: LinkParams,
-    w0: float = 100e-6,
-    direction: str = "horizontal",
-    mode: Mode | str = Mode.SVD,
-    method: GainMethod | str = GainMethod.EXACT_GMM,
-) -> float:
-    """Aggregate rate of the 25-transmitter system under array displacement."""
-    tx, _ = square_system(5)
-    rx = config_receiver(rx_kind)
-    state = _displacement_state(r_de, direction)
-    h = mimo_matrix(reference_beam(w0), LINK_DISTANCE, tx, rx, state, method)
-    return aggregate_rate(h, params, mode).aggregate
-
-
-def tx_tilt_rate(
-    phi_a: float,
-    phi_e: float,
-    params: LinkParams,
-    rx_kind: LayoutKind | str = LayoutKind.CONFIG_I,
-    w0: float = 100e-6,
-    mode: Mode | str = Mode.DIRECT,
-    method: GainMethod | str = GainMethod.EXACT_GMM,
-) -> float:
-    tx, _ = square_system(5)
-    rx = config_receiver(rx_kind)
-    state = MisalignmentState(phi_a=phi_a, phi_e=phi_e)
-    h = mimo_matrix(reference_beam(w0), LINK_DISTANCE, tx, rx, state, method)
-    return aggregate_rate(h, params, mode).aggregate
-
-
-def rx_tilt_rate(
-    psi_a: float,
-    psi_e: float,
-    params: LinkParams,
-    rx_kind: LayoutKind | str = LayoutKind.CONFIG_I,
-    w0: float = 100e-6,
-    mode: Mode | str = Mode.DIRECT,
-) -> float:
-    tx, _ = square_system(5)
-    rx = config_receiver(rx_kind)
-    state = MisalignmentState(psi_a=psi_a, psi_e=psi_e)
-    h = mimo_matrix(reference_beam(w0), LINK_DISTANCE, tx, rx, state, GainMethod.EXACT_GMM)
-    return aggregate_rate(h, params, mode).aggregate
 
 
 def first_crossing_below(fn, start: float, stop: float, step: float, threshold: float,
@@ -247,20 +179,16 @@ def nmse_table_rows() -> tuple[list[int], list[float], list[float]]:
     return ratios, disp_row, tilt_row
 
 
-def sinr_map(
-    w0: float,
-    params: LinkParams,
-    grid_step: float = 1e-3,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SINR raster over the receiver aperture.
+def sinr_map(w0: float, grid_step: float = 1e-3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SINR raster over the receiver aperture of the reference design.
 
     At each raster point a virtual detector of the standard radius is
     placed; the transmitter owning the point's lattice cell provides the
     signal and all others interfere. Returns (xs, ys, sinr_db) with
     sinr_db indexed [iy, ix].
     """
-    tx, rx = square_system(5)
-    beam = reference_beam(w0)
+    scenario = build_scenario(reference_config(beam={"w0": w0}))
+    tx, rx, params = scenario.tx, scenario.rx, scenario.params
     pd = rx.pd
     half = rx.side / 2.0
     n = int(round(2 * half / grid_step)) + 1
@@ -269,7 +197,7 @@ def sinr_map(
     px, py = np.meshgrid(xs, ys)
     dx = px[:, :, None] - tx.elements[:, 0][None, None, :]
     dy = py[:, :, None] - tx.elements[:, 1][None, None, :]
-    gains = gain_approx_displacement(beam, LINK_DISTANCE, pd, dx, dy)
+    gains = gain_approx_displacement(scenario.beam, scenario.distance, pd, dx, dy)
     owner = np.argmin(dx * dx + dy * dy, axis=2)
     p_elec = electrical_signal_power(params.p_t)
     scale = params.responsivity**2 * p_elec
@@ -295,7 +223,33 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(f"{v:.11e}" for v in row) + "\n")
 
 
-def preset_nmse_table(out_dir: Path, seed: int = 0, threads: int = 1) -> list[Path]:
+def _write_rate_table(path: Path, axis: str, points, columns) -> Path:
+    """One row per sweep point: the axis value, then the aggregate rate of
+    each column. ``points`` yields (axis value, config sections) and each
+    column is (header, config sections)."""
+    rows = (
+        [x, *_rates(reference_config(**sections, **col) for _, col in columns)]
+        for x, sections in points
+    )
+    _write_csv(path, [axis, *(name for name, _ in columns)], rows)
+    return path
+
+
+def _receiver_columns(approx_method: str | None = None) -> list[tuple[str, dict]]:
+    """Direct mode on config-i (exact, optionally a closed form), then SVD
+    on the three receiver variants."""
+    config_i = {"rx_array": {"kind": "config-i"}}
+    columns = [("direct_exact_bps", config_i)]
+    if approx_method:
+        columns.append(("direct_approx_bps", {**config_i, "method": approx_method}))
+    for kind in ("config-i", "config-ii", "config-iii"):
+        columns.append(
+            (f"svd_{kind.replace('-', '_')}_bps", {"rx_array": {"kind": kind}, "mode": "svd"})
+        )
+    return columns
+
+
+def preset_nmse_table(out_dir: Path, seed: int = 0) -> list[Path]:
     ratios, disp_row, tilt_row = nmse_table_rows()
     path = out_dir / "nmse_table.csv"
     _write_csv(
@@ -306,38 +260,23 @@ def preset_nmse_table(out_dir: Path, seed: int = 0, threads: int = 1) -> list[Pa
     return [path]
 
 
-def preset_rate_vs_waist(
-    out_dir: Path, seed: int = 0, threads: int = 1, step_um: int = 2
-) -> list[Path]:
-    params = reference_params()
-    waists = np.arange(10, 100 + step_um, step_um)
-    header = ["w0_um"]
-    for k in (2, 3, 4, 5):
-        header += [f"direct_{k * k}x{k * k}_bps", f"svd_{k * k}x{k * k}_bps"]
-    rows = []
-    for w_um in waists:
-        row = [float(w_um)]
-        for k in (2, 3, 4, 5):
-            tx, rx = square_system(k)
-            h = mimo_matrix(
-                reference_beam(w_um * 1e-6), LINK_DISTANCE, tx, rx, MisalignmentState(),
-                GainMethod.EXACT_GMM,
-            )
-            row.append(aggregate_rate(h, params, Mode.DIRECT).aggregate)
-            row.append(aggregate_rate(h, params, Mode.SVD).aggregate)
-        rows.append(row)
-    path = out_dir / "rate_vs_waist.csv"
-    _write_csv(path, header, rows)
-    return [path]
+def preset_rate_vs_waist(out_dir: Path, seed: int = 0, step_um: int = 2) -> list[Path]:
+    columns = [
+        (f"{mode}_{k * k}x{k * k}_bps", {**_square_arrays(k), "mode": mode})
+        for k in (2, 3, 4, 5)
+        for mode in ("direct", "svd")
+    ]
+    points = (
+        (float(w_um), {"beam": {"w0": w_um * 1e-6}})
+        for w_um in np.arange(10, 100 + step_um, step_um)
+    )
+    return [_write_rate_table(out_dir / "rate_vs_waist.csv", "w0_um", points, columns)]
 
 
-def preset_sinr_map(
-    out_dir: Path, seed: int = 0, threads: int = 1, grid_step: float = 1e-3
-) -> list[Path]:
-    params = reference_params()
+def preset_sinr_map(out_dir: Path, seed: int = 0, grid_step: float = 1e-3) -> list[Path]:
     written = []
     for w0 in (50e-6, 100e-6):
-        xs, ys, sinr_db = sinr_map(w0, params, grid_step=grid_step)
+        xs, ys, sinr_db = sinr_map(w0, grid_step=grid_step)
         path = out_dir / f"sinr_map_w0_{int(round(w0 * 1e6))}um.csv"
         rows = (
             (xs[ix] * 1e3, ys[iy] * 1e3, sinr_db[iy, ix])
@@ -371,7 +310,7 @@ def _verify_state(kind: str, value: float, fixed: dict) -> MisalignmentState:
 
 
 def preset_gmm_verify(
-    out_dir: Path, seed: int = 0, threads: int = 1, points: int = 31, rays: int = 200_000
+    out_dir: Path, seed: int = 0, points: int = 31, rays: int = 200_000
 ) -> list[Path]:
     """Single-link gains: exact integration versus the trajectory sampler,
     for six misalignment families and two waist sizes."""
@@ -383,7 +322,7 @@ def preset_gmm_verify(
         cols = [values if "azimuth" in kind else values * 1e3]
         header[0] = "phi_or_psi_rad" if "azimuth" in kind else "r_de_mm"
         for w0 in (50e-6, 100e-6):
-            beam = reference_beam(w0)
+            beam = BeamParams(WAVELENGTH, w0)
             tag = f"w0_{int(w0 * 1e6)}um"
             gains, mcs, errs = [], [], []
             for idx, value in enumerate(values):
@@ -402,112 +341,61 @@ def preset_gmm_verify(
 
 
 def preset_rate_vs_displacement(
-    out_dir: Path, seed: int = 0, threads: int = 1, step: float = 0.5e-3, stop: float = 42e-3
+    out_dir: Path, seed: int = 0, step: float = 0.5e-3, stop: float = 42e-3
 ) -> list[Path]:
-    params = reference_params()
-    r_values = np.arange(0.0, stop + step / 2, step)
-    written = []
-    for direction in ("horizontal", "diagonal"):
-        rows = []
-        for r in r_values:
-            row = [r * 1e3]
-            row.append(
-                displacement_rate(
-                    LayoutKind.CONFIG_I, r, params, direction=direction, mode=Mode.DIRECT
-                )
-            )
-            row.append(
-                displacement_rate(
-                    LayoutKind.CONFIG_I, r, params, direction=direction, mode=Mode.DIRECT,
-                    method=GainMethod.APPROX_DISPLACEMENT,
-                )
-            )
-            for kind in (LayoutKind.CONFIG_I, LayoutKind.CONFIG_II, LayoutKind.CONFIG_III):
-                row.append(displacement_rate(kind, r, params, direction=direction))
-            rows.append(row)
-        path = out_dir / f"rate_vs_displacement_{direction}.csv"
-        _write_csv(
-            path,
-            [
-                "r_de_mm",
-                "direct_exact_bps",
-                "direct_approx_bps",
-                "svd_config_i_bps",
-                "svd_config_ii_bps",
-                "svd_config_iii_bps",
-            ],
-            rows,
+    r_values = [float(r) for r in np.arange(0.0, stop + step / 2, step)]
+    directions = {
+        "horizontal": lambda r: {"x_de": r},
+        "diagonal": lambda r: {"x_de": r / math.sqrt(2.0), "y_de": r / math.sqrt(2.0)},
+    }
+    columns = _receiver_columns("approx-displacement")
+    return [
+        _write_rate_table(
+            out_dir / f"rate_vs_displacement_{direction}.csv",
+            "r_de_mm",
+            ((r * 1e3, {"misalignment": offset(r)}) for r in r_values),
+            columns,
         )
-        written.append(path)
-    return written
+        for direction, offset in directions.items()
+    ]
+
+
+def _tilt_points(degrees, azimuth: str, elevation: str | None):
+    """Equal-angle tilt points; ``elevation`` None keeps the elevation at 0."""
+    for deg in map(float, degrees):
+        angles = {azimuth: deg, elevation: deg} if elevation else {azimuth: deg}
+        yield deg, {"misalignment": angles}
 
 
 def preset_rate_vs_tx_tilt(
-    out_dir: Path, seed: int = 0, threads: int = 1, step_deg: float = 0.05, stop_deg: float = 2.0
+    out_dir: Path, seed: int = 0, step_deg: float = 0.05, stop_deg: float = 2.0
 ) -> list[Path]:
-    params = reference_params()
     phis = np.arange(0.0, stop_deg + step_deg / 2, step_deg)
-    written = []
-    for variant, elevation in (("azimuth", False), ("diagonal", True)):
-        rows = []
-        for deg in phis:
-            pa = math.radians(deg)
-            pe = pa if elevation else 0.0
-            row = [deg]
-            row.append(tx_tilt_rate(pa, pe, params, mode=Mode.DIRECT))
-            row.append(
-                tx_tilt_rate(pa, pe, params, mode=Mode.DIRECT, method=GainMethod.APPROX_TX_TILT)
-            )
-            for kind in (LayoutKind.CONFIG_I, LayoutKind.CONFIG_II, LayoutKind.CONFIG_III):
-                row.append(tx_tilt_rate(pa, pe, params, rx_kind=kind, mode=Mode.SVD))
-            rows.append(row)
-        path = out_dir / f"rate_vs_tx_tilt_{variant}.csv"
-        _write_csv(
-            path,
-            [
-                "phi_a_deg",
-                "direct_exact_bps",
-                "direct_approx_bps",
-                "svd_config_i_bps",
-                "svd_config_ii_bps",
-                "svd_config_iii_bps",
-            ],
-            rows,
+    columns = _receiver_columns("approx-tx-tilt")
+    return [
+        _write_rate_table(
+            out_dir / f"rate_vs_tx_tilt_{variant}.csv",
+            "phi_a_deg",
+            _tilt_points(phis, "phi_a_deg", elevation),
+            columns,
         )
-        written.append(path)
-    return written
+        for variant, elevation in (("azimuth", None), ("diagonal", "phi_e_deg"))
+    ]
 
 
 def preset_rate_vs_rx_tilt(
-    out_dir: Path, seed: int = 0, threads: int = 1, step_deg: float = 2.5, stop_deg: float = 90.0
+    out_dir: Path, seed: int = 0, step_deg: float = 2.5, stop_deg: float = 90.0
 ) -> list[Path]:
-    params = reference_params()
     psis = np.arange(0.0, stop_deg + step_deg / 2, step_deg)
-    written = []
-    for variant, elevation in (("azimuth", False), ("diagonal", True)):
-        rows = []
-        for deg in psis:
-            qa = math.radians(deg)
-            qe = qa if elevation else 0.0
-            row = [deg]
-            row.append(rx_tilt_rate(qa, qe, params, mode=Mode.DIRECT))
-            for kind in (LayoutKind.CONFIG_I, LayoutKind.CONFIG_II, LayoutKind.CONFIG_III):
-                row.append(rx_tilt_rate(qa, qe, params, rx_kind=kind, mode=Mode.SVD))
-            rows.append(row)
-        path = out_dir / f"rate_vs_rx_tilt_{variant}.csv"
-        _write_csv(
-            path,
-            [
-                "psi_a_deg",
-                "direct_exact_bps",
-                "svd_config_i_bps",
-                "svd_config_ii_bps",
-                "svd_config_iii_bps",
-            ],
-            rows,
+    return [
+        _write_rate_table(
+            out_dir / f"rate_vs_rx_tilt_{variant}.csv",
+            "psi_a_deg",
+            _tilt_points(psis, "psi_a_deg", elevation),
+            _receiver_columns(),
         )
-        written.append(path)
-    return written
+        for variant, elevation in (("azimuth", None), ("diagonal", "psi_e_deg"))
+    ]
 
 
 PRESETS = {
@@ -521,7 +409,7 @@ PRESETS = {
 }
 
 
-def run_preset(name: str, out_dir, seed: int = 0, threads: int = 1) -> list[Path]:
+def run_preset(name: str, out_dir, seed: int = 0) -> list[Path]:
     """Execute a named preset; unknown names raise a ConfigError listing
     the available presets."""
     if name not in PRESETS:
@@ -530,4 +418,4 @@ def run_preset(name: str, out_dir, seed: int = 0, threads: int = 1) -> list[Path
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return PRESETS[name](out, seed=seed, threads=threads)
+    return PRESETS[name](out, seed=seed)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ __all__ = [
     "ConfigError",
     "Scenario",
     "DEFAULT_CONFIG",
+    "resolve_config",
     "load_config",
     "build_scenario",
     "run_scenario",
@@ -73,7 +73,8 @@ DEFAULT_CONFIG: dict = {
     "sweep": None,
 }
 
-_REQUIRED = {"beam.w0"}
+# integer-valued fields; a sweep would hand them floats
+_INTEGER_FIELDS = {"link.n_fft", "tx_array.k", "rx_array.k"}
 
 _ARRAY_KINDS = {k.value for k in LayoutKind}
 _METHODS = {m.value for m in GainMethod}
@@ -88,14 +89,12 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
     out = {}
     for key, default in defaults.items():
         path = f"{prefix}{key}"
-        if key not in user:
-            out[key] = deepcopy(default)
-        elif isinstance(default, dict) and default:
-            if not isinstance(user[key], dict):
-                raise ConfigError(path, f"expected an object, got {_type_name(user[key])}")
-            out[key] = _merge(default, user[key], prefix=path + ".")
-        else:
-            out[key] = user[key]
+        value = user.get(key, default)
+        if isinstance(default, dict) and default:
+            if not isinstance(value, dict):
+                raise ConfigError(path, f"expected an object, got {_type_name(value)}")
+            value = _merge(default, value, prefix=path + ".")
+        out[key] = value
     for key in user:
         if key not in defaults:
             raise ConfigError(f"{prefix}{key}", "unknown field")
@@ -110,6 +109,12 @@ def _require_number(cfg: dict, path: str, positive=False, nonneg=False):
         raise ConfigError(path, "missing required field")
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, f"expected a number, got {_type_name(node)}")
+    try:
+        finite = math.isfinite(node)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(path, "must be a finite number")
     if positive and node <= 0:
         raise ConfigError(path, f"must be > 0, got {node}")
     if nonneg and node < 0:
@@ -158,16 +163,18 @@ def _validate(cfg: dict) -> dict:
         if unknown:
             raise ConfigError(f"sweep.{sorted(unknown)[0]}", "unknown field")
         param = sweep["parameter"]
-        if not isinstance(param, str) or not _sweepable(cfg, param):
-            raise ConfigError("sweep.parameter", f"{param!r} is not a sweepable numeric field")
+        if not isinstance(param, str) or param in _INTEGER_FIELDS or not _sweepable(cfg, param):
+            raise ConfigError("sweep.parameter", f"{param!r} is not a sweepable real-valued field")
+        start = _require_number(cfg, "sweep.start")
+        stop = _require_number(cfg, "sweep.stop")
         if not isinstance(sweep["steps"], int) or sweep["steps"] < 2:
             raise ConfigError("sweep.steps", "must be an integer >= 2")
         scale = sweep.get("scale", "linear")
         if scale not in ("linear", "log"):
             raise ConfigError("sweep.scale", f"must be 'linear' or 'log', got {scale!r}")
-        if scale == "log" and (sweep["start"] <= 0 or sweep["stop"] <= 0):
+        if scale == "log" and (start <= 0 or stop <= 0):
             raise ConfigError("sweep.scale", "log scale needs positive start/stop")
-        sweep.setdefault("scale", "linear")
+        cfg["sweep"] = {**sweep, "scale": scale}
     return cfg
 
 
@@ -190,17 +197,23 @@ def _set_path(cfg: dict, dotted: str, value: float) -> dict:
     return out
 
 
+def resolve_config(obj: dict) -> dict:
+    """Default-fill and validate a configuration object; ``obj`` is not
+    modified."""
+    if not isinstance(obj, dict):
+        raise ConfigError("<file>", "top level must be a JSON object")
+    return _validate(_merge(DEFAULT_CONFIG, obj))
+
+
 def load_config(path) -> dict:
-    """Read, default-fill and validate a scenario configuration file."""
+    """Read a scenario configuration file, then :func:`resolve_config` it."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError("<file>", f"cannot read {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("<file>", "top level must be a JSON object")
-    return _validate(_merge(DEFAULT_CONFIG, raw))
+    return resolve_config(raw)
 
 
 @dataclass(frozen=True)
@@ -297,13 +310,13 @@ def _sweep_point(cfg: dict, parameter: str, value: float) -> tuple[float, float,
     return report.aggregate, lo, hi
 
 
-def run_scenario(config_path, out_dir, threads: int = 1, seed: int = 0) -> list[Path]:
+def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
     """Execute a configuration and write gains.csv, rates.csv, meta.json
     and (for sweep configs) sweep.csv into ``out_dir``.
 
     Outputs are deterministic: rerunning the same configuration produces
-    byte-identical CSV files. Sweep rows are emitted in ascending parameter
-    order regardless of the worker schedule.
+    byte-identical CSV files. Sweep points run serially; rows are emitted in
+    ascending parameter order. ``seed`` is only recorded in meta.json.
     """
     cfg = load_config(config_path)
     out = Path(out_dir)
@@ -322,11 +335,7 @@ def run_scenario(config_path, out_dir, threads: int = 1, seed: int = 0) -> list[
         sweep = cfg["sweep"]
         values = _sweep_values(sweep)
         order = np.argsort(values, kind="stable")
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(lambda v: _sweep_point(cfg, sweep["parameter"], v), values))
-        else:
-            rows = [_sweep_point(cfg, sweep["parameter"], v) for v in values]
+        rows = [_sweep_point(cfg, sweep["parameter"], v) for v in values]
         sweep_path = out / "sweep.csv"
         with open(sweep_path, "w", newline="\n") as fh:
             fh.write(f"{sweep['parameter']},aggregate_rate_bps,min_sinr_db,max_sinr_db\n")

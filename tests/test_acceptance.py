@@ -29,23 +29,21 @@ from vcselink.channel import (
     mimo_matrix,
 )
 from vcselink.geometry import MisalignmentState, rotation_matrix
-from vcselink.linkbudget import LinkParams, Mode, sinr_direct, svd_thin
+from vcselink.linkbudget import sinr_direct, svd_thin
 from vcselink.oracle import RayBundleSpec, ray_gain_mc
 from vcselink.presets import (
     LINK_DISTANCE,
     PD_RADIUS,
     REFERENCE_TEMPERATURE_K,
-    displacement_rate,
     first_crossing_below,
     nmse_table_rows,
+    reference_config,
     reference_params,
-    rx_tilt_rate,
     sinr_map,
-    square_system,
     waist_threshold_um,
 )
 from vcselink.quadrature import integrate_disk, integrate_disk_mc
-from vcselink.scenario import run_scenario
+from vcselink.scenario import build_scenario, run_scenario
 
 PD = PdGeometry(PD_RADIUS)
 BEAM100 = BeamParams(850e-9, 100e-6)
@@ -72,6 +70,16 @@ def record(request, number, text):
 @pytest.fixture(scope="module")
 def cal_params():
     return reference_params()
+
+
+def engine_rate(**sections):
+    """Aggregate rate of the reference design (calibrated temperature) with
+    the given config sections replaced, through the ``simulate`` engine."""
+    return build_scenario(reference_config(**sections)).rates().aggregate
+
+
+def square_arrays(k):
+    return {"tx_array": {"kind": "square", "k": k}, "rx_array": {"kind": "square", "k": k}}
 
 
 def test_c01_aligned_gain_matches_quadrature(request):
@@ -117,12 +125,9 @@ def test_c02_approximation_error_table(request):
 
 
 def test_c03_aligned_rates_at_290k(request):
-    params = LinkParams(temperature=290.0)
     devs = {}
     for k, ref_tbps in RATE_REFS_TBPS.items():
-        tx, rx = square_system(k)
-        h = mimo_matrix(BEAM100, LINK_DISTANCE, tx, rx, MisalignmentState())
-        agg = __import__("vcselink").aggregate_rate(h, params, Mode.DIRECT).aggregate
+        agg = engine_rate(link={"temperature": 290.0}, **square_arrays(k))
         devs[k * k] = (agg - ref_tbps * 1e12) / (ref_tbps * 1e12)
     worst = max(abs(v) for v in devs.values())
     ok = worst <= 0.05
@@ -134,10 +139,10 @@ def test_c03_aligned_rates_at_290k(request):
     assert worst <= 0.05
 
 
-def test_c04_waist_thresholds(request, cal_params):
+def test_c04_waist_thresholds(request):
     results = {}
     for k, ref in WAIST_THRESHOLD_REFS_UM.items():
-        results[k] = waist_threshold_um(k, cal_params)
+        results[k] = waist_threshold_um(k)
     ok = all(
         results[k] is not None and abs(results[k] - ref) <= 3
         for k, ref in WAIST_THRESHOLD_REFS_UM.items()
@@ -151,11 +156,13 @@ def test_c04_waist_thresholds(request, cal_params):
         assert results[k] == pytest.approx(ref, abs=3)
 
 
-def test_c05_displacement_crossings(request, cal_params):
+def test_c05_displacement_crossings(request):
     results = {}
     for kind, ref_mm in DISPLACEMENT_CROSSING_REFS_MM.items():
         crossing = first_crossing_below(
-            lambda r: displacement_rate(kind, r, cal_params),
+            lambda r: engine_rate(
+                rx_array={"kind": kind.value}, misalignment={"x_de": r}, mode="svd"
+            ),
             start=0.0,
             stop=45e-3,
             step=0.5e-3,
@@ -177,7 +184,7 @@ def test_c05_displacement_crossings(request, cal_params):
         assert results[kind.value] == pytest.approx(ref, abs=1.0)
 
 
-def test_c06_tilt_displacement_equivalence(request, cal_params):
+def test_c06_tilt_displacement_equivalence(request):
     # gain level: transmitter tilt up to 2 degrees acts like the beam-spot
     # displacement (L sin pa, 0)
     phis = np.radians(np.linspace(0.0, 2.0, 41))
@@ -192,10 +199,10 @@ def test_c06_tilt_displacement_equivalence(request, cal_params):
     # rate level: the eigenmode-processed rate dies once the tilt walks the
     # spots off the whole array, near 1.7 degrees (a 60 mm displacement)
     def svd_rate(phi_deg):
-        return displacement_rate(
-            LayoutKind.CONFIG_I,
-            LINK_DISTANCE * math.sin(math.radians(phi_deg)),
-            cal_params,
+        return engine_rate(
+            rx_array={"kind": "config-i"},
+            misalignment={"x_de": LINK_DISTANCE * math.sin(math.radians(phi_deg))},
+            mode="svd",
         )
 
     zero_point = first_crossing_below(
@@ -211,13 +218,16 @@ def test_c06_tilt_displacement_equivalence(request, cal_params):
     assert 1.5 <= zero_point <= 1.9
 
 
-def test_c07_receiver_tilt_tolerance(request, cal_params):
+def test_c07_receiver_tilt_tolerance(request):
+    config_i = {"kind": "config-i"}
     azimuth_rates = {
-        deg: rx_tilt_rate(math.radians(deg), 0.0, cal_params)
+        deg: engine_rate(rx_array=config_i, misalignment={"psi_a_deg": deg})
         for deg in (0, 10, 20, 30, 40, 44, 46)
     }
     crossing = first_crossing_below(
-        lambda deg: rx_tilt_rate(math.radians(deg), math.radians(deg), cal_params),
+        lambda deg: engine_rate(
+            rx_array=config_i, misalignment={"psi_a_deg": deg, "psi_e_deg": deg}
+        ),
         start=25.0,
         stop=40.0,
         step=1.0,
@@ -336,16 +346,13 @@ def test_c09_property_bundle(request, tmp_path, cal_params):
 
 
 def test_c10_sinr_operating_points(request, cal_params):
-    tx, rx = square_system(5)
-    h100 = mimo_matrix(BEAM100, LINK_DISTANCE, tx, rx, MisalignmentState()).gains
+    h100 = build_scenario(reference_config()).channel_matrix().gains
     sinr_db = [10 * math.log10(sinr_direct(h100, i, cal_params)) for i in range(25)]
     in_band = min(sinr_db) >= 22.0 and max(sinr_db) <= 24.0
 
-    h50 = mimo_matrix(
-        BeamParams(850e-9, 50e-6), LINK_DISTANCE, tx, rx, MisalignmentState()
-    ).gains
+    h50 = build_scenario(reference_config(beam={"w0": 50e-6})).channel_matrix().gains
     matrix_ordering = sinr_direct(h50, 12, cal_params) < sinr_direct(h50, 0, cal_params)
-    xs, _, grid = sinr_map(50e-6, cal_params, grid_step=6e-3)
+    xs, _, grid = sinr_map(50e-6, grid_step=6e-3)
     center = grid[np.searchsorted(xs, 0.0), np.searchsorted(xs, 0.0)]
     corner = grid[np.searchsorted(xs, -24e-3), np.searchsorted(xs, -24e-3)]
     map_ordering = center < corner

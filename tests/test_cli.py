@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from vcselink.cli import main
-from vcselink.presets import nmse_table_rows, preset_sinr_map, run_preset
+from vcselink.presets import (
+    nmse_table_rows,
+    preset_rate_vs_tx_tilt,
+    preset_sinr_map,
+    run_preset,
+)
 from vcselink.scenario import ConfigError, build_scenario, load_config, run_scenario
 
 
@@ -64,6 +69,43 @@ class TestConfigValidation:
             load_config(path)
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"beam": {"w0": float("nan")}}, "beam.w0"),
+            ({"distance": float("inf")}, "distance"),
+            ({"misalignment": {"x_de": float("-inf")}}, "misalignment.x_de"),
+            ({"pd": {"radius": 10**400}}, "pd.radius"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, overrides, field):
+        # json.loads accepts NaN, Infinity and integers beyond the float range;
+        # none of them may reach the quadrature
+        path = write_config(tmp_path / "c.json", overrides)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "sweep,field",
+        [
+            ({"parameter": "misalignment.x_de", "start": "a", "stop": 1e-3, "steps": 3},
+             "sweep.start"),
+            ({"parameter": "misalignment.x_de", "start": 0.0, "stop": None, "steps": 3},
+             "sweep.stop"),
+            ({"parameter": "link.n_fft", "start": 64, "stop": 256, "steps": 3},
+             "sweep.parameter"),
+            ({"parameter": "tx_array.k", "start": 2, "stop": 5, "steps": 4},
+             "sweep.parameter"),
+            ({"parameter": "rx_array.k", "start": 2, "stop": 5, "steps": 4},
+             "sweep.parameter"),
+        ],
+    )
+    def test_sweep_fields_typed(self, tmp_path, capsys, sweep, field):
+        path = write_config(tmp_path / "c.json", {"sweep": sweep})
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_direct_mode_needs_square_system(self, tmp_path):
         path = write_config(tmp_path / "c.json", {"rx_array": {"kind": "config-ii"}})
         with pytest.raises(ConfigError):
@@ -103,14 +145,16 @@ class TestRunScenario:
         assert values == sorted(values)
 
     def test_sweep_threads_match_serial(self, tmp_path):
+        # --threads is accepted for compatibility and changes nothing
         cfg = write_config(
             tmp_path / "c.json",
             {"sweep": {"parameter": "beam.w0", "start": 5e-5, "stop": 1e-4, "steps": 4}},
         )
-        run_scenario(cfg, tmp_path / "serial", threads=1)
-        run_scenario(cfg, tmp_path / "parallel", threads=4)
-        assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
-            tmp_path / "parallel" / "sweep.csv"
+        for threads in ("1", "4"):
+            out = str(tmp_path / threads)
+            assert main(["simulate", str(cfg), "--out", out, "--threads", threads]) == 0
+        assert (tmp_path / "1" / "sweep.csv").read_bytes() == (
+            tmp_path / "4" / "sweep.csv"
         ).read_bytes()
 
     def test_meta_is_deterministic_and_versioned(self, tmp_path):
@@ -227,6 +271,20 @@ class TestPresets:
         assert all(p.exists() for p in paths)
         paths = preset_rate_vs_rx_tilt(tmp_path, step_deg=45.0)
         assert all(p.exists() for p in paths)
+
+    def test_tx_tilt_cell_matches_simulate(self, tmp_path):
+        # a preset cell is the aggregate `simulate` writes for the same overrides
+        path, _ = preset_rate_vs_tx_tilt(tmp_path, step_deg=0.5, stop_deg=0.5)
+        header, _, last = path.read_text().strip().splitlines()
+        cell = last.split(",")[header.split(",").index("svd_config_ii_bps")]
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"rx_array": {"kind": "config-ii"}, "mode": "svd",
+             "misalignment": {"phi_a_deg": 0.5}},
+        )
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        footer = (tmp_path / "sim" / "rates.csv").read_text().strip().splitlines()[-1]
+        assert footer.split(",")[3] == cell
 
     def test_gmm_verify_preset_small(self, tmp_path):
         from vcselink.presets import preset_gmm_verify

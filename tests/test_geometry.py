@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from vcselink.beam import BeamParams
+from vcselink.channel import PdGeometry, gain_gmm
 from vcselink.geometry import (
     MisalignmentState,
     alignment_cosine,
@@ -215,3 +217,12 @@ def test_rx_element_pose_matches_point_projection():
         x, y = rng.uniform(-30e-3, 30e-3, 2)
         pose = rx_element_pose(x, y, MisalignmentState(psi_a=qa, psi_e=qe))
         assert np.allclose(pose, rx_point_to_ref(x, y, qa, qe), atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x_de", "y_de", "phi_a", "phi_e", "psi_a", "psi_e"])
+def test_state_rejects_non_finite_values(field, value):
+    # a NaN displacement must not reach the quadrature and come back as a gain of 0
+    with pytest.raises(ValueError, match="finite"):
+        gain_gmm(BeamParams(850e-9, 100e-6), 2.0, PdGeometry(3e-3),
+                 MisalignmentState(**{field: value}))
