@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,13 +20,14 @@ from scipy.special import erf
 from .beam import BeamParams, spot_radius_sq
 from .geometry import (
     MisalignmentState,
+    _beam_frame,
     alignment_cosine,
     array_element_xy,
     gmm_point_frame,
     rx_element_pose,
     tx_element_pose,
 )
-from .quadrature import DiskQuadratureError, QuadratureSpec, integrate_disk
+from .quadrature import QuadratureSpec, _integrate_disks, integrate_disk
 
 __all__ = [
     "PdGeometry",
@@ -177,17 +178,20 @@ def gain_gmm(
     cos_theta = alignment_cosine(state)
     if cos_theta <= 0.0:
         return 0.0
-    w0_sq = beam.waist_radius**2
-    inv_zr_sq = 1.0 / beam.rayleigh_range**2
 
     def integrand(x, y):
         frame = gmm_point_frame(x, y, L, state)
-        z = frame.z_axial
-        w2 = w0_sq * (1.0 + z * z * inv_zr_sq)
-        vals = 2.0 / (np.pi * w2) * np.exp(-2.0 * frame.rho_sq / w2) * cos_theta
-        return np.where(z > 0.0, vals, 0.0)
+        return _intensity(beam, frame.z_axial, frame.rho_sq, cos_theta)
 
     return integrate_disk(integrand, pd.radius, spec)
+
+
+def _intensity(beam: BeamParams, z, rho_sq, cos_theta: float):
+    """Beam intensity on the tilted detector at beam-frame (z, rho^2),
+    weighted by the alignment cosine; zero behind the waist."""
+    w2 = beam.waist_radius**2 * (1.0 + z * z * (1.0 / beam.rayleigh_range**2))
+    vals = 2.0 / (np.pi * w2) * np.exp(-2.0 * rho_sq / w2) * cos_theta
+    return np.where(z > 0.0, vals, 0.0)
 
 
 def gain_approx_displacement(beam: BeamParams, L: float, pd: PdGeometry, x_off, y_off):
@@ -312,34 +316,48 @@ def mimo_matrix(
         gains[on_axis] = gain_aligned(beam, L, pd)
         return ChannelMatrix(gains, method)
 
-    # exact route
+    # exact route: one batched quadrature over the unique element pairs
     tx_pos = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)
     rx_pos = rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)
-    gains = np.zeros((nr, nt))
-    cache: dict = {}
+    offsets = tx_pos[None, :, :] - rx_pos[:, None, :]  # (dx, dy, pair distance)
+    keys: dict = {}  # pair key -> its number
+    firsts = []  # first entry (i, j) of each key, in row-major order
+    slot = []  # key number of each entry; -1 for a non-positive distance
     axial = state.is_axial
-    for i in range(nr):
-        for j in range(nt):
-            l_pair = tx_pos[j, 2] - rx_pos[i, 2]
-            dx = tx_pos[j, 0] - rx_pos[i, 0]
-            dy = tx_pos[j, 1] - rx_pos[i, 1]
+    for i, row in enumerate(offsets.tolist()):
+        for j, (dx, dy, l_pair) in enumerate(row):
             if l_pair <= 0:
                 warnings.warn(
                     f"non-positive pair distance for entry ({i}, {j}); gain set to 0",
                     stacklevel=2,
                 )
+                slot.append(-1)
                 continue
             # gains for rotation-free states depend only on the radial offset
             key = (l_pair, math.hypot(dx, dy)) if axial else (l_pair, dx, dy)
-            if key not in cache:
-                pair_state = replace(state, x_de=dx, y_de=dy)
-                try:
-                    cache[key] = gain_gmm(beam, l_pair, pd, pair_state, spec)
-                except DiskQuadratureError as exc:
-                    raise DiskQuadratureError(
-                        exc.estimate, exc.error_bound, context=f"entry ({i}, {j})"
-                    ) from exc
-            gains[i, j] = cache[key]
+            number = keys.setdefault(key, len(keys))
+            if number == len(firsts):
+                firsts.append((i, j))
+            slot.append(number)
+    gains = np.zeros((nr, nt))
+    cos_theta = alignment_cosine(state)
+    if not firsts or cos_theta <= 0.0:
+        return ChannelMatrix(gains, GainMethod.EXACT_GMM)
+    pair_dx, pair_dy, pair_l = offsets[tuple(np.array(firsts).T)].T
+
+    def integrand(k, x, y):
+        z, rho_sq = _beam_frame(
+            x, y, pair_l[k], pair_dx[k], pair_dy[k],
+            state.phi_a, state.phi_e, state.psi_a, state.psi_e,
+        )
+        return _intensity(beam, z, rho_sq, cos_theta)
+
+    values = _integrate_disks(
+        integrand, pd.radius, len(firsts), spec, lambda k: f"entry {firsts[k]}"
+    )
+    slot = np.array(slot).reshape(nr, nt)
+    found = slot >= 0
+    gains[found] = values[slot[found]]
     return ChannelMatrix(gains, GainMethod.EXACT_GMM)
 
 

@@ -63,7 +63,7 @@ class MisalignmentState:
             warnings.warn(
                 "orientation angle at or beyond 90 deg; link geometry is "
                 "degenerate there",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -147,6 +147,25 @@ class GmmPointFrame:
     cos_theta: float
 
 
+def _beam_frame(x, y, L, x_de, y_de, phi_a: float, phi_e: float, psi_a: float, psi_e: float):
+    """(z, rho^2) of receiver-local points in the beam frame; ``L``, ``x_de``
+    and ``y_de`` may be arrays that broadcast against ``x`` and ``y``, one
+    value per link. See :func:`gmm_point_frame`."""
+    u, v, w = rx_point_to_ref(x, y, psi_a, psi_e)
+    a, b, c = tx_normal(phi_a, phi_e)
+    up = u - x_de
+    vp = v - y_de
+    ell = -(a * up + b * vp + c * w)
+    z = L * math.cos(phi_e) * math.cos(phi_a) + ell
+    # rho^2 = d^2 - z^2 with d the waist-to-point distance; evaluated as the
+    # squared rejection of the waist-to-point vector from the beam axis,
+    # which is the same quantity without the catastrophic cancellation
+    rx_ = -up - z * a
+    ry_ = -vp - z * b
+    rz_ = (L - w) - z * c
+    return z, np.maximum(rx_ * rx_ + ry_ * ry_ + rz_ * rz_, 0.0)
+
+
 def gmm_point_frame(x, y, L: float, state: MisalignmentState) -> GmmPointFrame:
     """Map receiver-local point(s) (x, y) to (z, rho^2) in the beam frame.
 
@@ -157,19 +176,9 @@ def gmm_point_frame(x, y, L: float, state: MisalignmentState) -> GmmPointFrame:
     """
     if L <= 0:
         raise ValueError("link distance must be > 0")
-    u, v, w = rx_point_to_ref(x, y, state.psi_a, state.psi_e)
-    a, b, c = tx_normal(state.phi_a, state.phi_e)
-    up = u - state.x_de
-    vp = v - state.y_de
-    ell = -(a * up + b * vp + c * w)
-    z = L * math.cos(state.phi_e) * math.cos(state.phi_a) + ell
-    # rho^2 = d^2 - z^2 with d the waist-to-point distance; evaluated as the
-    # squared rejection of the waist-to-point vector from the beam axis,
-    # which is the same quantity without the catastrophic cancellation
-    rx_ = -up - z * a
-    ry_ = -vp - z * b
-    rz_ = (L - w) - z * c
-    rho_sq = np.maximum(rx_ * rx_ + ry_ * ry_ + rz_ * rz_, 0.0)
+    z, rho_sq = _beam_frame(
+        x, y, L, state.x_de, state.y_de, state.phi_a, state.phi_e, state.psi_a, state.psi_e
+    )
     if np.ndim(z) == 0:
         z = float(z)
         rho_sq = float(rho_sq)

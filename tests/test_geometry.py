@@ -203,6 +203,12 @@ def test_tx_element_pose():
     assert np.allclose(out, [5e-3, -1e-3, 2.0 + 7e-3], atol=1e-12)
 
 
+def test_degenerate_angle_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="beyond 90") as record:
+        MisalignmentState(psi_e=math.radians(90))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_rx_element_pose():
     assert np.allclose(rx_element_pose(1e-3, 2e-3, MisalignmentState()), [1e-3, 2e-3, 0.0])
     with pytest.warns(UserWarning):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vcselink import quadrature
 from vcselink.quadrature import (
     DiskQuadratureError,
     QuadratureSpec,
@@ -67,6 +68,38 @@ def test_convergence_failure_carries_estimate():
     # the carried value is the best (still unconverged) estimate
     assert excinfo.value.estimate == pytest.approx(math.pi / 1e4, rel=0.5)
     assert excinfo.value.error_bound > 0
+
+
+def test_batch_matches_lone_integrals_whatever_the_chunk(monkeypatch):
+    # peaks of three widths converge at different orders; the sharp ones
+    # reach radial order 128, whose 256-point rows span several calls
+    sharpness = np.array([10.0, 1000.0, 4000.0])
+    sizes = []
+
+    def peaks(k, x, y):
+        sizes.append(np.broadcast(k, x).size)
+        return np.exp(-sharpness[k] * (x * x + y * y))
+
+    args = (1.0, len(sharpness), QuadratureSpec(), lambda k: f"peak {k}")
+    chunked = quadrature._integrate_disks(peaks, *args)
+    assert max(sizes) == quadrature._CHUNK_POINTS
+    assert sum(sizes) > 4 * quadrature._CHUNK_POINTS
+    monkeypatch.setattr(quadrature, "_CHUNK_POINTS", 1 << 30)
+    assert np.array_equal(quadrature._integrate_disks(peaks, *args), chunked)
+    for k, a in enumerate(sharpness):
+        lone = integrate_disk(lambda x, y: np.exp(-a * (x * x + y * y)), 1.0)
+        assert chunked[k] == lone
+        assert lone == pytest.approx(math.pi / a * (1.0 - math.exp(-a)), rel=1e-9)
+
+
+def test_batch_failure_names_the_lowest_unconverged_integral():
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
+    sharpness = np.array([1.0, 1e4, 2e4])
+    with pytest.raises(DiskQuadratureError, match=r"\[peak 1\]"):
+        quadrature._integrate_disks(
+            lambda k, x, y: np.exp(-sharpness[k] * (x * x + y * y)),
+            1.0, len(sharpness), spec, lambda k: f"peak {k}",
+        )
 
 
 def test_spec_validation():
