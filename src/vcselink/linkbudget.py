@@ -105,24 +105,38 @@ def electrical_signal_power(p_t: float) -> float:
     return p_t * p_t / 9.0
 
 
-def noise_variance(row_gains, params: LinkParams) -> float:
-    """Total receiver-branch noise variance (A^2) for one detector.
+def noise_variance(gains, params: LinkParams):
+    """Total receiver-branch noise variance (A^2) of one detector, or of
+    each detector of a stack of gain rows (last axis = transmitters).
 
     Thermal + shot + RIN; shot and RIN terms depend on the total optical
     power collected from all transmitters, i.e. on the detector's full gain
-    row.
+    row. Returns a float for one row, else one variance per row.
     """
-    row = np.asarray(row_gains, dtype=float)
+    photo = params.responsivity * np.atleast_1d(np.asarray(gains, dtype=float)) * params.p_t
     thermal = 4.0 * BOLTZMANN * params.temperature / params.load_resistance
     thermal *= params.bandwidth * params.noise_figure
-    photo = params.responsivity * row * params.p_t
-    shot = 2.0 * ELEMENTARY_CHARGE * photo.sum() * params.bandwidth
-    rin = params.rin * (photo**2).sum() * params.bandwidth
-    return float(thermal + shot + rin)
+    shot = 2.0 * ELEMENTARY_CHARGE * photo.sum(axis=-1) * params.bandwidth
+    rin = params.rin * (photo**2).sum(axis=-1) * params.bandwidth
+    total = thermal + shot + rin
+    return float(total) if np.ndim(total) == 0 else total
 
 
-def _as_gains(h) -> np.ndarray:
-    return h.gains if isinstance(h, ChannelMatrix) else np.asarray(h, dtype=float)
+def _as_gains(h, square: bool = False) -> np.ndarray:
+    gains = h.gains if isinstance(h, ChannelMatrix) else np.asarray(h, dtype=float)
+    if square and (gains.ndim != 2 or gains.shape[0] != gains.shape[1]):
+        raise ValueError("direct mode requires a square channel matrix")
+    return gains
+
+
+def _served_sinr(gains: np.ndarray, serving, params: LinkParams):
+    """Direct-mode SINR of each detector row of ``gains`` (last axis =
+    transmitters) whose signal comes from transmitter ``serving[...]``; the
+    other transmitters of the row interfere. No precoding."""
+    g2 = gains**2
+    own = np.take_along_axis(g2, np.asarray(serving)[..., None], axis=-1)[..., 0]
+    scale = params.responsivity**2 * electrical_signal_power(params.p_t)
+    return scale * own / (scale * (g2.sum(axis=-1) - own) + noise_variance(gains, params))
 
 
 def sinr_direct(h, i: int, params: LinkParams) -> float:
@@ -131,15 +145,7 @@ def sinr_direct(h, i: int, params: LinkParams) -> float:
     Requires a square matrix: each transmitter is paired with the detector
     of the same index, the remaining row entries act as crosstalk.
     """
-    gains = _as_gains(h)
-    if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
-        raise ValueError("direct mode requires a square channel matrix")
-    p_elec = electrical_signal_power(params.p_t)
-    row = gains[i]
-    scale = params.responsivity**2 * p_elec
-    signal = scale * row[i] ** 2
-    interference = scale * float((row**2).sum() - row[i] ** 2)
-    return signal / (interference + noise_variance(row, params))
+    return float(_served_sinr(_as_gains(h, square=True)[i], i, params))
 
 
 def svd_thin(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,8 +164,9 @@ def svd_thin(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh.T
 
 
-def sinr_svd(singular_value: float, sigma_sq: float, params: LinkParams) -> float:
-    """Per-subcarrier SNR of one eigenmode stream."""
+def sinr_svd(singular_value, sigma_sq, params: LinkParams):
+    """Per-subcarrier SNR of one eigenmode stream, or element-wise over
+    arrays of singular values and noise variances."""
     p_elec = electrical_signal_power(params.p_t)
     return params.responsivity**2 * singular_value**2 * p_elec / sigma_sq
 
@@ -171,20 +178,28 @@ def sinr_gap(target_ber: float) -> float:
     return -math.log(5.0 * target_ber) / 1.5
 
 
-def bits_per_symbol(gamma: float, target_ber: float) -> float:
-    """Adaptive-QAM spectral efficiency log2(1 + gamma/Gap), bits/symbol.
+def _qam_bits(gamma, target_ber: float, stacklevel: int) -> np.ndarray:
+    """Array form of :func:`bits_per_symbol`; the fit warning names the frame ``stacklevel`` up."""
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma < 0).any():
+        raise ValueError("gamma must be >= 0")
+    if (gamma > _SINR_VALIDITY_LINEAR).any():
+        warnings.warn(
+            "SINR above 30 dB is outside the adaptive-QAM fit validity",
+            stacklevel=stacklevel,
+        )
+    return np.log2(1.0 + gamma / sinr_gap(target_ber))
+
+
+def bits_per_symbol(gamma, target_ber: float):
+    """Adaptive-QAM spectral efficiency log2(1 + gamma/Gap), bits/symbol,
+    of one SINR or element-wise over an array of them.
 
     The fit is validated for SINR up to 30 dB; larger values are accepted
     with a warning.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if gamma > _SINR_VALIDITY_LINEAR:
-        warnings.warn(
-            "SINR above 30 dB is outside the adaptive-QAM fit validity",
-            stacklevel=2,
-        )
-    return math.log2(1.0 + gamma / sinr_gap(target_ber))
+    bits = _qam_bits(gamma, target_ber, stacklevel=3)
+    return float(bits) if bits.ndim == 0 else bits
 
 
 @dataclass(frozen=True)
@@ -198,29 +213,28 @@ class RateReport:
     mode: Mode | None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_link_sinr", np.asarray(self.per_link_sinr, dtype=float))
-        object.__setattr__(self, "per_link_bits", np.asarray(self.per_link_bits, dtype=float))
-        object.__setattr__(self, "per_link_rate", np.asarray(self.per_link_rate, dtype=float))
+        for name in ("per_link_sinr", "per_link_bits", "per_link_rate"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
 def aggregate_rate(h, params: LinkParams, mode: Mode | str = Mode.DIRECT) -> RateReport:
     """Aggregate throughput of the array link.
 
-    DIRECT mode needs a square matrix (one stream per matched pair); SVD
-    mode needs N_r >= N_t and allocates one stream per singular value, with
-    stream i inheriting the branch-i noise variance.
+    DIRECT mode needs a square matrix (one stream per matched pair, stream
+    i served by transmitter i). SVD mode needs N_r >= N_t and allocates one
+    stream per singular value; eigenmode stream i takes detector branch i's
+    noise variance (not the U^T-combined noise of all branches). A SINR
+    above the 30 dB QAM fit warns once per call.
     """
     mode = Mode(mode)
-    gains = _as_gains(h)
+    gains = _as_gains(h, square=mode is Mode.DIRECT)
     n_t = gains.shape[1]
     if mode is Mode.DIRECT:
-        sinrs = np.array([sinr_direct(gains, i, params) for i in range(n_t)])
+        sinrs = _served_sinr(gains, np.arange(n_t), params)
     else:
         _, s, _ = svd_thin(gains)
-        sinrs = np.array(
-            [sinr_svd(s[i], noise_variance(gains[i], params), params) for i in range(n_t)]
-        )
-    bits = np.array([bits_per_symbol(g, params.target_ber) for g in sinrs])
+        sinrs = sinr_svd(s, noise_variance(gains[:n_t], params), params)
+    bits = _qam_bits(sinrs, params.target_ber, stacklevel=3)
     per_rate = params.subcarrier_efficiency * params.bandwidth * bits
     return RateReport(sinrs, bits, per_rate, float(per_rate.sum()), mode)
 
@@ -265,21 +279,9 @@ def write_rates_csv(report: RateReport, path) -> None:
 def read_rates_csv(path) -> RateReport:
     """Parse a rates CSV back into a report (value-level inverse of
     :func:`write_rates_csv`; the mode is not part of the file)."""
-    sinr_db = []
-    bits = []
-    rates = []
-    aggregate = 0.0
     with open(path, "r", newline="") as fh:
-        fh.readline()
-        for line in fh:
-            cells = line.strip().split(",")
-            if not cells or not cells[0]:
-                continue
-            if cells[0] == "aggregate":
-                aggregate = float(cells[3])
-                break
-            sinr_db.append(float(cells[1]))
-            bits.append(float(cells[2]))
-            rates.append(float(cells[3]))
-    sinr = np.array([10 ** (v / 10.0) if math.isfinite(v) else 0.0 for v in sinr_db])
-    return RateReport(sinr, np.array(bits), np.array(rates), aggregate, None)
+        rows = [line.strip().split(",") for line in fh.readlines()[1:] if line.strip()]
+    streams = np.array([r[1:] for r in rows if r[0] != "aggregate"], dtype=float)
+    sinr_db, bits, rates = streams.reshape(-1, 3).T
+    aggregate = next((float(r[3]) for r in rows if r[0] == "aggregate"), 0.0)
+    return RateReport(10 ** (sinr_db / 10.0), bits, rates, aggregate, None)

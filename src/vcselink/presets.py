@@ -27,7 +27,7 @@ from .channel import (
     gain_gmm,
 )
 from .geometry import MisalignmentState
-from .linkbudget import LinkParams, electrical_signal_power, nmse, noise_variance
+from .linkbudget import LinkParams, _served_sinr, nmse
 from .oracle import RayBundleSpec, ray_gain_mc
 from .scenario import ConfigError, build_scenario, resolve_config
 
@@ -184,31 +184,21 @@ def sinr_map(w0: float, grid_step: float = 1e-3) -> tuple[np.ndarray, np.ndarray
 
     At each raster point a virtual detector of the standard radius is
     placed; the transmitter owning the point's lattice cell provides the
-    signal and all others interfere. Returns (xs, ys, sinr_db) with
-    sinr_db indexed [iy, ix].
+    signal and all others interfere: the direct-mode SINR of
+    ``aggregate_rate`` with the cell owner as the serving transmitter.
+    Returns (xs, ys, sinr_db) with sinr_db indexed [iy, ix].
     """
     scenario = build_scenario(reference_config(beam={"w0": w0}))
-    tx, rx, params = scenario.tx, scenario.rx, scenario.params
-    pd = rx.pd
+    tx, rx = scenario.tx, scenario.rx
     half = rx.side / 2.0
-    n = int(round(2 * half / grid_step)) + 1
-    xs = np.linspace(-half, half, n)
-    ys = np.linspace(-half, half, n)
+    xs = ys = np.linspace(-half, half, int(round(2 * half / grid_step)) + 1)
     px, py = np.meshgrid(xs, ys)
-    dx = px[:, :, None] - tx.elements[:, 0][None, None, :]
-    dy = py[:, :, None] - tx.elements[:, 1][None, None, :]
-    gains = gain_approx_displacement(scenario.beam, scenario.distance, pd, dx, dy)
+    dx = px[:, :, None] - tx.elements[:, 0]
+    dy = py[:, :, None] - tx.elements[:, 1]
+    gains = gain_approx_displacement(scenario.beam, scenario.distance, rx.pd, dx, dy)
     owner = np.argmin(dx * dx + dy * dy, axis=2)
-    p_elec = electrical_signal_power(params.p_t)
-    scale = params.responsivity**2 * p_elec
-    sinr_db = np.empty_like(px)
-    for iy in range(n):
-        for ix in range(n):
-            row = gains[iy, ix]
-            sig = scale * row[owner[iy, ix]] ** 2
-            interference = scale * float((row**2).sum()) - sig
-            gamma = sig / (interference + noise_variance(row, params))
-            sinr_db[iy, ix] = 10.0 * math.log10(gamma) if gamma > 0 else -math.inf
+    with np.errstate(divide="ignore"):
+        sinr_db = 10.0 * np.log10(_served_sinr(gains, owner, scenario.params))
     return xs, ys, sinr_db
 
 

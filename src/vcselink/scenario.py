@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from copy import deepcopy
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,17 +130,22 @@ def _require_choice(cfg: dict, path: str, choices) -> str:
     return node
 
 
-def _validate(cfg: dict) -> dict:
+def _check_fields(cfg: dict) -> None:
     for path in ("beam.wavelength", "beam.w0", "link.p_t", "link.bandwidth",
                  "link.responsivity", "link.load_resistance", "link.temperature",
                  "link.target_ber", "distance", "pd.radius"):
         _require_number(cfg, path, positive=True)
+    if cfg["link"]["target_ber"] > 1e-2:
+        raise ConfigError("link.target_ber", "must be <= 1e-2, the adaptive-QAM fit validity, "
+                          f"got {cfg['link']['target_ber']}")
     for path in ("link.rin_db_hz", "link.noise_figure_db"):
         _require_number(cfg, path)
     _require_number(cfg, "pd.spacing", nonneg=True)
     n_fft = cfg["link"]["n_fft"]
     if not isinstance(n_fft, int) or isinstance(n_fft, bool):
         raise ConfigError("link.n_fft", f"expected an integer, got {_type_name(n_fft)}")
+    if n_fft < 64 or n_fft & (n_fft - 1):
+        raise ConfigError("link.n_fft", f"must be a power of two >= 64, got {n_fft}")
     for side in ("tx_array", "rx_array"):
         kind = _require_choice(cfg, f"{side}.kind", _ARRAY_KINDS)
         k = cfg[side].get("k")
@@ -152,6 +156,10 @@ def _validate(cfg: dict) -> dict:
         _require_number(cfg, f"misalignment.{field}")
     _require_choice(cfg, "method", _METHODS)
     _require_choice(cfg, "mode", _MODES)
+
+
+def _validate(cfg: dict) -> dict:
+    _check_fields(cfg)
     sweep = cfg["sweep"]
     if sweep is not None:
         if not isinstance(sweep, dict):
@@ -174,6 +182,9 @@ def _validate(cfg: dict) -> dict:
             raise ConfigError("sweep.scale", f"must be 'linear' or 'log', got {scale!r}")
         if scale == "log" and (start <= 0 or stop <= 0):
             raise ConfigError("sweep.scale", "log scale needs positive start/stop")
+        # every field check is an interval, so valid end points make every point valid
+        for end in (start, stop):
+            _check_fields(_set_path(cfg, param, end))
         cfg["sweep"] = {**sweep, "scale": scale}
     return cfg
 
@@ -188,13 +199,9 @@ def _sweepable(cfg: dict, dotted: str) -> bool:
 
 
 def _set_path(cfg: dict, dotted: str, value: float) -> dict:
-    out = deepcopy(cfg)
-    node = out
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node[part]
-    node[parts[-1]] = value
-    return out
+    """``cfg`` with one field replaced; only the sections on its path are copied."""
+    head, _, rest = dotted.partition(".")
+    return {**cfg, head: _set_path(cfg[head], rest, value) if rest else value}
 
 
 def resolve_config(obj: dict) -> dict:

@@ -106,6 +106,41 @@ class TestConfigValidation:
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"link": {"target_ber": 0.5}}, "link.target_ber"),
+            ({"link": {"n_fft": 96}}, "link.n_fft"),
+            ({"link": {"n_fft": 32}}, "link.n_fft"),
+            ({"sweep": {"parameter": "beam.w0", "start": -1e-6, "stop": 1e-4, "steps": 3}},
+             "beam.w0"),
+            ({"sweep": {"parameter": "pd.radius", "start": 3e-3, "stop": 0, "steps": 3}},
+             "pd.radius"),
+            ({"sweep": {"parameter": "link.target_ber", "start": 1e-3, "stop": 0.5,
+                        "steps": 3}}, "link.target_ber"),
+            ({"sweep": {"parameter": "pd.spacing", "start": -1e-3, "stop": 6e-3, "steps": 3}},
+             "pd.spacing"),
+        ],
+    )
+    def test_out_of_domain_values_rejected_before_output(self, tmp_path, capsys, overrides,
+                                                         field):
+        # a sweep's end points go through the same checks as the swept field
+        path = write_config(tmp_path / "c.json", overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_points_leave_the_config_untouched(self, tmp_path):
+        from vcselink.scenario import _set_path
+
+        cfg = load_config(write_config(tmp_path / "c.json"))
+        point = _set_path(cfg, "misalignment.x_de", 1e-3)
+        assert point["misalignment"]["x_de"] == 1e-3
+        assert cfg["misalignment"]["x_de"] == 0.0
+        assert point["beam"] is cfg["beam"]  # only the swept section is copied
+        assert _set_path(cfg, "distance", 3.0)["distance"] == 3.0 and cfg["distance"] == 2.0
+
     def test_direct_mode_needs_square_system(self, tmp_path):
         path = write_config(tmp_path / "c.json", {"rx_array": {"kind": "config-ii"}})
         with pytest.raises(ConfigError):

@@ -3,9 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vcselink.beam import BeamParams
-from vcselink.channel import LayoutKind, build_layout, mimo_matrix
+from vcselink.channel import (
+    LayoutKind,
+    build_layout,
+    gain_approx_displacement,
+    mimo_matrix,
+    read_gains_csv,
+    write_gains_csv,
+)
 from vcselink.geometry import MisalignmentState
 from vcselink.linkbudget import (
     LinkParams,
@@ -24,6 +34,8 @@ from vcselink.linkbudget import (
     svd_thin,
     write_rates_csv,
 )
+from vcselink.presets import reference_config, sinr_map
+from vcselink.scenario import build_scenario
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +306,155 @@ def test_rates_csv_round_trip(tmp_path, aligned_25x25):
     assert np.allclose(parsed.per_link_rate, report.per_link_rate, rtol=1e-11)
     assert np.allclose(parsed.per_link_bits, report.per_link_bits, rtol=1e-11)
     assert np.allclose(parsed.per_link_sinr, report.per_link_sinr, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The link budget on whole gain arrays
+
+
+def gain_matrices(min_side=1, max_side=9, square=True):
+    """Gain matrices with entries in [0, 1]; N_r >= N_t when not square."""
+
+    @st.composite
+    def build(draw):
+        n_t = draw(st.integers(min_side, max_side))
+        n_r = n_t if square else draw(st.integers(n_t, max_side))
+        return draw(arrays(float, (n_r, n_t), elements=st.floats(0.0, 1.0)))
+
+    return build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=gain_matrices(), p_t=st.floats(1e-4, 1e-2))
+def test_noise_variance_of_a_matrix_is_its_row_values(h, p_t):
+    params = LinkParams(p_t=p_t)
+    per_row = noise_variance(h, params)
+    assert per_row.shape == (h.shape[0],)
+    assert per_row.tolist() == [noise_variance(row, params) for row in h]
+    assert isinstance(noise_variance(h[0], params), float)
+    assert noise_variance(h[0, 0], params) == noise_variance(h[0, :1], params)  # one gain
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=gain_matrices(), p_t=st.floats(1e-4, 1e-2))
+def test_aggregate_direct_sinrs_are_sinr_direct(h, p_t):
+    params = LinkParams(p_t=p_t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = aggregate_rate(h, params, Mode.DIRECT)
+    assert report.per_link_sinr.tolist() == [
+        sinr_direct(h, i, params) for i in range(h.shape[0])
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=gain_matrices(square=False))
+def test_aggregate_svd_sinrs_take_branch_noise(h):
+    params = LinkParams()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = aggregate_rate(h, params, Mode.SVD)
+    _, s, _ = svd_thin(h)
+    expected = [sinr_svd(s[i], noise_variance(h[i], params), params) for i in range(h.shape[1])]
+    # a scalar s[i]**2 goes through libm pow, the array through s*s: a few ulps apart
+    np.testing.assert_array_max_ulp(report.per_link_sinr, np.array(expected), maxulp=4)
+
+
+def test_bits_per_symbol_on_arrays():
+    gammas = np.array([[0.0, 1.0], [10.0, 10**2.3]])
+    bits = bits_per_symbol(gammas, 1e-3)
+    assert bits.shape == gammas.shape
+    assert bits.tolist() == [[bits_per_symbol(g, 1e-3) for g in row] for row in gammas]
+    with pytest.raises(ValueError):
+        bits_per_symbol(np.array([1.0, -1e-9]), 1e-3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    w0=st.floats(40e-6, 110e-6),
+    grid_step=st.sampled_from([2e-3, 3e-3, 5e-3]),
+    cell=st.tuples(st.integers(0, 100), st.integers(0, 100)),
+)
+def test_sinr_map_cell_is_the_direct_sinr_of_its_detector_row(w0, grid_step, cell):
+    xs, ys, sinr_db = sinr_map(w0, grid_step=grid_step)
+    iy, ix = cell[0] % len(ys), cell[1] % len(xs)
+    scenario = build_scenario(reference_config(beam={"w0": w0}))
+    dx = xs[ix] - scenario.tx.elements[:, 0]
+    dy = ys[iy] - scenario.tx.elements[:, 1]
+    owner = int(np.argmin(dx * dx + dy * dy))
+    # a square matrix whose row ``owner`` is the virtual detector at the cell
+    h = np.zeros((len(dx), len(dx)))
+    h[owner] = gain_approx_displacement(scenario.beam, scenario.distance, scenario.rx.pd, dx, dy)
+    gamma = sinr_direct(h, owner, scenario.params)
+    assert sinr_db[iy, ix] == 10.0 * np.log10(gamma)
+
+
+def test_qam_fit_warning_once_naming_the_caller():
+    # 10 mW per laser lifts every stream above the 30 dB fit limit
+    params = LinkParams(p_t=1e-2)
+    h = np.diag([0.9, 0.8, 0.7])
+    for mode in (Mode.DIRECT, Mode.SVD):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = aggregate_rate(h, params, mode)
+        assert np.all(report.per_link_sinr > 1e3)
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+        assert "30 dB" in str(caught[0].message)
+    with pytest.warns(UserWarning) as record:
+        bits_per_symbol(np.array([10**3.5, 10**4]), 1e-3)
+    assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("kind", ["config-i", "config-ii", "config-iii"])
+def test_svd_noise_mapping_branch_against_combined(kind):
+    """Eigenmode stream i takes detector branch i's noise. The alternative,
+    the U^T-combined noise sum_k U_ki^2 sigma_k^2, moves the aggregate by
+    at most 1.5% over 0-25 mm of displacement."""
+    deviations = []
+    for x_de in (0.0, 5e-3, 10e-3, 15e-3, 17e-3, 20e-3, 25e-3):
+        scenario = build_scenario(
+            reference_config(rx_array={"kind": kind}, mode="svd", misalignment={"x_de": x_de})
+        )
+        h, params = scenario.channel_matrix().gains, scenario.params
+        report = aggregate_rate(h, params, Mode.SVD)
+        u, s, _ = svd_thin(h)
+        branch = sinr_svd(s, noise_variance(h[: h.shape[1]], params), params)
+        assert report.per_link_sinr.tolist() == branch.tolist()  # the default route
+        combined = sinr_svd(s, (u**2).T @ noise_variance(h, params), params)
+        bits = bits_per_symbol(combined, params.target_ber)
+        alt = (params.subcarrier_efficiency * params.bandwidth * bits).sum()
+        deviations.append(alt / report.aggregate - 1.0)
+    assert max(abs(d) for d in deviations) <= 0.015
+    assert max(abs(d) for d in deviations) > 2e-3  # the two routes do differ
+
+
+# ---------------------------------------------------------------------------
+# CSV round trips
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=gain_matrices(square=False))
+def test_gains_csv_round_trip(tmp_path_factory, h):
+    path = tmp_path_factory.mktemp("gains") / "gains.csv"
+    write_gains_csv(h, path)
+    assert np.allclose(read_gains_csv(path), h, rtol=1e-11, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=gain_matrices(min_side=2), dark=st.integers(0, 8))
+def test_rates_csv_round_trip_with_a_dark_stream(tmp_path_factory, h, dark):
+    h[dark % len(h)] = 0.0  # a detector without light: SINR 0, written as -inf dB
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = aggregate_rate(h, LinkParams(), Mode.DIRECT)
+    path = tmp_path_factory.mktemp("rates") / "rates.csv"
+    write_rates_csv(report, path)
+    assert ",-inf," in path.read_text()
+    parsed = read_rates_csv(path)
+    assert parsed.per_link_sinr[dark % len(h)] == 0.0
+    with np.errstate(divide="ignore"):
+        db = [10 * np.log10(r.per_link_sinr) for r in (parsed, report)]
+    assert np.allclose(db[0], db[1], rtol=1e-11, atol=1e-13)
+    for name in ("per_link_bits", "per_link_rate"):
+        assert np.allclose(getattr(parsed, name), getattr(report, name), rtol=1e-11, atol=0.0)
+    assert parsed.aggregate == pytest.approx(report.aggregate, rel=1e-11, abs=0.0)
