@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,8 +21,7 @@ from scipy.special import erf
 from .beam import BeamParams, spot_radius_sq
 from .geometry import (
     MisalignmentState,
-    _beam_frame,
-    alignment_cosine,
+    _link_constants,
     array_element_xy,
     gmm_point_frame,
     rx_element_pose,
@@ -164,29 +164,61 @@ def gain_gmm(
     beam: BeamParams,
     L: float,
     pd: PdGeometry,
-    state: MisalignmentState,
+    state: MisalignmentState | Sequence[MisalignmentState],
     spec: QuadratureSpec | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Exact misaligned gain: disk integral of the beam intensity evaluated
     through the point kernel, weighted by the alignment cosine.
 
     Surface points mapping behind the waist contribute zero; a receiver
-    facing away from the beam (cosine <= 0) yields zero outright.
+    facing away from the beam (cosine <= 0) yields zero outright. A
+    sequence of states gives an array of their lone gains, integrated in
+    one batch; a failure then names the lowest failing ``state k``.
     """
     if L <= 0:
         raise ValueError("link distance must be > 0")
-    cos_theta = alignment_cosine(state)
-    if cos_theta <= 0.0:
-        return 0.0
-
-    def integrand(x, y):
-        frame = gmm_point_frame(x, y, L, state)
-        return _intensity(beam, frame.z_axial, frame.rho_sq, cos_theta)
-
-    return integrate_disk(integrand, pd.radius, spec)
+    if isinstance(state, MisalignmentState):
+        integrand, live = _link_integrand(beam, [(L, *astuple(state))])
+        return integrate_disk(integrand, pd.radius, spec) if len(live) else 0.0
+    links = [(L, *astuple(s)) for s in state]
+    return _exact_gains(beam, pd, links, spec, lambda k: f"state {k}")
 
 
-def _intensity(beam: BeamParams, z, rho_sq, cos_theta: float):
+def _exact_gains(beam: BeamParams, pd: PdGeometry, links, spec, where) -> np.ndarray:
+    """Exact gains of link rows (see :func:`_link_integrand`) in one batched
+    quadrature; ``where(k)`` locates a failure of row k."""
+    integrand, live = _link_integrand(beam, links)
+    gains = np.zeros(len(links))
+    gains[live] = _integrate_disks(
+        integrand, pd.radius, len(live), spec, lambda k: where(live[k])
+    )
+    return gains
+
+
+def _link_integrand(beam: BeamParams, links):
+    """Integrand of the exact gains of link rows (L, x_de, y_de, phi_a,
+    phi_e, psi_a, psi_e) and the numbers of the rows it covers, those facing
+    the beam (the others gain 0): ``integrand(x, y, k=0)`` is the intensity
+    of covered row k weighted by its alignment cosine."""
+    L, x_de, y_de, *angles = np.array(links, dtype=float).reshape(-1, 7).T
+    *frame, cos_theta = _link_constants(L, *angles)
+    live = np.flatnonzero(cos_theta > 0.0)
+    # a term every link shares stays a float, so the integrand computes
+    # what depends only on it once per call rather than once per link
+    table = [
+        float(v[0]) if len(v) and (v == v[0]).all() else v
+        for v in (t[live] for t in (L, x_de, y_de, *frame, cos_theta))
+    ]
+
+    def integrand(x, y, k=0):
+        *link, cos_k = [v if isinstance(v, float) else v[k] for v in table]
+        z, rho_sq = gmm_point_frame(x, y, *link)
+        return _intensity(beam, z, rho_sq, cos_k)
+
+    return integrand, live
+
+
+def _intensity(beam: BeamParams, z, rho_sq, cos_theta):
     """Beam intensity on the tilted detector at beam-frame (z, rho^2),
     weighted by the alignment cosine; zero behind the waist."""
     w2 = beam.waist_radius**2 * (1.0 + z * z * (1.0 / beam.rayleigh_range**2))
@@ -221,20 +253,21 @@ def gain_approx_tx_tilt(
     y_i,
     x_j,
     y_j,
-    phi_a: float,
-    phi_e: float,
+    phi_a,
+    phi_e,
 ):
     """erf-product gain for a transmitter tilted by (phi_a, phi_e).
 
     Valid in the small-angle regime where the tilt acts like a beam-spot
     displacement of (L sin(phi_a), L sin(phi_e) cos(phi_a)); the spot radius
     is evaluated at the foreshortened distance L cos(phi_e) cos(phi_a).
+    Accepts arrays for the positions and the angles and broadcasts.
     """
     if L <= 0:
         raise ValueError("link distance must be > 0")
-    ca, sa = math.cos(phi_a), math.sin(phi_a)
-    ce, se = math.cos(phi_e), math.sin(phi_e)
-    w_eff = math.sqrt(float(spot_radius_sq(L * ce * ca, beam)))
+    ca, sa = np.cos(phi_a), np.sin(phi_a)
+    ce, se = np.cos(phi_e), np.sin(phi_e)
+    w_eff = np.sqrt(spot_radius_sq(L * ce * ca, beam))
     a = _SQRT_PI * pd.radius
     c = _SQRT_2 * w_eff
     x_i = np.asarray(x_i, dtype=float)
@@ -322,8 +355,10 @@ def mimo_matrix(
     offsets = tx_pos[None, :, :] - rx_pos[:, None, :]  # (dx, dy, pair distance)
     keys: dict = {}  # pair key -> its number
     firsts = []  # first entry (i, j) of each key, in row-major order
+    links = []  # link row of each key, from its first entry
     slot = []  # key number of each entry; -1 for a non-positive distance
     axial = state.is_axial
+    angles = (state.phi_a, state.phi_e, state.psi_a, state.psi_e)
     for i, row in enumerate(offsets.tolist()):
         for j, (dx, dy, l_pair) in enumerate(row):
             if l_pair <= 0:
@@ -338,25 +373,12 @@ def mimo_matrix(
             number = keys.setdefault(key, len(keys))
             if number == len(firsts):
                 firsts.append((i, j))
+                links.append((l_pair, dx, dy, *angles))
             slot.append(number)
-    gains = np.zeros((nr, nt))
-    cos_theta = alignment_cosine(state)
-    if not firsts or cos_theta <= 0.0:
-        return ChannelMatrix(gains, GainMethod.EXACT_GMM)
-    pair_dx, pair_dy, pair_l = offsets[tuple(np.array(firsts).T)].T
-
-    def integrand(k, x, y):
-        z, rho_sq = _beam_frame(
-            x, y, pair_l[k], pair_dx[k], pair_dy[k],
-            state.phi_a, state.phi_e, state.psi_a, state.psi_e,
-        )
-        return _intensity(beam, z, rho_sq, cos_theta)
-
-    values = _integrate_disks(
-        integrand, pd.radius, len(firsts), spec, lambda k: f"entry {firsts[k]}"
-    )
+    values = _exact_gains(beam, pd, links, spec, lambda k: f"entry {firsts[k]}")
     slot = np.array(slot).reshape(nr, nt)
     found = slot >= 0
+    gains = np.zeros((nr, nt))
     gains[found] = values[slot[found]]
     return ChannelMatrix(gains, GainMethod.EXACT_GMM)
 

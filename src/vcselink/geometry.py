@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "MisalignmentState",
-    "GmmPointFrame",
     "rotation_matrix",
     "rx_point_to_ref",
     "tx_normal",
@@ -101,19 +100,20 @@ def rx_point_to_ref(x, y, psi_a: float, psi_e: float):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    ca, sa = math.cos(psi_a), math.sin(psi_a)
-    ce, se = math.cos(psi_e), math.sin(psi_e)
-    u = x * ca + y * sa * se
-    v = y * ce
-    w = x * sa - y * ca * se
-    return u, v, w
+    return _rotate_rx(x, y, np.cos(psi_a), np.sin(psi_a), np.cos(psi_e), np.sin(psi_e))
 
 
-def tx_normal(phi_a: float, phi_e: float) -> np.ndarray:
+def _rotate_rx(x, y, ca, sa, ce, se):
+    """:func:`rx_point_to_ref` given the cosines and sines of psi_a, psi_e."""
+    return x * ca + y * sa * se, y * ce, x * sa - y * ca * se
+
+
+def tx_normal(phi_a, phi_e) -> np.ndarray:
     """Unit normal of the transmitter (beam-axis direction toward +z'
-    at zero tilt)."""
-    ca, sa = math.cos(phi_a), math.sin(phi_a)
-    ce, se = math.cos(phi_e), math.sin(phi_e)
+    at zero tilt). Array angles give one normal per link: the result's
+    first axis holds the three components."""
+    ca, sa = np.cos(phi_a), np.sin(phi_a)
+    ce, se = np.cos(phi_e), np.sin(phi_e)
     return np.array([-ce * sa, -se, ce * ca])
 
 
@@ -127,36 +127,46 @@ def rx_normal(psi_a: float, psi_e: float) -> np.ndarray:
 def alignment_cosine(state: MisalignmentState) -> float:
     """Cosine of the angle between the beam axis and the receiver normal:
     cos(phi_e)cos(psi_e)cos(phi_a-psi_a) - sin(phi_e)sin(psi_e)."""
-    return math.cos(state.phi_e) * math.cos(state.psi_e) * math.cos(
-        state.phi_a - state.psi_a
-    ) - math.sin(state.phi_e) * math.sin(state.psi_e)
+    return float(_cos_theta(state.phi_a, state.phi_e, state.psi_a, state.psi_e))
 
 
-@dataclass(frozen=True)
-class GmmPointFrame:
-    """Beam-frame coordinates of one (or many) receiver-surface points.
-
-    ``z_axial`` is the distance from the waist to the transverse disk whose
-    rim passes through the point; ``rho_sq`` the squared disk radius, clamped
-    at zero against floating-point cancellation. Points with z_axial <= 0 lie
-    behind the waist and must contribute zero intensity (caller's duty).
-    """
-
-    z_axial: np.ndarray | float
-    rho_sq: np.ndarray | float
-    cos_theta: float
+def _cos_theta(phi_a, phi_e, psi_a, psi_e):
+    """:func:`alignment_cosine` of angles given as floats or arrays."""
+    return np.cos(phi_e) * np.cos(psi_e) * np.cos(phi_a - psi_a) - np.sin(phi_e) * np.sin(psi_e)
 
 
-def _beam_frame(x, y, L, x_de, y_de, phi_a: float, phi_e: float, psi_a: float, psi_e: float):
-    """(z, rho^2) of receiver-local points in the beam frame; ``L``, ``x_de``
-    and ``y_de`` may be arrays that broadcast against ``x`` and ``y``, one
-    value per link. See :func:`gmm_point_frame`."""
-    u, v, w = rx_point_to_ref(x, y, psi_a, psi_e)
+def _link_constants(L, phi_a, phi_e, psi_a, psi_e):
+    """Constants of the point kernel for each link: the transmitter normal
+    (a, b, c), the on-axis distance L cos(phi_e) cos(phi_a), the receiver
+    rotation (cos psi_a, sin psi_a, cos psi_e, sin psi_e) and, last, the
+    alignment cosine. Arguments are floats or equal-length arrays, one
+    value per link; :func:`gmm_point_frame` takes all but the last."""
     a, b, c = tx_normal(phi_a, phi_e)
+    on_axis = L * np.cos(phi_e) * np.cos(phi_a)
+    rotation = np.cos(psi_a), np.sin(psi_a), np.cos(psi_e), np.sin(psi_e)
+    return a, b, c, on_axis, *rotation, _cos_theta(phi_a, phi_e, psi_a, psi_e)
+
+
+def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
+    """Map receiver-local points (x, y) of a link to (z, rho^2) in its beam
+    frame; the link is given by its distance, displacement and
+    :func:`_link_constants`, each a float or an array that broadcasts
+    against ``x`` and ``y`` (one value per link). This is the point kernel
+    of every exact gain; it is listed in ``__all__`` so that the
+    benchmark's per-layer tracer (``perfbench/tracer.py``) times it.
+
+    The point is projected to the reference frame, shifted against the
+    transmitter displacement, and decomposed along / across the tilted beam
+    axis: z is the distance from the waist to the transverse disk whose rim
+    passes through the point, rho^2 the squared disk radius, clamped at zero.
+    Points with z <= 0 lie behind the waist and must contribute zero
+    intensity (caller's duty).
+    """
+    u, v, w = _rotate_rx(x, y, ca, sa, ce, se)
     up = u - x_de
     vp = v - y_de
     ell = -(a * up + b * vp + c * w)
-    z = L * math.cos(phi_e) * math.cos(phi_a) + ell
+    z = on_axis + ell
     # rho^2 = d^2 - z^2 with d the waist-to-point distance; evaluated as the
     # squared rejection of the waist-to-point vector from the beam axis,
     # which is the same quantity without the catastrophic cancellation
@@ -164,25 +174,6 @@ def _beam_frame(x, y, L, x_de, y_de, phi_a: float, phi_e: float, psi_a: float, p
     ry_ = -vp - z * b
     rz_ = (L - w) - z * c
     return z, np.maximum(rx_ * rx_ + ry_ * ry_ + rz_ * rz_, 0.0)
-
-
-def gmm_point_frame(x, y, L: float, state: MisalignmentState) -> GmmPointFrame:
-    """Map receiver-local point(s) (x, y) to (z, rho^2) in the beam frame.
-
-    Stepwise construction: the point is projected to the reference frame,
-    shifted against the transmitter displacement, and decomposed along /
-    across the tilted beam axis. z is the axial distance behind the waist
-    and rho the perpendicular distance to the beam axis.
-    """
-    if L <= 0:
-        raise ValueError("link distance must be > 0")
-    z, rho_sq = _beam_frame(
-        x, y, L, state.x_de, state.y_de, state.phi_a, state.phi_e, state.psi_a, state.psi_e
-    )
-    if np.ndim(z) == 0:
-        z = float(z)
-        rho_sq = float(rho_sq)
-    return GmmPointFrame(z_axial=z, rho_sq=rho_sq, cos_theta=alignment_cosine(state))
 
 
 def array_element_xy(i: int, k: int, d_pd: float) -> tuple[float, float]:

@@ -156,25 +156,21 @@ def nmse_table_rows() -> tuple[list[int], list[float], list[float]]:
     pd = PdGeometry(PD_RADIUS)
     offsets = np.linspace(0.0, 10.0, 201) * PD_RADIUS
     phis = np.radians(np.linspace(0.0, 1.0, 101))
+    displaced = [MisalignmentState(x_de=s) for s in offsets]
+    tilted = [MisalignmentState(phi_a=p) for p in phis]
     ratios = [1, 2, 3, 4, 5]
     disp_row: list[float] = []
     tilt_row: list[float] = []
     for ratio in ratios:
         spot = ratio * PD_RADIUS
         beam_d = BeamParams(WAVELENGTH, waist_for_spot(spot, LINK_DISTANCE, WAVELENGTH))
-        exact = np.array(
-            [gain_gmm(beam_d, LINK_DISTANCE, pd, MisalignmentState(x_de=s)) for s in offsets]
-        )
+        exact = gain_gmm(beam_d, LINK_DISTANCE, pd, displaced)
         approx = gain_approx_displacement(beam_d, LINK_DISTANCE, pd, offsets, 0.0)
         disp_row.append(nmse(exact, approx))
 
         beam_t = BeamParams(WAVELENGTH, WAVELENGTH * LINK_DISTANCE / (math.pi * spot))
-        exact_t = np.array(
-            [gain_gmm(beam_t, LINK_DISTANCE, pd, MisalignmentState(phi_a=p)) for p in phis]
-        )
-        approx_t = np.array(
-            [gain_approx_tx_tilt(beam_t, LINK_DISTANCE, pd, 0.0, 0.0, 0.0, 0.0, p, 0.0) for p in phis]
-        )
+        exact_t = gain_gmm(beam_t, LINK_DISTANCE, pd, tilted)
+        approx_t = gain_approx_tx_tilt(beam_t, LINK_DISTANCE, pd, 0.0, 0.0, 0.0, 0.0, phis, 0.0)
         tilt_row.append(nmse(exact_t, approx_t))
     return ratios, disp_row, tilt_row
 
@@ -279,24 +275,14 @@ def preset_sinr_map(out_dir: Path, seed: int = 0, grid_step: float = 1e-3) -> li
 
 
 _VERIFY_PANELS = {
-    # name -> (sweep kind, stop, fixed state kwargs)
-    "a": ("displacement", 15e-3, {}),
-    "b": ("tx-azimuth", math.radians(0.6), {}),
-    "c": ("rx-azimuth", math.radians(80.0), {}),
-    "d": ("displacement-negative", 15e-3, {"phi_a": math.radians(0.1), "psi_a": math.radians(10.0)}),
-    "e": ("tx-azimuth", math.radians(0.6), {"x_de": -2e-3, "psi_a": math.radians(10.0)}),
-    "f": ("rx-azimuth", math.radians(80.0), {"x_de": -2e-3, "phi_a": math.radians(0.1)}),
+    # name -> (swept state field, its sign, stop, fixed state kwargs)
+    "a": ("x_de", 1.0, 15e-3, {}),
+    "b": ("phi_a", 1.0, math.radians(0.6), {}),
+    "c": ("psi_a", 1.0, math.radians(80.0), {}),
+    "d": ("x_de", -1.0, 15e-3, {"phi_a": math.radians(0.1), "psi_a": math.radians(10.0)}),
+    "e": ("phi_a", 1.0, math.radians(0.6), {"x_de": -2e-3, "psi_a": math.radians(10.0)}),
+    "f": ("psi_a", 1.0, math.radians(80.0), {"x_de": -2e-3, "phi_a": math.radians(0.1)}),
 }
-
-
-def _verify_state(kind: str, value: float, fixed: dict) -> MisalignmentState:
-    if kind == "displacement":
-        return MisalignmentState(x_de=value, **fixed)
-    if kind == "displacement-negative":
-        return MisalignmentState(x_de=-value, **fixed)
-    if kind == "tx-azimuth":
-        return MisalignmentState(phi_a=value, **fixed)
-    return MisalignmentState(psi_a=value, **fixed)
 
 
 def preset_gmm_verify(
@@ -306,24 +292,20 @@ def preset_gmm_verify(
     for six misalignment families and two waist sizes."""
     pd = PdGeometry(PD_RADIUS)
     written = []
-    for panel, (kind, stop, fixed) in _VERIFY_PANELS.items():
+    for panel, (field, sign, stop, fixed) in _VERIFY_PANELS.items():
         values = np.linspace(0.0, stop, points)
-        header = ["sweep_value"]
-        cols = [values if "azimuth" in kind else values * 1e3]
-        header[0] = "phi_or_psi_rad" if "azimuth" in kind else "r_de_mm"
+        states = [MisalignmentState(**{field: sign * float(v)}, **fixed) for v in values]
+        header = ["r_de_mm" if field == "x_de" else "phi_or_psi_rad"]
+        cols = [values * 1e3 if field == "x_de" else values]
         for w0 in (50e-6, 100e-6):
             beam = BeamParams(WAVELENGTH, w0)
             tag = f"w0_{int(w0 * 1e6)}um"
-            gains, mcs, errs = [], [], []
-            for idx, value in enumerate(values):
-                state = _verify_state(kind, float(value), fixed)
-                gains.append(gain_gmm(beam, LINK_DISTANCE, pd, state))
-                spec = RayBundleSpec(ray_count=rays, seed=seed + idx)
-                est, err = ray_gain_mc(beam, LINK_DISTANCE, pd, state, spec)
-                mcs.append(est)
-                errs.append(err)
+            sampled = [
+                ray_gain_mc(beam, LINK_DISTANCE, pd, state, RayBundleSpec(rays, seed=seed + idx))
+                for idx, state in enumerate(states)
+            ]
             header += [f"gain_exact_{tag}", f"gain_mc_{tag}", f"mc_std_error_{tag}"]
-            cols += [gains, mcs, errs]
+            cols += [gain_gmm(beam, LINK_DISTANCE, pd, states), *zip(*sampled)]
         path = out_dir / f"gmm_verify_{panel}.csv"
         _write_csv(path, header, zip(*cols))
         written.append(path)

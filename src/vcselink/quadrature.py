@@ -102,7 +102,7 @@ def _fixed_order(f, radius: float, n_radial: int, active: np.ndarray) -> np.ndar
         k = index[lo : lo + per_call]
         for top in range(0, n_radial, rows):
             shape = (len(k), min(rows, n_radial - top), n_ang)
-            vals = np.asarray(f(k, x[:, top : top + rows], y[:, top : top + rows]), dtype=float)
+            vals = np.asarray(f(x[:, top : top + rows], y[:, top : top + rows], k), dtype=float)
             if vals.shape != shape:
                 vals = np.broadcast_to(vals, shape)
             row_sums[lo : lo + per_call, top : top + rows] = vals.sum(axis=2)
@@ -112,8 +112,8 @@ def _fixed_order(f, radius: float, n_radial: int, active: np.ndarray) -> np.ndar
 def _integrate_disks(f, radius: float, count: int, spec: QuadratureSpec | None, where):
     """Integrate ``count`` integrands over the same disk in one adaptive pass.
 
-    ``f(k, x, y)`` gets integral numbers ``k`` of shape (m, 1, 1) and node
-    coordinates ``x``, ``y`` of shape (1, rows, angles), and returns the
+    ``f(x, y, k)`` gets node coordinates ``x``, ``y`` of shape (1, rows,
+    angles) and integral numbers ``k`` of shape (m, 1, 1), and returns the
     values of those integrals at those nodes, shape (m, rows, angles).
     Every integral runs the same order doubling and convergence test as a
     lone :func:`integrate_disk` call and leaves the batch once it converges,
@@ -147,7 +147,7 @@ def integrate_disk(f, radius: float, spec: QuadratureSpec | None = None) -> floa
     Raises :class:`DiskQuadratureError` when ``spec.max_subdivisions``
     doublings do not reach the requested tolerance.
     """
-    values = _integrate_disks(lambda k, x, y: f(x, y), radius, 1, spec, lambda k: "")
+    values = _integrate_disks(lambda x, y, k: f(x, y), radius, 1, spec, lambda k: "")
     return float(values[0])
 
 

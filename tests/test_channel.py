@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcselink.beam import BeamParams, beam_radius, waist_for_spot
 from vcselink.channel import (
@@ -132,6 +134,42 @@ class TestTxTiltApprox:
             beam100, L, PD, -L * math.sin(pa), -L * math.sin(pe) * math.cos(pa)
         )
         assert tilt == pytest.approx(disp, rel=1e-4)
+
+    def test_broadcasts_over_the_angles(self, beam100):
+        pa = np.radians([[0.0], [0.2], [-0.5]])
+        pe = np.radians([0.0, 0.3])
+        grid = gain_approx_tx_tilt(beam100, L, PD, 1e-3, 0.0, 0.0, 2e-3, pa, pe)
+        assert grid.shape == (3, 2)
+        for i, j in np.ndindex(grid.shape):
+            lone = gain_approx_tx_tilt(beam100, L, PD, 1e-3, 0.0, 0.0, 2e-3, pa[i, 0], pe[j])
+            assert grid[i, j] == lone
+
+
+@settings(max_examples=20)
+@given(
+    ratio=st.floats(3.0, 5.0),
+    polar=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=8
+    ),
+)
+def test_closed_forms_agree_with_the_exact_gain_within_one_spot_radius(ratio, polar):
+    # measured worst gaps: 9.2e-4 for displacement and for tilt, both at
+    # ratio 3; at ratio 1 the gap is about 2e-2
+    spot = ratio * PD.radius
+    frac, angle = np.array(polar).T
+    x, y = frac * spot * np.cos(angle), frac * spot * np.sin(angle)
+    beam = BeamParams(850e-9, waist_for_spot(spot, L, 850e-9))
+    exact = gain_gmm(beam, L, PD, [MisalignmentState(x_de=a, y_de=b) for a, b in zip(x, y)])
+    # the closed form takes receiver-minus-transmitter offsets
+    assert np.abs(exact - gain_approx_displacement(beam, L, PD, -x, -y)).max() <= 2e-3
+    # transmitter tilt that moves the spot centre by up to one spot radius
+    beam_t = BeamParams(850e-9, 850e-9 * L / (math.pi * spot))
+    tilt = np.arcsin(frac * spot / L)
+    phi_a, phi_e = tilt * np.cos(angle), tilt * np.sin(angle)
+    tilted = [MisalignmentState(phi_a=a, phi_e=e) for a, e in zip(phi_a, phi_e)]
+    exact_t = gain_gmm(beam_t, L, PD, tilted)
+    approx_t = gain_approx_tx_tilt(beam_t, L, PD, 0.0, 0.0, 0.0, 0.0, phi_a, phi_e)
+    assert np.abs(exact_t - approx_t).max() <= 2e-3
 
 
 class TestLayouts:

@@ -1,6 +1,7 @@
-"""The exact route of ``mimo_matrix``: one batched quadrature over the
-unique element pairs, checked entry by entry against the single-link gain,
-by generated physical properties and at its error and edge cases."""
+"""The exact gain kernel: ``gain_gmm`` of a batch of states and the exact
+route of ``mimo_matrix`` (one batched quadrature over the unique element
+pairs), checked element by element against the single-link gain, by
+generated physical properties and at its error and edge cases."""
 
 import math
 import warnings
@@ -8,10 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vcselink import channel, quadrature
+from vcselink import channel, geometry, quadrature
 from vcselink.beam import BeamParams
 from vcselink.channel import ArrayLayout, LayoutKind, build_layout, gain_gmm, mimo_matrix
 from vcselink.geometry import (
@@ -33,6 +34,9 @@ def rad(deg):
     return math.radians(deg)
 
 
+FACING_AWAY = MisalignmentState(phi_a=rad(70.0), psi_a=rad(-70.0))
+
+
 @pytest.fixture
 def integrand_points(monkeypatch):
     """Points per integrand call and angular orders seen by the batched
@@ -41,10 +45,10 @@ def integrand_points(monkeypatch):
     batched = channel._integrate_disks
 
     def spy(f, *args):
-        def counted(k, x, y):
+        def counted(x, y, k):
             record["sizes"].append(np.broadcast(k, x).size)
             record["n_ang"].add(x.shape[-1])
-            return f(k, x, y)
+            return f(x, y, k)
 
         return batched(counted, *args)
 
@@ -76,7 +80,7 @@ def test_entries_equal_single_link_gains(rx, w0, state, integrand_points):
         assert 64 in integrand_points["n_ang"]
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(
     x_de=st.floats(-20e-3, 20e-3),
     y_de=st.floats(-20e-3, 20e-3),
@@ -104,7 +108,7 @@ def _mirror_index(layout):
     return match.argmax(axis=1)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 @given(
     x_de=st.floats(-15e-3, 15e-3),
     y_de=st.floats(-15e-3, 15e-3),
@@ -138,11 +142,10 @@ def test_error_names_first_failing_entry_after_a_converged_one():
 
 
 def test_receiver_facing_away_gives_zero_matrix():
-    state = MisalignmentState(phi_a=rad(70.0), psi_a=rad(-70.0))
-    assert alignment_cosine(state) <= 0.0
+    assert alignment_cosine(FACING_AWAY) <= 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h = mimo_matrix(BeamParams(850e-9, 100e-6), L, TX, CONFIG_III, state).gains
+        h = mimo_matrix(BeamParams(850e-9, 100e-6), L, TX, CONFIG_III, FACING_AWAY).gains
     assert h.shape == (81, 25)
     assert not h.any()
 
@@ -171,3 +174,88 @@ def test_integrand_calls_stay_within_the_chunk(integrand_points):
     sizes = integrand_points["sizes"]
     assert sum(sizes) > 100 * quadrature._CHUNK_POINTS
     assert max(sizes) <= quadrature._CHUNK_POINTS
+
+
+_STATE_FIELDS = {
+    "x_de": st.floats(-10e-3, 10e-3),
+    "y_de": st.floats(-10e-3, 10e-3),
+    "phi_a": st.floats(-rad(1.0), rad(1.0)),
+    "phi_e": st.floats(-rad(1.0), rad(1.0)),
+    "psi_a": st.floats(-rad(40.0), rad(40.0)),
+    "psi_e": st.floats(-rad(40.0), rad(40.0)),
+}
+
+
+@st.composite
+def state_batches(draw):
+    """Batches of 1-5 states in which each field is either shared by every
+    state or drawn per state, sometimes with a facing-away state added."""
+    n = draw(st.integers(1, 5))
+    columns = {
+        name: [draw(values)] * n
+        if draw(st.booleans())
+        else draw(st.lists(values, min_size=n, max_size=n))
+        for name, values in _STATE_FIELDS.items()
+    }
+    states = [MisalignmentState(**{f: col[i] for f, col in columns.items()}) for i in range(n)]
+    if draw(st.booleans()):
+        states.insert(draw(st.integers(0, n)), FACING_AWAY)
+    return states
+
+
+@settings(max_examples=25)
+@given(states=state_batches(), w0=st.floats(50e-6, 100e-6))
+@example(states=[MisalignmentState(x_de=1e-3, psi_a=rad(10.0))], w0=80e-6)
+@example(states=[MisalignmentState(x_de=1e-3), FACING_AWAY, MisalignmentState(x_de=2e-3)], w0=8e-5)
+def test_batch_gains_equal_lone_gains(states, w0):
+    beam = BeamParams(850e-9, w0)
+    gains = gain_gmm(beam, L, PD, states)
+    assert isinstance(gains, np.ndarray) and gains.shape == (len(states),)
+    for k, state in enumerate(states):
+        assert gains[k] == gain_gmm(beam, L, PD, state), k
+        if state is FACING_AWAY:
+            assert gains[k] == 0.0
+
+
+def test_empty_batch_gives_an_empty_array():
+    gains = gain_gmm(BeamParams(850e-9, 100e-6), L, PD, [])
+    assert isinstance(gains, np.ndarray) and gains.shape == (0,)
+
+
+def test_batch_error_names_the_lowest_failing_state():
+    beam = BeamParams(850e-9, 100e-6)
+    starved = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-14, max_subdivisions=1)
+    far = MisalignmentState(x_de=24e-3, y_de=-24e-3)  # converges through abs_tol
+    failing = [MisalignmentState(x_de=12e-3), MisalignmentState(x_de=9e-3)]
+    with pytest.raises(DiskQuadratureError) as lone:
+        gain_gmm(beam, L, PD, failing[0], starved)
+    assert lone.value.context == ""
+    with pytest.raises(DiskQuadratureError):
+        gain_gmm(beam, L, PD, failing[1], starved)
+    # the facing-away state 0 is never integrated, yet keeps its number
+    with pytest.raises(DiskQuadratureError) as batch:
+        gain_gmm(beam, L, PD, [FACING_AWAY, far, *failing], starved)
+    assert batch.value.context == "state 2"
+    assert str(batch.value) == str(lone.value).replace("converge:", "converge [state 2]:")
+
+
+def test_lone_gain_runs_through_integrate_disk_and_the_point_kernel(monkeypatch):
+    # the per-layer tracer of the benchmark counts quadrature points and
+    # point-kernel calls through these module bindings
+    seen = {"integrals": [], "kernel_points": 0}
+
+    def integrate_spy(f, radius, spec=None):
+        seen["integrals"].append(f.__name__)
+        return quadrature.integrate_disk(f, radius, spec)
+
+    def kernel_spy(x, y, *link):
+        seen["kernel_points"] += x.size
+        return geometry.gmm_point_frame(x, y, *link)
+
+    monkeypatch.setattr(channel, "integrate_disk", integrate_spy)
+    monkeypatch.setattr(channel, "gmm_point_frame", kernel_spy)
+    state = MisalignmentState(x_de=2e-3, phi_a=1e-3)
+    gain = gain_gmm(BeamParams(850e-9, 80e-6), L, PD, state)
+    assert seen["integrals"] == ["integrand"] and seen["kernel_points"] > 0
+    monkeypatch.undo()
+    assert gain == gain_gmm(BeamParams(850e-9, 80e-6), L, PD, state)

@@ -7,6 +7,7 @@ from vcselink.beam import BeamParams
 from vcselink.channel import PdGeometry, gain_gmm
 from vcselink.geometry import (
     MisalignmentState,
+    _link_constants,
     alignment_cosine,
     array_element_xy,
     gmm_point_frame,
@@ -96,22 +97,30 @@ def test_alignment_cosine_matches_normal_dot_product():
         assert alignment_cosine(state) == pytest.approx(dot, abs=1e-12)
 
 
+def point_frame(x, y, L, state):
+    """(z, rho^2, cos theta) of receiver point(s) through the two halves of
+    the point kernel: the link constants, then the per-point map."""
+    *constants, cos_theta = _link_constants(L, state.phi_a, state.phi_e, state.psi_a, state.psi_e)
+    z, rho_sq = gmm_point_frame(np.asarray(x), np.asarray(y), L, state.x_de, state.y_de, *constants)
+    return z, rho_sq, cos_theta
+
+
 def test_point_frame_aligned():
-    frame = gmm_point_frame(0.0, 0.0, 2.0, MisalignmentState())
-    assert frame.z_axial == 2.0
-    assert frame.rho_sq == 0.0
-    assert frame.cos_theta == 1.0
-    frame = gmm_point_frame(1e-3, -2e-3, 2.0, MisalignmentState())
-    assert frame.z_axial == 2.0
-    assert frame.rho_sq == pytest.approx(5e-6, rel=1e-15)
+    z, rho_sq, cos_theta = point_frame(0.0, 0.0, 2.0, MisalignmentState())
+    assert z == 2.0
+    assert rho_sq == 0.0
+    assert cos_theta == 1.0
+    z, rho_sq, _ = point_frame(1e-3, -2e-3, 2.0, MisalignmentState())
+    assert z == 2.0
+    assert rho_sq == pytest.approx(5e-6, rel=1e-15)
 
 
 def test_point_frame_pure_displacement_is_exact():
     state = MisalignmentState(x_de=3e-3, y_de=-4e-3)
     x, y = 1.5e-3, 2.5e-3
-    frame = gmm_point_frame(x, y, 2.0, state)
-    assert frame.z_axial == 2.0
-    assert frame.rho_sq == (x - state.x_de) ** 2 + (y - state.y_de) ** 2
+    z, rho_sq, _ = point_frame(x, y, 2.0, state)
+    assert z == 2.0
+    assert rho_sq == (x - state.x_de) ** 2 + (y - state.y_de) ** 2
 
 
 def _closed_form_frame(x, y, L, s):
@@ -148,10 +157,10 @@ def test_point_frame_matches_expanded_closed_form():
     for state in random_states(200, rng):
         x = rng.uniform(-3e-3, 3e-3)
         y = rng.uniform(-3e-3, 3e-3)
-        frame = gmm_point_frame(x, y, L, state)
+        z, rho_sq, _ = point_frame(x, y, L, state)
         z_ref, rho_ref = _closed_form_frame(x, y, L, state)
-        assert frame.z_axial == pytest.approx(float(z_ref), rel=1e-12)
-        assert frame.rho_sq == pytest.approx(float(rho_ref), rel=1e-10, abs=1e-16)
+        assert z == pytest.approx(float(z_ref), rel=1e-12)
+        assert rho_sq == pytest.approx(float(rho_ref), rel=1e-10, abs=1e-16)
 
 
 def test_point_frame_tx_tilt_only_reduction():
@@ -163,20 +172,23 @@ def test_point_frame_tx_tilt_only_reduction():
     for _ in range(100):
         pa, pe = rng.uniform(-0.5, 0.5, 2)
         x, y = rng.uniform(-3e-3, 3e-3, 2)
-        frame = gmm_point_frame(x, y, L, MisalignmentState(phi_a=pa, phi_e=pe))
+        z, rho_sq, _ = point_frame(x, y, L, MisalignmentState(phi_a=pa, phi_e=pe))
         z_ref = (
             L * math.cos(pe) * math.cos(pa)
             + x * math.cos(pe) * math.sin(pa)
             + y * math.sin(pe)
         )
         rho_ref = L * L + x * x + y * y - z_ref * z_ref
-        assert frame.z_axial == pytest.approx(z_ref, rel=1e-12)
-        assert frame.rho_sq == pytest.approx(rho_ref, rel=1e-9, abs=1e-16)
+        assert z == pytest.approx(z_ref, rel=1e-12)
+        assert rho_sq == pytest.approx(rho_ref, rel=1e-9, abs=1e-16)
 
 
 def test_point_frame_rejects_bad_distance():
+    beam, pd = BeamParams(850e-9, 100e-6), PdGeometry(3e-3)
     with pytest.raises(ValueError):
-        gmm_point_frame(0.0, 0.0, 0.0, MisalignmentState())
+        gain_gmm(beam, 0.0, pd, MisalignmentState())
+    with pytest.raises(ValueError):
+        gain_gmm(beam, 0.0, pd, [MisalignmentState()])
 
 
 def test_array_element_xy_five_by_five():

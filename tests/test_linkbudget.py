@@ -324,7 +324,7 @@ def gain_matrices(min_side=1, max_side=9, square=True):
     return build()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(h=gain_matrices(), p_t=st.floats(1e-4, 1e-2))
 def test_noise_variance_of_a_matrix_is_its_row_values(h, p_t):
     params = LinkParams(p_t=p_t)
@@ -335,7 +335,7 @@ def test_noise_variance_of_a_matrix_is_its_row_values(h, p_t):
     assert noise_variance(h[0, 0], params) == noise_variance(h[0, :1], params)  # one gain
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(h=gain_matrices(), p_t=st.floats(1e-4, 1e-2))
 def test_aggregate_direct_sinrs_are_sinr_direct(h, p_t):
     params = LinkParams(p_t=p_t)
@@ -347,7 +347,7 @@ def test_aggregate_direct_sinrs_are_sinr_direct(h, p_t):
     ]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(h=gain_matrices(square=False))
 def test_aggregate_svd_sinrs_take_branch_noise(h):
     params = LinkParams()
@@ -369,7 +369,7 @@ def test_bits_per_symbol_on_arrays():
         bits_per_symbol(np.array([1.0, -1e-9]), 1e-3)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(
     w0=st.floats(40e-6, 110e-6),
     grid_step=st.sampled_from([2e-3, 3e-3, 5e-3]),
@@ -432,7 +432,7 @@ def test_svd_noise_mapping_branch_against_combined(kind):
 # CSV round trips
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(h=gain_matrices(square=False))
 def test_gains_csv_round_trip(tmp_path_factory, h):
     path = tmp_path_factory.mktemp("gains") / "gains.csv"
@@ -440,7 +440,7 @@ def test_gains_csv_round_trip(tmp_path_factory, h):
     assert np.allclose(read_gains_csv(path), h, rtol=1e-11, atol=0.0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(h=gain_matrices(min_side=2), dark=st.integers(0, 8))
 def test_rates_csv_round_trip_with_a_dark_stream(tmp_path_factory, h, dark):
     h[dark % len(h)] = 0.0  # a detector without light: SINR 0, written as -inf dB

@@ -76,7 +76,7 @@ def test_batch_matches_lone_integrals_whatever_the_chunk(monkeypatch):
     sharpness = np.array([10.0, 1000.0, 4000.0])
     sizes = []
 
-    def peaks(k, x, y):
+    def peaks(x, y, k):
         sizes.append(np.broadcast(k, x).size)
         return np.exp(-sharpness[k] * (x * x + y * y))
 
@@ -97,7 +97,7 @@ def test_batch_failure_names_the_lowest_unconverged_integral():
     sharpness = np.array([1.0, 1e4, 2e4])
     with pytest.raises(DiskQuadratureError, match=r"\[peak 1\]"):
         quadrature._integrate_disks(
-            lambda k, x, y: np.exp(-sharpness[k] * (x * x + y * y)),
+            lambda x, y, k: np.exp(-sharpness[k] * (x * x + y * y)),
             1.0, len(sharpness), spec, lambda k: f"peak {k}",
         )
 
