@@ -26,10 +26,10 @@ __all__ = [
 
 def rayleigh_range(waist_radius: float, wavelength: float) -> float:
     """Distance over which the spot area doubles: pi*w0^2/lambda."""
-    if waist_radius <= 0:
-        raise ValueError(f"waist_radius must be > 0, got {waist_radius}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    if not 0.0 < waist_radius < math.inf:
+        raise ValueError(f"waist_radius must be finite and > 0, got {waist_radius}")
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
     return math.pi * waist_radius * waist_radius / wavelength
 
 

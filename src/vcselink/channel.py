@@ -56,8 +56,8 @@ class PdGeometry:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("PD radius must be > 0")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"PD radius must be finite and > 0, got {self.radius!r}")
 
     @property
     def equivalent_square_side(self) -> float:
@@ -129,8 +129,8 @@ def build_layout(
     aperture with the default detector size.
     """
     kind = LayoutKind(kind)
-    if r_pd <= 0 or delta < 0:
-        raise ValueError("need r_pd > 0 and delta >= 0")
+    if not (0.0 < r_pd < math.inf and 0.0 <= delta < math.inf):
+        raise ValueError(f"need finite r_pd > 0 and delta >= 0, got {r_pd!r}, {delta!r}")
     pitch = 2.0 * r_pd + delta
     pd = None if transmitter else PdGeometry(r_pd)
     if kind is LayoutKind.SQUARE:
@@ -151,11 +151,17 @@ def build_layout(
     return ArrayLayout(kind=kind, elements=elements, pd=pd, pitch=pitch, side=side)
 
 
+def _check_link_distance(L: float) -> None:
+    """Reject a link distance that is not finite and positive; a plain
+    ``L <= 0`` lets NaN through."""
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"link distance must be finite and > 0, got {L!r}")
+
+
 def gain_aligned(beam: BeamParams, L: float, pd: PdGeometry) -> float:
     """Captured power fraction of a perfectly aligned link:
     1 - exp(-2 r_pd^2 / w(L)^2)."""
-    if L <= 0:
-        raise ValueError("link distance must be > 0")
+    _check_link_distance(L)
     w2 = float(spot_radius_sq(L, beam))
     return 1.0 - math.exp(-2.0 * pd.radius * pd.radius / w2)
 
@@ -175,8 +181,7 @@ def gain_gmm(
     sequence of states gives an array of their lone gains, integrated in
     one batch; a failure then names the lowest failing ``state k``.
     """
-    if L <= 0:
-        raise ValueError("link distance must be > 0")
+    _check_link_distance(L)
     if isinstance(state, MisalignmentState):
         integrand, live = _link_integrand(beam, [(L, *astuple(state))])
         return integrate_disk(integrand, pd.radius, spec) if len(live) else 0.0
@@ -232,8 +237,7 @@ def gain_approx_displacement(beam: BeamParams, L: float, pd: PdGeometry, x_off, 
     ``x_off``/``y_off`` are the receiver-minus-transmitter center offsets
     (including any array displacement). Accepts arrays and broadcasts.
     """
-    if L <= 0:
-        raise ValueError("link distance must be > 0")
+    _check_link_distance(L)
     w = math.sqrt(float(spot_radius_sq(L, beam)))
     a = _SQRT_PI * pd.radius
     c = _SQRT_2 * w
@@ -263,8 +267,7 @@ def gain_approx_tx_tilt(
     is evaluated at the foreshortened distance L cos(phi_e) cos(phi_a).
     Accepts arrays for the positions and the angles and broadcasts.
     """
-    if L <= 0:
-        raise ValueError("link distance must be > 0")
+    _check_link_distance(L)
     ca, sa = np.cos(phi_a), np.sin(phi_a)
     ce, se = np.cos(phi_e), np.sin(phi_e)
     w_eff = np.sqrt(spot_radius_sq(L * ce * ca, beam))

@@ -14,11 +14,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
 from .beam import BeamParams, divergence_half_angle
-from .channel import PdGeometry
+from .channel import PdGeometry, _check_link_distance
 from .geometry import MisalignmentState, rotation_matrix, rx_normal, tx_normal
 
 __all__ = ["RaySampling", "RayBundleSpec", "ray_gain_mc"]
@@ -44,8 +45,20 @@ class RayBundleSpec:
     sampling: RaySampling = RaySampling.TRANSVERSE
 
     def __post_init__(self) -> None:
+        for name in ("ray_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.ray_count < 10_000:
             raise ValueError("ray_count must be >= 10000")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+# rays per block: the sampler draws, solves and scores one block at a time,
+# so its arrays stay small and each block ends its Newton solve on its own
+_CHUNK = 1 << 14
+_NEWTON_STEPS = 8
 
 
 def _transverse_basis(n_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,6 +66,31 @@ def _transverse_basis(n_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = np.cross(ref, n_t)
     e1 /= np.linalg.norm(e1)
     return e1, np.cross(n_t, e1)
+
+
+def _crossing(proj, base, slope, w0, zr):
+    """Axial distance zeta at which each trajectory crosses the detector
+    plane, base + zeta*slope + w(zeta)*proj = 0.
+
+    The estimate is defined as _NEWTON_STEPS Newton steps from the beam-axis
+    crossing. Most rays reach a fixed point within a few steps, but some end
+    in a 2-cycle that moves zeta by 1 ulp (up to a quarter of the rays at a
+    receiver tilt of 80 deg). So the solve stops early only once every ray
+    repeats its value of two steps before, and then keeps the iterate whose
+    parity matches the last step: the result is the full solve's bit for bit.
+    """
+    zeta = np.full(len(proj), -base / slope)
+    before = None
+    for step in range(1, _NEWTON_STEPS + 1):
+        w_z = w0 * np.sqrt(1.0 + (zeta / zr) ** 2)
+        g = base + zeta * slope + w_z * proj
+        g_prime = slope + (w0 * w0 * zeta / (zr * zr * w_z)) * proj
+        after = zeta - g / g_prime
+        # NaN never compares equal, so a block with a NaN ray runs every step
+        if before is not None and np.array_equal(after, before):
+            return after if (_NEWTON_STEPS - step) % 2 == 0 else zeta
+        before, zeta = zeta, after
+    return zeta
 
 
 def ray_gain_mc(
@@ -67,15 +105,15 @@ def ray_gain_mc(
     Returns ``(gain, std_error)`` with a binomial standard error; identical
     seeds give identical results.
     """
-    if L <= 0:
-        raise ValueError("link distance must be > 0")
+    _check_link_distance(L)
     spec = spec or RayBundleSpec()
     n_t = tx_normal(state.phi_a, state.phi_e)
     n_r = rx_normal(state.psi_a, state.psi_e)
     if float(n_t @ n_r) <= 0.0:
         return 0.0, 0.0
 
-    if spec.sampling is RaySampling.FAR_FIELD and L < 10.0 * beam.rayleigh_range:
+    far_field = spec.sampling is RaySampling.FAR_FIELD
+    if far_field and L < 10.0 * beam.rayleigh_range:
         warnings.warn(
             "far-field sampling assumes L well beyond the Rayleigh range",
             stacklevel=2,
@@ -84,52 +122,43 @@ def ray_gain_mc(
     waist = np.array([state.x_de, state.y_de, L])
     direction = -n_t  # propagation sense, toward the receiver plane
     e1, e2 = _transverse_basis(n_t)
-    rng = np.random.default_rng(spec.seed)
-    nu = rng.normal(0.0, 0.5, size=(spec.ray_count, 2))
-
-    base = float(waist @ n_r)
-    slope = float(direction @ n_r)  # equals -cos(theta) < 0 here
-
-    if spec.sampling is RaySampling.TRANSVERSE:
-        w0 = beam.waist_radius
-        zr = beam.rayleigh_range
-        proj = nu[:, 0] * float(e1 @ n_r) + nu[:, 1] * float(e2 @ n_r)
-        # crossing of base + zeta*slope + w(zeta)*proj = 0, Newton from the
-        # beam-axis crossing; w varies slowly so a few steps reach 1 ulp
-        zeta = np.full(spec.ray_count, -base / slope)
-        with np.errstate(all="ignore"):
-            for _ in range(8):
-                w_z = w0 * np.sqrt(1.0 + (zeta / zr) ** 2)
-                g = base + zeta * slope + w_z * proj
-                g_prime = slope + (w0 * w0 * zeta / (zr * zr * w_z)) * proj
-                zeta = zeta - g / g_prime
-            w_z = w0 * np.sqrt(1.0 + (zeta / zr) ** 2)
-            residual = np.abs(base + zeta * slope + w_z * proj)
-        # grazing rays that failed to converge (NaN residual) count as misses
-        ok = (zeta > 0.0) & (residual <= 1e-9 * (abs(base) + pd.radius))
-        points = (
-            waist[None, :]
-            + zeta[:, None] * direction[None, :]
-            + (w_z * nu[:, 0])[:, None] * e1[None, :]
-            + (w_z * nu[:, 1])[:, None] * e2[None, :]
-        )
-    else:
-        theta = divergence_half_angle(beam)
-        dirs = direction[None, :] + theta * (
-            nu[:, 0][:, None] * e1[None, :] + nu[:, 1][:, None] * e2[None, :]
-        )
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        d_dot_n = dirs @ n_r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -base / d_dot_n
-        ok = (d_dot_n < 0.0) & (t > 0.0)
-        t = np.where(ok, t, 0.0)
-        points = waist[None, :] + t[:, None] * dirs
-
-    # receiver local frame; the plane coordinate stays ~0 at the crossing
+    # a trajectory meets the detector plane at waist + t*direction + s1*e1
+    # + s2*e2 for per-ray scalars (t, s1, s2), so its coordinates along the
+    # receiver normal and the two in-plane axes (u, v) need only the
+    # projections of these four vectors
     m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
-    local = points @ m_r
-    hits = ok & (local[:, 0] ** 2 + local[:, 1] ** 2 <= pd.radius**2)
-    p_hat = float(hits.sum()) / spec.ray_count
+    (base, slope, a1, a2), (u_w, u_d, u_1, u_2), (v_w, v_d, v_1, v_2) = (
+        [float(x @ axis) for x in (waist, direction, e1, e2)]
+        for axis in (n_r, m_r[:, 0], m_r[:, 1])
+    )
+    w0, zr = beam.waist_radius, beam.rayleigh_range
+    theta = divergence_half_angle(beam)
+    tol = 1e-9 * (abs(base) + pd.radius)
+
+    rng = np.random.default_rng(spec.seed)
+    hits = 0
+    with np.errstate(all="ignore"):
+        # consecutive blocks of draws reproduce one (ray_count, 2) draw
+        for start in range(0, spec.ray_count, _CHUNK):
+            size = min(_CHUNK, spec.ray_count - start)
+            nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T
+            if far_field:
+                # straight rays along direction + theta*(nu1*e1 + nu2*e2)
+                d_n = slope + theta * (nu1 * a1 + nu2 * a2)
+                t = -base / d_n
+                ok = (d_n < 0.0) & (t > 0.0)
+                s1, s2 = t * theta * nu1, t * theta * nu2
+            else:
+                proj = nu1 * a1 + nu2 * a2
+                t = _crossing(proj, base, slope, w0, zr)
+                w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
+                residual = np.abs(base + t * slope + w_z * proj)
+                # grazing rays that failed to converge (NaN residual) miss
+                ok = (t > 0.0) & (residual <= tol)
+                s1, s2 = w_z * nu1, w_z * nu2
+            u = u_w + t * u_d + s1 * u_1 + s2 * u_2
+            v = v_w + t * v_d + s1 * v_1 + s2 * v_2
+            hits += np.count_nonzero(ok & (u**2 + v**2 <= pd.radius**2))
+    p_hat = float(hits) / spec.ray_count
     std_error = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.ray_count)
     return p_hat, std_error

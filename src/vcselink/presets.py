@@ -289,7 +289,11 @@ def preset_gmm_verify(
     out_dir: Path, seed: int = 0, points: int = 31, rays: int = 200_000
 ) -> list[Path]:
     """Single-link gains: exact integration versus the trajectory sampler,
-    for six misalignment families and two waist sizes."""
+    for six misalignment families and two waist sizes.
+
+    Point k of a panel samples with seed ``seed + k`` for both waists, so
+    the two waist columns use the same ray draws and their sampling errors
+    are correlated."""
     pd = PdGeometry(PD_RADIUS)
     written = []
     for panel, (field, sign, stop, fixed) in _VERIFY_PANELS.items():

@@ -9,6 +9,7 @@ integrates a batch of integrands at once over the same disk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,8 +122,8 @@ def _integrate_disks(f, radius: float, count: int, spec: QuadratureSpec | None, 
     lowest-numbered unconverged integral is reported, located by
     ``where(k)``.
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     spec = spec or QuadratureSpec()
     result = np.empty(count)
     active = np.arange(count)
@@ -158,8 +159,8 @@ def integrate_disk_mc(f, radius: float, samples: int, seed: int) -> tuple[float,
     standard error is the sample standard deviation of the integrand scaled
     by the disk area over sqrt(samples).
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     rng = np.random.default_rng(seed)

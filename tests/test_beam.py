@@ -29,7 +29,19 @@ def test_rayleigh_range_vanishes_with_waist():
     assert rayleigh_range(1e-9, 850e-9) < 1e-11
 
 
-@pytest.mark.parametrize("w0,lam", [(0.0, 850e-9), (-1e-6, 850e-9), (1e-6, 0.0), (1e-6, -1.0)])
+@pytest.mark.parametrize(
+    "w0,lam",
+    [
+        (0.0, 850e-9),
+        (-1e-6, 850e-9),
+        (1e-6, 0.0),
+        (1e-6, -1.0),
+        (math.nan, 850e-9),
+        (math.inf, 850e-9),
+        (1e-6, math.nan),
+        (1e-6, math.inf),
+    ],
+)
 def test_rayleigh_range_rejects_nonpositive(w0, lam):
     with pytest.raises(ValueError):
         rayleigh_range(w0, lam)

@@ -40,6 +40,27 @@ def test_pd_geometry_square_side():
         PdGeometry(0.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1e-3])
+def test_pd_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="PD radius"):
+        PdGeometry(radius)
+
+
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf, 0.0])
+def test_link_distance_must_be_finite_and_positive(beam100, distance):
+    # NaN and inf used to give a gain of 0, NaN or a quadrature failure
+    state = MisalignmentState(x_de=1e-3)
+    for gain in (
+        lambda: gain_aligned(beam100, distance, PD),
+        lambda: gain_gmm(beam100, distance, PD, state),
+        lambda: gain_gmm(beam100, distance, PD, [state, state]),
+        lambda: gain_approx_displacement(beam100, distance, PD, 1e-3, 0.0),
+        lambda: gain_approx_tx_tilt(beam100, distance, PD, 0.0, 0.0, 0.0, 0.0, 1e-4, 0.0),
+    ):
+        with pytest.raises(ValueError, match="link distance"):
+            gain()
+
+
 class TestAlignedGain:
     def test_reference_value(self, beam100):
         assert gain_aligned(beam100, L, PD) == pytest.approx(0.4590, abs=1e-4)
@@ -211,6 +232,9 @@ class TestLayouts:
             build_layout(LayoutKind.SQUARE, k=0)
         with pytest.raises(ValueError):
             build_layout(LayoutKind.SQUARE, k=3, r_pd=-1e-3)
+        for bad in ({"r_pd": math.nan}, {"r_pd": math.inf}, {"delta": math.nan}):
+            with pytest.raises(ValueError):
+                build_layout(LayoutKind.SQUARE, k=3, transmitter=True, **bad)
 
 
 class TestMimoMatrix:

@@ -116,6 +116,15 @@ def test_bad_radius():
         integrate_disk(lambda x, y: x, 0.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_non_finite_radius_is_rejected(radius):
+    # not a quadrature failure (exit 3): the input is wrong
+    with pytest.raises(ValueError, match="radius"):
+        integrate_disk(lambda x, y: x, radius)
+    with pytest.raises(ValueError, match="radius"):
+        integrate_disk_mc(lambda x, y: x, radius, 1000, seed=0)
+
+
 class TestMonteCarlo:
     def test_constant_is_exact(self):
         est, err = integrate_disk_mc(lambda x, y: np.ones_like(x), 2.0, 5000, seed=1)
