@@ -134,8 +134,8 @@ def build_layout(
     pitch = 2.0 * r_pd + delta
     pd = None if transmitter else PdGeometry(r_pd)
     if kind is LayoutKind.SQUARE:
-        if k is None or k < 1:
-            raise ValueError("square layout needs k >= 1")
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"square layout needs an integer k >= 1, got {k!r}")
         elements = _square_lattice(k, pitch)
         side = k * pitch
     else:
@@ -387,12 +387,16 @@ def mimo_matrix(
 
 
 def write_gains_csv(matrix: ChannelMatrix | np.ndarray, path) -> None:
-    """CSV serialization: header ``j=1..Nt``, one row per receiver element,
-    12 significant digits, LF line endings."""
+    """CSV serialization: header ``j=1..Nt``, one row per receiver element."""
     gains = matrix.gains if isinstance(matrix, ChannelMatrix) else np.asarray(matrix)
+    _write_csv(path, [f"j={j + 1}" for j in range(gains.shape[1])], gains)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Float table as CSV: header line, rows at 12 significant digits, LF endings."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(f"j={j + 1}" for j in range(gains.shape[1])) + "\n")
-        for row in gains:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
             fh.write(",".join(f"{v:.11e}" for v in row) + "\n")
 
 

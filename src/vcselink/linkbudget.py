@@ -75,12 +75,13 @@ class LinkParams:
             "target_ber": self.target_ber,
         }
         for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.target_ber > 1e-2:
             raise ValueError("target_ber above 1e-2 is outside the QAM fit validity")
-        if self.n_fft < 64 or self.n_fft & (self.n_fft - 1):
-            raise ValueError("n_fft must be a power of two >= 64")
+        n = self.n_fft
+        if not isinstance(n, int) or isinstance(n, bool) or n < 64 or n & (n - 1):
+            raise ValueError(f"n_fft must be an integer power of two >= 64, got {n!r}")
 
     @property
     def subcarrier_efficiency(self) -> float:

@@ -5,7 +5,8 @@ laser, 20 GHz bandwidth).
 Each ``preset_*`` function writes plot-ready CSV data; ``run_preset``
 dispatches by name. Every rate is evaluated by the ``simulate`` engine
 (``build_scenario`` -> channel matrix -> ``aggregate_rate``) on the
-reference configuration with a few sections replaced. The module also
+reference configuration with a few sections replaced; the rate tables
+evaluate each curve point through ``scenario.sweep``. The module also
 exposes the scalar helpers the experiments are built from (rate-vs-waist
 thresholds, misalignment crossings, the approximation-error table), which
 are reused by the acceptance test suite.
@@ -13,7 +14,6 @@ are reused by the acceptance test suite.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -22,6 +22,7 @@ import numpy as np
 from .beam import BeamParams, waist_for_spot
 from .channel import (
     PdGeometry,
+    _write_csv,
     gain_approx_displacement,
     gain_approx_tx_tilt,
     gain_gmm,
@@ -29,7 +30,7 @@ from .channel import (
 from .geometry import MisalignmentState
 from .linkbudget import LinkParams, _served_sinr, nmse
 from .oracle import RayBundleSpec, ray_gain_mc
-from .scenario import ConfigError, build_scenario, resolve_config
+from .scenario import DEFAULT_CONFIG, ConfigError, build_scenario, resolve_config, sweep
 
 __all__ = [
     "WAVELENGTH",
@@ -46,9 +47,9 @@ __all__ = [
     "run_preset",
 ]
 
-WAVELENGTH = 850e-9
-LINK_DISTANCE = 2.0
-PD_RADIUS = 3e-3
+WAVELENGTH = DEFAULT_CONFIG["beam"]["wavelength"]
+LINK_DISTANCE = DEFAULT_CONFIG["distance"]
+PD_RADIUS = DEFAULT_CONFIG["pd"]["radius"]
 
 # The electrical parameter set leaves the receiver temperature open; 253 K
 # pins the thermal noise floor to the design's documented operating points
@@ -70,20 +71,6 @@ def reference_config(**sections) -> dict:
     return resolve_config(
         {"beam": {"w0": 100e-6}, "link": {"temperature": REFERENCE_TEMPERATURE_K}, **sections}
     )
-
-
-def _rates(configs) -> list[float]:
-    """Aggregate rate of each resolved configuration through the ``simulate``
-    engine; configurations that differ only in ``mode`` share one matrix."""
-    matrices = {}
-    rates = []
-    for cfg in configs:
-        scenario = build_scenario(cfg)
-        key = json.dumps({**cfg, "mode": None}, sort_keys=True)
-        if key not in matrices:
-            matrices[key] = scenario.channel_matrix()
-        rates.append(scenario.rates(matrices[key]).aggregate)
-    return rates
 
 
 def _square_arrays(k: int) -> dict:
@@ -202,21 +189,15 @@ def sinr_map(w0: float, grid_step: float = 1e-3) -> tuple[np.ndarray, np.ndarray
 # CSV-writing presets
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.11e}" for v in row) + "\n")
-
-
-def _write_rate_table(path: Path, axis: str, points, columns) -> Path:
-    """One row per sweep point: the axis value, then the aggregate rate of
-    each column. ``points`` yields (axis value, config sections) and each
-    column is (header, config sections)."""
-    rows = (
-        [x, *_rates(reference_config(**sections, **col) for _, col in columns)]
-        for x, sections in points
-    )
+def _write_rate_table(path: Path, axis: str, fields, values, columns) -> Path:
+    """One row per (axis value, field value) of ``values``: the axis value,
+    then the aggregate rate of each column, a (header, config sections) pair
+    resolved once by ``reference_config``, at the ``scenario.sweep`` point
+    that sets every dotted name in ``fields`` to the field value."""
+    axis_values, field_values = zip(*values)
+    points = [dict.fromkeys(fields, value) for value in field_values]
+    reports = sweep([reference_config(**sections) for _, sections in columns], points)
+    rows = ([x, *(report.aggregate for report in row)] for x, row in zip(axis_values, reports))
     _write_csv(path, [axis, *(name for name, _ in columns)], rows)
     return path
 
@@ -252,11 +233,9 @@ def preset_rate_vs_waist(out_dir: Path, seed: int = 0, step_um: int = 2) -> list
         for k in (2, 3, 4, 5)
         for mode in ("direct", "svd")
     ]
-    points = (
-        (float(w_um), {"beam": {"w0": w_um * 1e-6}})
-        for w_um in np.arange(10, 100 + step_um, step_um)
-    )
-    return [_write_rate_table(out_dir / "rate_vs_waist.csv", "w0_um", points, columns)]
+    values = ((float(w_um), w_um * 1e-6) for w_um in np.arange(10, 100 + step_um, step_um))
+    path = out_dir / "rate_vs_waist.csv"
+    return [_write_rate_table(path, "w0_um", ["beam.w0"], values, columns)]
 
 
 def preset_sinr_map(out_dir: Path, seed: int = 0, grid_step: float = 1e-3) -> list[Path]:
@@ -320,58 +299,49 @@ def preset_rate_vs_displacement(
     out_dir: Path, seed: int = 0, step: float = 0.5e-3, stop: float = 42e-3
 ) -> list[Path]:
     r_values = [float(r) for r in np.arange(0.0, stop + step / 2, step)]
-    directions = {
-        "horizontal": lambda r: {"x_de": r},
-        "diagonal": lambda r: {"x_de": r / math.sqrt(2.0), "y_de": r / math.sqrt(2.0)},
-    }
+    directions = {"horizontal": ["x_de"], "diagonal": ["x_de", "y_de"]}
     columns = _receiver_columns("approx-displacement")
     return [
         _write_rate_table(
             out_dir / f"rate_vs_displacement_{direction}.csv",
             "r_de_mm",
-            ((r * 1e3, {"misalignment": offset(r)}) for r in r_values),
+            [f"misalignment.{axis}" for axis in axes],
+            ((r * 1e3, r / math.sqrt(len(axes))) for r in r_values),
             columns,
         )
-        for direction, offset in directions.items()
+        for direction, axes in directions.items()
     ]
 
 
-def _tilt_points(degrees, azimuth: str, elevation: str | None):
-    """Equal-angle tilt points; ``elevation`` None keeps the elevation at 0."""
-    for deg in map(float, degrees):
-        angles = {azimuth: deg, elevation: deg} if elevation else {azimuth: deg}
-        yield deg, {"misalignment": angles}
+def _tilt_tables(out_dir: Path, end: str, degrees, columns) -> list[Path]:
+    """Rate vs the tilt of the "tx" (phi) or "rx" (psi) array: the azimuth
+    alone, then azimuth and elevation equal."""
+    angle = "phi" if end == "tx" else "psi"
+    azimuth, elevation = f"misalignment.{angle}_a_deg", f"misalignment.{angle}_e_deg"
+    return [
+        _write_rate_table(
+            out_dir / f"rate_vs_{end}_tilt_{variant}.csv",
+            f"{angle}_a_deg",
+            fields,
+            ((float(deg), float(deg)) for deg in degrees),
+            columns,
+        )
+        for variant, fields in (("azimuth", [azimuth]), ("diagonal", [azimuth, elevation]))
+    ]
 
 
 def preset_rate_vs_tx_tilt(
     out_dir: Path, seed: int = 0, step_deg: float = 0.05, stop_deg: float = 2.0
 ) -> list[Path]:
     phis = np.arange(0.0, stop_deg + step_deg / 2, step_deg)
-    columns = _receiver_columns("approx-tx-tilt")
-    return [
-        _write_rate_table(
-            out_dir / f"rate_vs_tx_tilt_{variant}.csv",
-            "phi_a_deg",
-            _tilt_points(phis, "phi_a_deg", elevation),
-            columns,
-        )
-        for variant, elevation in (("azimuth", None), ("diagonal", "phi_e_deg"))
-    ]
+    return _tilt_tables(out_dir, "tx", phis, _receiver_columns("approx-tx-tilt"))
 
 
 def preset_rate_vs_rx_tilt(
     out_dir: Path, seed: int = 0, step_deg: float = 2.5, stop_deg: float = 90.0
 ) -> list[Path]:
     psis = np.arange(0.0, stop_deg + step_deg / 2, step_deg)
-    return [
-        _write_rate_table(
-            out_dir / f"rate_vs_rx_tilt_{variant}.csv",
-            "psi_a_deg",
-            _tilt_points(psis, "psi_a_deg", elevation),
-            _receiver_columns(),
-        )
-        for variant, elevation in (("azimuth", None), ("diagonal", "psi_e_deg"))
-    ]
+    return _tilt_tables(out_dir, "rx", psis, _receiver_columns())
 
 
 PRESETS = {

@@ -46,12 +46,13 @@ class QuadratureSpec:
     max_subdivisions: int = 8
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be >= 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
+        n = self.max_subdivisions
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {n!r}")
 
 
 class DiskQuadratureError(RuntimeError):

@@ -1,5 +1,6 @@
-"""Scenario configuration: JSON schema, validation and the single-run /
-sweep executor behind the ``simulate`` command.
+"""Scenario configuration: JSON schema, validation, the single-run
+executor behind the ``simulate`` command, and :func:`sweep`, which
+evaluates every curve point of ``simulate`` sweeps and the rate presets.
 
 A configuration describes one link evaluation. ``beam.w0`` is the only
 required field; everything else falls back to the reference design values
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .beam import BeamParams
 from .channel import ArrayLayout, ChannelMatrix, GainMethod, LayoutKind, build_layout, mimo_matrix
-from .channel import write_gains_csv
+from .channel import _write_csv, write_gains_csv
 from .geometry import MisalignmentState
 from .linkbudget import LinkParams, Mode, RateReport, aggregate_rate, write_rates_csv
 
@@ -31,6 +32,7 @@ __all__ = [
     "load_config",
     "build_scenario",
     "run_scenario",
+    "sweep",
 ]
 
 
@@ -308,13 +310,37 @@ def _sweep_values(sweep: dict) -> np.ndarray:
     return np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
 
 
-def _sweep_point(cfg: dict, parameter: str, value: float) -> tuple[float, float, float]:
-    scenario = build_scenario(_set_path(cfg, parameter, float(value)))
-    report = scenario.rates()
+def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
+    """Rate report of each resolved configuration (column) at each point
+    (row). A point maps dotted field names to values, ``{"beam.w0": 50e-6}``,
+    and replaces them in a copy of every configuration. Configurations that
+    differ only in ``mode`` share the point's channel matrix."""
+    for field in {field for point in points for field in point}:
+        if field in _INTEGER_FIELDS or not all(_sweepable(cfg, field) for cfg in configs):
+            raise ConfigError(field, "not a real-valued field of every configuration")
+    rows = []
+    for point in points:
+        matrices = []  # (configuration without its mode, channel matrix)
+        row = []
+        for cfg in configs:
+            for field, value in point.items():
+                cfg = _set_path(cfg, field, value)
+            scenario = build_scenario(cfg)
+            key = {**cfg, "mode": None}
+            matrix = next((m for k, m in matrices if k == key), None)
+            if matrix is None:
+                matrix = scenario.channel_matrix()
+                matrices.append((key, matrix))
+            row.append(scenario.rates(matrix))
+        rows.append(row)
+    return rows
+
+
+def _sweep_row(value: float, report: RateReport) -> tuple[float, float, float, float]:
     finite = report.per_link_sinr[report.per_link_sinr > 0]
     lo = 10 * math.log10(finite.min()) if finite.size else float("-inf")
     hi = 10 * math.log10(finite.max()) if finite.size else float("-inf")
-    return report.aggregate, lo, hi
+    return value, report.aggregate, lo, hi
 
 
 def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
@@ -322,8 +348,8 @@ def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
     and (for sweep configs) sweep.csv into ``out_dir``.
 
     Outputs are deterministic: rerunning the same configuration produces
-    byte-identical CSV files. Sweep points run serially; rows are emitted in
-    ascending parameter order. ``seed`` is only recorded in meta.json.
+    byte-identical CSV files. Sweep points run serially, in ascending
+    parameter order. ``seed`` is only recorded in meta.json.
     """
     cfg = load_config(config_path)
     out = Path(out_dir)
@@ -339,16 +365,12 @@ def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
     written = [gains_path, rates_path]
 
     if cfg["sweep"] is not None:
-        sweep = cfg["sweep"]
-        values = _sweep_values(sweep)
-        order = np.argsort(values, kind="stable")
-        rows = [_sweep_point(cfg, sweep["parameter"], v) for v in values]
+        parameter = cfg["sweep"]["parameter"]
+        values = np.sort(_sweep_values(cfg["sweep"]))
+        reports = sweep([cfg], [{parameter: float(v)} for v in values])
         sweep_path = out / "sweep.csv"
-        with open(sweep_path, "w", newline="\n") as fh:
-            fh.write(f"{sweep['parameter']},aggregate_rate_bps,min_sinr_db,max_sinr_db\n")
-            for idx in order:
-                agg, lo, hi = rows[idx]
-                fh.write(f"{values[idx]:.11e},{agg:.11e},{lo:.11e},{hi:.11e}\n")
+        header = [parameter, "aggregate_rate_bps", "min_sinr_db", "max_sinr_db"]
+        _write_csv(sweep_path, header, (_sweep_row(v, r) for v, (r,) in zip(values, reports)))
         written.append(sweep_path)
 
     meta = {

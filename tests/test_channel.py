@@ -228,8 +228,9 @@ class TestLayouts:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             build_layout("hexagonal", k=3)
-        with pytest.raises(ValueError):
-            build_layout(LayoutKind.SQUARE, k=0)
+        for k in (0, 2.5, True, None):
+            with pytest.raises(ValueError, match="k >= 1"):
+                build_layout(LayoutKind.SQUARE, k=k)
         with pytest.raises(ValueError):
             build_layout(LayoutKind.SQUARE, k=3, r_pd=-1e-3)
         for bad in ({"r_pd": math.nan}, {"r_pd": math.inf}, {"delta": math.nan}):

@@ -115,14 +115,20 @@ def _mirror_index(layout):
     w0=st.floats(50e-6, 100e-6),
     kind=st.sampled_from([LayoutKind.CONFIG_I, LayoutKind.CONFIG_II]),
 )
+# entries near 1e-75 and 1e-98 differ by 1.9e-10 and 6.5e-9 relative here
+@example(x_de=0.015, y_de=0.0, w0=9.958417607890897e-05, kind=LayoutKind.CONFIG_I)
 def test_negated_x_displacement_mirrors_the_matrix(x_de, y_de, w0, kind):
     beam = BeamParams(850e-9, w0)
     rx = build_layout(kind)
     h = mimo_matrix(beam, L, TX, rx, MisalignmentState(x_de=x_de, y_de=y_de)).gains
     mirrored = mimo_matrix(beam, L, TX, rx, MisalignmentState(x_de=-x_de, y_de=y_de)).gains
-    mirror = np.ix_(_mirror_index(rx), _mirror_index(TX))
-    # the mirrored pair sums its angular nodes in another order
-    assert np.allclose(mirrored, h[mirror], rtol=1e-12, atol=0.0)
+    expected = h[np.ix_(_mirror_index(rx), _mirror_index(TX))]
+    # the mirrored pair sums its angular nodes in another order; an entry
+    # below abs_tol converges through abs_tol, so only that much is promised
+    abs_tol = QuadratureSpec().abs_tol
+    large = expected >= abs_tol
+    assert np.allclose(mirrored[large], expected[large], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(mirrored[~large] - expected[~large]) <= abs_tol)
 
 
 def test_error_names_first_failing_entry_after_a_converged_one():

@@ -60,10 +60,19 @@ class TestLinkParams:
             {"target_ber": 0.05},
             {"n_fft": 32},
             {"n_fft": 96},
+            # non-finite values used to give a rate of 0 or NaN
+            {"temperature": math.inf},
+            {"rin": math.inf},
+            {"noise_figure": math.inf},
+            {"p_t": math.nan},
+            {"bandwidth": math.inf},
+            {"responsivity": math.inf},
+            {"n_fft": 64.5},
+            {"n_fft": True},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             LinkParams(**kwargs)
 
 

@@ -109,6 +109,25 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
+    assert QuadratureSpec(abs_tol=0.0).abs_tol == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rel_tol": math.nan},
+        {"rel_tol": math.inf},
+        {"abs_tol": math.nan},
+        {"abs_tol": math.inf},
+        {"max_subdivisions": 2.5},
+        {"max_subdivisions": True},
+    ],
+)
+def test_spec_rejects_non_finite_and_non_integer_values(kwargs):
+    # a NaN tolerance used to fail every convergence test (exit 3) and an
+    # infinite one to accept any error; the field is named either way
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        QuadratureSpec(**kwargs)
 
 
 def test_bad_radius():
