@@ -8,7 +8,7 @@ quantities are SI (meters, watts, radians).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,23 +38,18 @@ class BeamParams:
     """Gaussian source description.
 
     ``waist_radius`` is the effective waist after any collimating optics.
-    ``rayleigh_range`` is derived when omitted; when supplied (e.g. from a
-    serialized record) it must be consistent with the other two fields.
+    ``rayleigh_range`` is derived from the other two fields and cannot be
+    passed in.
     """
 
     wavelength: float
     waist_radius: float
-    rayleigh_range: float | None = None
+    rayleigh_range: float = field(init=False)
 
     def __post_init__(self) -> None:
-        zr = rayleigh_range(self.waist_radius, self.wavelength)
-        if self.rayleigh_range is None:
-            object.__setattr__(self, "rayleigh_range", zr)
-        elif not math.isclose(self.rayleigh_range, zr, rel_tol=1e-12):
-            raise ValueError(
-                f"rayleigh_range {self.rayleigh_range} inconsistent with "
-                f"waist/wavelength (expected {zr})"
-            )
+        object.__setattr__(
+            self, "rayleigh_range", rayleigh_range(self.waist_radius, self.wavelength)
+        )
 
 
 def spot_radius_sq(z, beam: BeamParams):

@@ -2,7 +2,9 @@
 
 Power is carried by a bundle of sample trajectories whose transverse
 offsets reproduce the beam's Gaussian profile at every axial distance
-(offset = nu * w(z) with nu drawn from the normalized profile). A
+(offset = nu * w(z) with nu drawn from the normalized profile). This is
+the one trajectory model: it follows the exact hyperbolic envelope w(z),
+so it holds inside the Rayleigh range as well as far beyond it. A
 trajectory scores when its crossing of the detector plane falls inside the
 detector disk; the hit fraction estimates the captured power fraction
 independently of the disk quadrature route.
@@ -11,38 +13,25 @@ independently of the disk quadrature route.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 from numbers import Integral
 
 import numpy as np
 
-from .beam import BeamParams, divergence_half_angle
+from .beam import BeamParams
 from .channel import PdGeometry, _check_link_distance
 from .geometry import MisalignmentState, rotation_matrix, rx_normal, tx_normal
 
-__all__ = ["RaySampling", "RayBundleSpec", "ray_gain_mc"]
-
-
-class RaySampling(str, Enum):
-    TRANSVERSE = "transverse"
-    FAR_FIELD = "far-field"
+__all__ = ["RayBundleSpec", "ray_gain_mc"]
 
 
 @dataclass(frozen=True)
 class RayBundleSpec:
-    """Sampling control: ray count, RNG seed and the trajectory model.
-
-    TRANSVERSE follows the exact hyperbolic expansion of the beam envelope
-    and is valid at any distance (default). FAR_FIELD uses straight rays
-    from the waist center with Gaussian angular density of the far-field
-    divergence; it is only meaningful well beyond the Rayleigh range.
-    """
+    """Sampling control: ``ray_count`` trajectories drawn from the RNG
+    seeded with ``seed``."""
 
     ray_count: int = 1_000_000
     seed: int = 0
-    sampling: RaySampling = RaySampling.TRANSVERSE
 
     def __post_init__(self) -> None:
         for name in ("ray_count", "seed"):
@@ -112,13 +101,6 @@ def ray_gain_mc(
     if float(n_t @ n_r) <= 0.0:
         return 0.0, 0.0
 
-    far_field = spec.sampling is RaySampling.FAR_FIELD
-    if far_field and L < 10.0 * beam.rayleigh_range:
-        warnings.warn(
-            "far-field sampling assumes L well beyond the Rayleigh range",
-            stacklevel=2,
-        )
-
     waist = np.array([state.x_de, state.y_de, L])
     direction = -n_t  # propagation sense, toward the receiver plane
     e1, e2 = _transverse_basis(n_t)
@@ -132,7 +114,6 @@ def ray_gain_mc(
         for axis in (n_r, m_r[:, 0], m_r[:, 1])
     )
     w0, zr = beam.waist_radius, beam.rayleigh_range
-    theta = divergence_half_angle(beam)
     tol = 1e-9 * (abs(base) + pd.radius)
 
     rng = np.random.default_rng(spec.seed)
@@ -142,20 +123,13 @@ def ray_gain_mc(
         for start in range(0, spec.ray_count, _CHUNK):
             size = min(_CHUNK, spec.ray_count - start)
             nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T
-            if far_field:
-                # straight rays along direction + theta*(nu1*e1 + nu2*e2)
-                d_n = slope + theta * (nu1 * a1 + nu2 * a2)
-                t = -base / d_n
-                ok = (d_n < 0.0) & (t > 0.0)
-                s1, s2 = t * theta * nu1, t * theta * nu2
-            else:
-                proj = nu1 * a1 + nu2 * a2
-                t = _crossing(proj, base, slope, w0, zr)
-                w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
-                residual = np.abs(base + t * slope + w_z * proj)
-                # grazing rays that failed to converge (NaN residual) miss
-                ok = (t > 0.0) & (residual <= tol)
-                s1, s2 = w_z * nu1, w_z * nu2
+            proj = nu1 * a1 + nu2 * a2
+            t = _crossing(proj, base, slope, w0, zr)
+            w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
+            residual = np.abs(base + t * slope + w_z * proj)
+            # grazing rays that failed to converge (NaN residual) miss
+            ok = (t > 0.0) & (residual <= tol)
+            s1, s2 = w_z * nu1, w_z * nu2
             u = u_w + t * u_d + s1 * u_1 + s2 * u_2
             v = v_w + t * v_d + s1 * v_1 + s2 * v_2
             hits += np.count_nonzero(ok & (u**2 + v**2 <= pd.radius**2))

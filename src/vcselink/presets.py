@@ -60,8 +60,8 @@ REFERENCE_TEMPERATURE_K = 253.0
 _TB = 1e12
 
 
-def reference_params(temperature: float = REFERENCE_TEMPERATURE_K) -> LinkParams:
-    return LinkParams(temperature=temperature)
+def reference_params() -> LinkParams:
+    return LinkParams(temperature=REFERENCE_TEMPERATURE_K)
 
 
 def reference_config(**sections) -> dict:
@@ -77,14 +77,9 @@ def _square_arrays(k: int) -> dict:
     return {"tx_array": {"kind": "square", "k": k}, "rx_array": {"kind": "square", "k": k}}
 
 
-def waist_threshold_um(
-    k: int,
-    target: float = _TB,
-    lo_um: int = 10,
-    hi_um: int = 100,
-) -> int | None:
-    """Smallest waist on a 1 um grid whose aligned k x k reference system
-    (direct mode) reaches ``target`` bit/s; None when even the largest waist
+def waist_threshold_um(k: int) -> int | None:
+    """Smallest waist on the 1 um grid of 10-100 um whose aligned k x k
+    reference system (direct mode) reaches 1 Tb/s; None when even 100 um
     falls short.
 
     Relies on the rate being nondecreasing in the waist over this range.
@@ -92,11 +87,11 @@ def waist_threshold_um(
 
     def reaches(w_um: int) -> bool:
         cfg = reference_config(beam={"w0": w_um * 1e-6}, **_square_arrays(k))
-        return build_scenario(cfg).rates().aggregate >= target
+        return build_scenario(cfg).rates().aggregate >= _TB
 
-    if not reaches(hi_um):
+    lo, hi = 10, 100
+    if not reaches(hi):
         return None
-    lo, hi = lo_um, hi_um
     if reaches(lo):
         return lo
     while hi - lo > 1:

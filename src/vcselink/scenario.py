@@ -141,7 +141,13 @@ def _check_fields(cfg: dict) -> None:
         raise ConfigError("link.target_ber", "must be <= 1e-2, the adaptive-QAM fit validity, "
                           f"got {cfg['link']['target_ber']}")
     for path in ("link.rin_db_hz", "link.noise_figure_db"):
-        _require_number(cfg, path)
+        level = _require_number(cfg, path)
+        try:
+            linear = 10 ** (level / 10.0)  # the value build_scenario uses
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise ConfigError(path, f"{level} dB has no finite non-zero linear value")
     _require_number(cfg, "pd.spacing", nonneg=True)
     n_fft = cfg["link"]["n_fft"]
     if not isinstance(n_fft, int) or isinstance(n_fft, bool):
@@ -154,9 +160,12 @@ def _check_fields(cfg: dict) -> None:
         if kind == "square":
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ConfigError(f"{side}.k", "square arrays need an integer k >= 1")
-    for field in cfg["misalignment"]:
+    method = _require_choice(cfg, "method", _METHODS)
+    for field, value in cfg["misalignment"].items():
         _require_number(cfg, f"misalignment.{field}")
-    _require_choice(cfg, "method", _METHODS)
+        if value != 0 and method == GainMethod.ALIGNED_CLOSED_FORM.value:
+            raise ConfigError(f"misalignment.{field}",
+                              f"{method} requires zero misalignment, got {value}")
     _require_choice(cfg, "mode", _MODES)
 
 
@@ -227,8 +236,8 @@ def load_config(path) -> dict:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved evaluation: built domain objects plus the resolved
-    configuration they came from."""
+    """A fully resolved evaluation: the domain objects built from one
+    configuration."""
 
     beam: BeamParams
     params: LinkParams
@@ -238,7 +247,6 @@ class Scenario:
     state: MisalignmentState
     method: GainMethod
     mode: Mode
-    config: dict
 
     def channel_matrix(self) -> ChannelMatrix:
         return mimo_matrix(
@@ -300,7 +308,6 @@ def build_scenario(cfg: dict) -> Scenario:
         state=state,
         method=GainMethod(cfg["method"]),
         mode=mode,
-        config=cfg,
     )
 
 

@@ -50,10 +50,9 @@ def test_rayleigh_range_rejects_nonpositive(w0, lam):
 def test_beam_params_derives_and_checks_rayleigh_range(beam100):
     expected = math.pi * (100e-6) ** 2 / 850e-9
     assert beam100.rayleigh_range == pytest.approx(expected, rel=1e-12)
-    # round-trip with the cached value is accepted
-    BeamParams(850e-9, 100e-6, rayleigh_range=beam100.rayleigh_range)
-    with pytest.raises(ValueError):
-        BeamParams(850e-9, 100e-6, rayleigh_range=expected * 1.001)
+    # derived only: it cannot be passed in
+    with pytest.raises(TypeError):
+        BeamParams(850e-9, 100e-6, expected)
 
 
 def test_beam_radius_waist_and_rayleigh(beam100):
@@ -79,7 +78,7 @@ def test_beam_radius_monotone(beam100):
     assert np.all(w >= 100e-6)
 
 
-def test_beam_radius_far_field_asymptote(beam100):
+def test_beam_radius_divergence_asymptote(beam100):
     z = 200.0 * beam100.rayleigh_range
     slope = beam_radius(z, beam100) / z
     assert slope == pytest.approx(divergence_half_angle(beam100), rel=1e-3)

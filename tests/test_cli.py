@@ -120,6 +120,19 @@ class TestConfigValidation:
                         "steps": 3}}, "link.target_ber"),
             ({"sweep": {"parameter": "pd.spacing", "start": -1e-3, "stop": 6e-3, "steps": 3}},
              "pd.spacing"),
+            # dB fields whose linear value overflows or underflows to 0
+            ({"link": {"rin_db_hz": 4000}}, "link.rin_db_hz"),
+            ({"link": {"rin_db_hz": -4000}}, "link.rin_db_hz"),
+            ({"link": {"noise_figure_db": 4000}}, "link.noise_figure_db"),
+            ({"link": {"noise_figure_db": -4000}}, "link.noise_figure_db"),
+            ({"sweep": {"parameter": "link.rin_db_hz", "start": -155, "stop": 4000,
+                        "steps": 3}}, "link.rin_db_hz"),
+            # the aligned closed form has no misalignment to model
+            ({"method": "aligned-closed-form", "misalignment": {"psi_a_deg": 1.0}},
+             "misalignment.psi_a_deg"),
+            ({"method": "aligned-closed-form",
+              "sweep": {"parameter": "misalignment.x_de", "start": 0, "stop": 1e-3,
+                        "steps": 3}}, "misalignment.x_de"),
         ],
     )
     def test_out_of_domain_values_rejected_before_output(self, tmp_path, capsys, overrides,
@@ -304,7 +317,8 @@ class TestPresets:
         assert len(paths) == 2
         paths = preset_rate_vs_tx_tilt(tmp_path, step_deg=1.0)
         assert all(p.exists() for p in paths)
-        paths = preset_rate_vs_rx_tilt(tmp_path, step_deg=45.0)
+        with pytest.warns(UserWarning, match="90 deg"):  # the 90 deg row
+            paths = preset_rate_vs_rx_tilt(tmp_path, step_deg=45.0)
         assert all(p.exists() for p in paths)
 
     def test_tx_tilt_cell_matches_simulate(self, tmp_path):
