@@ -34,7 +34,6 @@ __all__ = [
     "LayoutKind",
     "ArrayLayout",
     "GainMethod",
-    "ChannelMatrix",
     "build_layout",
     "gain_aligned",
     "gain_gmm",
@@ -110,7 +109,7 @@ class ArrayLayout:
 
 
 def _square_lattice(k: int, pitch: float) -> np.ndarray:
-    return np.array([array_element_xy(i, k, pitch) for i in range(1, k * k + 1)])
+    return np.stack(array_element_xy(np.arange(1, k * k + 1), k, pitch), axis=-1)
 
 
 def build_layout(
@@ -283,18 +282,6 @@ def gain_approx_tx_tilt(
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    """N_r x N_t matrix of link gains plus the method that produced it."""
-
-    gains: np.ndarray
-    method: GainMethod
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.gains.shape
-
-
 def mimo_matrix(
     beam: BeamParams,
     L: float,
@@ -303,8 +290,9 @@ def mimo_matrix(
     state: MisalignmentState,
     method: GainMethod | str = GainMethod.EXACT_GMM,
     spec: QuadratureSpec | None = None,
-) -> ChannelMatrix:
-    """Assemble the array-to-array gain matrix.
+) -> np.ndarray:
+    """Assemble the N_r x N_t array-to-array gain matrix (rows: receiver
+    elements, columns: transmitter elements) as a float array.
 
     Each entry treats its transmitter/receiver element pair as a single
     link: element positions are rotated and displaced with their array,
@@ -325,8 +313,7 @@ def mimo_matrix(
             )
         x_off = rx.elements[:, 0][:, None] - tx.elements[:, 0][None, :] - state.x_de
         y_off = rx.elements[:, 1][:, None] - tx.elements[:, 1][None, :] - state.y_de
-        gains = gain_approx_displacement(beam, L, pd, x_off, y_off)
-        return ChannelMatrix(np.asarray(gains), method)
+        return gain_approx_displacement(beam, L, pd, x_off, y_off)
 
     if method is GainMethod.APPROX_TX_TILT:
         if state.x_de != 0.0 or state.y_de != 0.0 or state.psi_a != 0.0 or state.psi_e != 0.0:
@@ -339,8 +326,7 @@ def mimo_matrix(
         y_i = rx.elements[:, 1][:, None]
         x_j = tx.elements[:, 0][None, :]
         y_j = tx.elements[:, 1][None, :]
-        gains = gain_approx_tx_tilt(beam, L, pd, x_i, y_i, x_j, y_j, state.phi_a, state.phi_e)
-        return ChannelMatrix(np.asarray(gains), method)
+        return gain_approx_tx_tilt(beam, L, pd, x_i, y_i, x_j, y_j, state.phi_a, state.phi_e)
 
     if method is GainMethod.ALIGNED_CLOSED_FORM:
         if not state.is_aligned:
@@ -350,7 +336,7 @@ def mimo_matrix(
         gains = np.asarray(gain_approx_displacement(beam, L, pd, x_off, y_off))
         on_axis = (x_off == 0.0) & (y_off == 0.0)
         gains[on_axis] = gain_aligned(beam, L, pd)
-        return ChannelMatrix(gains, method)
+        return gains
 
     # exact route: one batched quadrature over the unique element pairs
     tx_pos = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)
@@ -383,12 +369,12 @@ def mimo_matrix(
     found = slot >= 0
     gains = np.zeros((nr, nt))
     gains[found] = values[slot[found]]
-    return ChannelMatrix(gains, GainMethod.EXACT_GMM)
+    return gains
 
 
-def write_gains_csv(matrix: ChannelMatrix | np.ndarray, path) -> None:
-    """CSV serialization: header ``j=1..Nt``, one row per receiver element."""
-    gains = matrix.gains if isinstance(matrix, ChannelMatrix) else np.asarray(matrix)
+def write_gains_csv(gains: np.ndarray, path) -> None:
+    """CSV serialization of an N_r x N_t gain array: header ``j=1..Nt``, one
+    row per receiver element."""
     _write_csv(path, [f"j={j + 1}" for j in range(gains.shape[1])], gains)
 
 

@@ -17,7 +17,7 @@ import sys
 
 from .presets import PRESETS, run_preset
 from .quadrature import DiskQuadratureError
-from .scenario import ConfigError, run_scenario
+from .scenario import run_scenario
 
 __all__ = ["main"]
 
@@ -52,9 +52,6 @@ def main(argv=None) -> int:
             written = run_scenario(args.config, out_dir, seed=args.seed)
         else:
             written = run_preset(args.name, out_dir, seed=args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DiskQuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

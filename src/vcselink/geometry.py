@@ -176,16 +176,17 @@ def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
     return z, np.maximum(rx_ * rx_ + ry_ * ry_ + rz_ * rz_, 0.0)
 
 
-def array_element_xy(i: int, k: int, d_pd: float) -> tuple[float, float]:
-    """Center of element ``i`` (1-based, row-major from the top-left) of a
-    k-by-k lattice with pitch d_pd, centered at the origin."""
+def array_element_xy(i, k: int, d_pd: float):
+    """Center (x, y) of element ``i`` (1-based, row-major from the top-left)
+    of a k-by-k lattice with pitch d_pd, centered at the origin. ``i`` may be
+    an integer array of indices; x and y are then arrays of its shape."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if d_pd <= 0:
         raise ValueError("d_pd must be > 0")
-    if not 1 <= i <= k * k:
+    if np.min(i) < 1 or np.max(i) > k * k:
         raise ValueError(f"element index {i} outside 1..{k * k}")
-    m = math.ceil(i / k)
+    m = -(-i // k)  # ceil(i / k) in integers
     n = i - (m - 1) * k
     x = (-(k - 1) / 2.0 + n - 1) * d_pd
     y = ((k - 1) / 2.0 - m + 1) * d_pd

@@ -15,8 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelMatrix
-
 __all__ = [
     "BOLTZMANN",
     "ELEMENTARY_CHARGE",
@@ -124,7 +122,7 @@ def noise_variance(gains, params: LinkParams):
 
 
 def _as_gains(h, square: bool = False) -> np.ndarray:
-    gains = h.gains if isinstance(h, ChannelMatrix) else np.asarray(h, dtype=float)
+    gains = np.asarray(h, dtype=float)
     if square and (gains.ndim != 2 or gains.shape[0] != gains.shape[1]):
         raise ValueError("direct mode requires a square channel matrix")
     return gains

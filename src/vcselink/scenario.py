@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .beam import BeamParams
-from .channel import ArrayLayout, ChannelMatrix, GainMethod, LayoutKind, build_layout, mimo_matrix
+from .channel import ArrayLayout, GainMethod, LayoutKind, build_layout, mimo_matrix
 from .channel import _write_csv, write_gains_csv
 from .geometry import MisalignmentState
 from .linkbudget import LinkParams, Mode, RateReport, aggregate_rate, write_rates_csv
@@ -182,7 +182,7 @@ def _validate(cfg: dict) -> dict:
         if unknown:
             raise ConfigError(f"sweep.{sorted(unknown)[0]}", "unknown field")
         param = sweep["parameter"]
-        if not isinstance(param, str) or param in _INTEGER_FIELDS or not _sweepable(cfg, param):
+        if not isinstance(param, str) or not _sweepable(cfg, param):
             raise ConfigError("sweep.parameter", f"{param!r} is not a sweepable real-valued field")
         start = _require_number(cfg, "sweep.start")
         stop = _require_number(cfg, "sweep.stop")
@@ -201,6 +201,10 @@ def _validate(cfg: dict) -> dict:
 
 
 def _sweepable(cfg: dict, dotted: str) -> bool:
+    """Whether a sweep may vary field ``dotted`` of ``cfg``: a real number,
+    neither an integer field nor part of the sweep itself."""
+    if dotted in _INTEGER_FIELDS or dotted.partition(".")[0] == "sweep":
+        return False
     node = cfg
     for part in dotted.split("."):
         if not isinstance(node, dict) or part not in node:
@@ -226,9 +230,11 @@ def resolve_config(obj: dict) -> dict:
 def load_config(path) -> dict:
     """Read a scenario configuration file, then :func:`resolve_config` it."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError("<file>", f"cannot read {path}") from None
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, no permission
+        raise ConfigError("<file>", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError("<file>", f"cannot read {path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return resolve_config(raw)
@@ -248,13 +254,14 @@ class Scenario:
     method: GainMethod
     mode: Mode
 
-    def channel_matrix(self) -> ChannelMatrix:
+    def channel_matrix(self) -> np.ndarray:
         return mimo_matrix(
             self.beam, self.distance, self.tx, self.rx, self.state, self.method
         )
 
-    def rates(self, matrix: ChannelMatrix | None = None) -> RateReport:
-        matrix = matrix or self.channel_matrix()
+    def rates(self, matrix: np.ndarray | None = None) -> RateReport:
+        if matrix is None:
+            matrix = self.channel_matrix()
         return aggregate_rate(matrix, self.params, self.mode)
 
 
@@ -323,7 +330,7 @@ def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
     and replaces them in a copy of every configuration. Configurations that
     differ only in ``mode`` share the point's channel matrix."""
     for field in {field for point in points for field in point}:
-        if field in _INTEGER_FIELDS or not all(_sweepable(cfg, field) for cfg in configs):
+        if not all(_sweepable(cfg, field) for cfg in configs):
             raise ConfigError(field, "not a real-valued field of every configuration")
     rows = []
     for point in points:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vcselink.beam import BeamParams, beam_radius, waist_for_spot
 from vcselink.channel import (
-    ChannelMatrix,
     GainMethod,
     LayoutKind,
     PdGeometry,
@@ -245,16 +244,24 @@ class TestMimoMatrix:
         rx = build_layout(LayoutKind.SQUARE, k=5)
         return tx, rx
 
+    @pytest.mark.parametrize("method", list(GainMethod))
+    def test_returns_the_gain_array(self, beam100, method):
+        tx = build_layout(LayoutKind.SQUARE, k=2, transmitter=True)
+        rx = build_layout(LayoutKind.CONFIG_I)
+        h = mimo_matrix(beam100, L, tx, rx, MisalignmentState(), method)
+        assert type(h) is np.ndarray
+        assert h.dtype == np.float64 and h.shape == (25, 4)
+
     def test_aligned_diagonal_and_crosstalk(self, beam100, system):
         tx, rx = system
-        h = mimo_matrix(beam100, L, tx, rx, MisalignmentState()).gains
+        h = mimo_matrix(beam100, L, tx, rx, MisalignmentState())
         assert np.allclose(np.diag(h), 0.459, atol=2e-4)
         off = h - np.diag(np.diag(h))
         assert off.max() <= 2e-4
 
     def test_translation_invariance(self, beam100, system):
         tx, rx = system
-        h = mimo_matrix(beam100, L, tx, rx, MisalignmentState()).gains
+        h = mimo_matrix(beam100, L, tx, rx, MisalignmentState())
         # equal lattice offsets give equal gains: compare all first
         # super/sub-diagonal pairs in the same row block
         for i, j in ((0, 1), (1, 2), (5, 6), (11, 12)):
@@ -265,7 +272,7 @@ class TestMimoMatrix:
         tx = build_layout(LayoutKind.SQUARE, k=5, transmitter=True)
         rx = build_layout(LayoutKind.CONFIG_III)
         state = MisalignmentState(x_de=3e-3, phi_a=math.radians(0.05), psi_a=math.radians(8))
-        h = mimo_matrix(beam100, L, tx, rx, state).gains
+        h = mimo_matrix(beam100, L, tx, rx, state)
         assert np.all(h >= 0.0)
         assert np.all(h <= 1.0)
         assert np.all(h.sum(axis=0) <= 1.0 + 1e-9)
@@ -273,14 +280,14 @@ class TestMimoMatrix:
     def test_exact_matches_displacement_approx(self, beam100, system):
         tx, rx = system
         state = MisalignmentState(x_de=2e-3, y_de=-1e-3)
-        exact = mimo_matrix(beam100, L, tx, rx, state).gains
-        approx = mimo_matrix(beam100, L, tx, rx, state, GainMethod.APPROX_DISPLACEMENT).gains
+        exact = mimo_matrix(beam100, L, tx, rx, state)
+        approx = mimo_matrix(beam100, L, tx, rx, state, GainMethod.APPROX_DISPLACEMENT)
         assert nmse(exact.ravel(), approx.ravel()) <= 1.1e-4
 
     def test_aligned_closed_form(self, beam100, system):
         tx, rx = system
         h = mimo_matrix(beam100, L, tx, rx, MisalignmentState(), GainMethod.ALIGNED_CLOSED_FORM)
-        assert np.allclose(np.diag(h.gains), gain_aligned(beam100, L, PD), rtol=1e-12)
+        assert np.allclose(np.diag(h), gain_aligned(beam100, L, PD), rtol=1e-12)
         with pytest.raises(ValueError):
             mimo_matrix(
                 beam100, L, tx, rx, MisalignmentState(x_de=1e-3),
@@ -313,7 +320,7 @@ class TestMimoMatrix:
         rx = ArrayLayout(LayoutKind.SQUARE, np.array([[3.0, 0.0]]), PD, 12e-3, 12e-3)
         state = MisalignmentState(psi_a=math.radians(89.0))
         with pytest.warns(UserWarning, match="non-positive pair distance"):
-            h = mimo_matrix(beam100, L, tx, rx, state).gains
+            h = mimo_matrix(beam100, L, tx, rx, state)
         assert h[0, 0] == 0.0
 
     def test_convergence_failure_names_the_entry(self, beam100, system):
@@ -334,6 +341,6 @@ def test_gains_csv_round_trip(tmp_path, beam100):
     first = path.read_bytes()
     parsed = read_gains_csv(path)
     assert parsed.shape == (4, 4)
-    assert np.allclose(parsed, matrix.gains, rtol=1e-11)
-    write_gains_csv(ChannelMatrix(parsed, GainMethod.EXACT_GMM), path)
+    assert np.allclose(parsed, matrix, rtol=1e-11)
+    write_gains_csv(parsed, path)
     assert path.read_bytes() == first

@@ -49,6 +49,19 @@ class TestConfigValidation:
             load_config(path)
         assert "line" in str(excinfo.value)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_path_names_the_file(self, tmp_path, capsys, kind):
+        path = tmp_path / "c.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert excinfo.value.field == "<file>"
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config field '<file>'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "sweep,field",
         [
@@ -98,6 +111,13 @@ class TestConfigValidation:
             ({"parameter": "tx_array.k", "start": 2, "stop": 5, "steps": 4},
              "sweep.parameter"),
             ({"parameter": "rx_array.k", "start": 2, "stop": 5, "steps": 4},
+             "sweep.parameter"),
+            # a sweep cannot vary its own definition
+            ({"parameter": "sweep.steps", "start": 2, "stop": 5, "steps": 4},
+             "sweep.parameter"),
+            ({"parameter": "sweep.start", "start": 0.0, "stop": 1e-3, "steps": 3},
+             "sweep.parameter"),
+            ({"parameter": "sweep.stop", "start": 0.0, "stop": 1e-3, "steps": 3},
              "sweep.parameter"),
         ],
     )

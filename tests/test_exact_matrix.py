@@ -68,7 +68,7 @@ def integrand_points(monkeypatch):
 )
 def test_entries_equal_single_link_gains(rx, w0, state, integrand_points):
     beam = BeamParams(850e-9, w0)
-    h = mimo_matrix(beam, L, TX, rx, state).gains
+    h = mimo_matrix(beam, L, TX, rx, state)
     tx_pos = tx_element_pose(TX.elements[:, 0], TX.elements[:, 1], state, L)
     rx_pos = rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)
     for i, j in np.ndindex(h.shape):
@@ -93,10 +93,10 @@ def test_entries_equal_single_link_gains(rx, w0, state, integrand_points):
 def test_random_states_conserve_power(x_de, y_de, phi_a, phi_e, psi_a, psi_e, w0):
     beam = BeamParams(850e-9, w0)
     state = MisalignmentState(x_de, y_de, rad(phi_a), rad(phi_e), rad(psi_a), rad(psi_e))
-    h = mimo_matrix(beam, L, TX, CONFIG_I, state).gains
+    h = mimo_matrix(beam, L, TX, CONFIG_I, state)
     assert np.all((h >= 0.0) & (h <= 1.0))
     assert np.all(h.sum(axis=0) <= 1.0 + 1e-9)
-    assert np.array_equal(h, mimo_matrix(beam, L, TX, CONFIG_I, state).gains)
+    assert np.array_equal(h, mimo_matrix(beam, L, TX, CONFIG_I, state))
 
 
 def _mirror_index(layout):
@@ -120,8 +120,8 @@ def _mirror_index(layout):
 def test_negated_x_displacement_mirrors_the_matrix(x_de, y_de, w0, kind):
     beam = BeamParams(850e-9, w0)
     rx = build_layout(kind)
-    h = mimo_matrix(beam, L, TX, rx, MisalignmentState(x_de=x_de, y_de=y_de)).gains
-    mirrored = mimo_matrix(beam, L, TX, rx, MisalignmentState(x_de=-x_de, y_de=y_de)).gains
+    h = mimo_matrix(beam, L, TX, rx, MisalignmentState(x_de=x_de, y_de=y_de))
+    mirrored = mimo_matrix(beam, L, TX, rx, MisalignmentState(x_de=-x_de, y_de=y_de))
     expected = h[np.ix_(_mirror_index(rx), _mirror_index(TX))]
     # the mirrored pair sums its angular nodes in another order; an entry
     # below abs_tol converges through abs_tol, so only that much is promised
@@ -151,7 +151,7 @@ def test_receiver_facing_away_gives_zero_matrix():
     assert alignment_cosine(FACING_AWAY) <= 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h = mimo_matrix(BeamParams(850e-9, 100e-6), L, TX, CONFIG_III, FACING_AWAY).gains
+        h = mimo_matrix(BeamParams(850e-9, 100e-6), L, TX, CONFIG_III, FACING_AWAY)
     assert h.shape == (81, 25)
     assert not h.any()
 
@@ -165,7 +165,7 @@ def test_mixed_pair_distances_zero_only_the_bad_entries():
     state = MisalignmentState(psi_a=rad(60.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        h = mimo_matrix(beam, L, tx, rx, state).gains
+        h = mimo_matrix(beam, L, tx, rx, state)
     assert [str(w.message) for w in caught] == [
         f"non-positive pair distance for entry (1, {j}); gain set to 0" for j in (0, 1)
     ]

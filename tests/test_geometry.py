@@ -196,9 +196,23 @@ def test_array_element_xy_five_by_five():
     assert array_element_xy(1, 5, d) == pytest.approx((-24e-3, 24e-3))
     assert array_element_xy(13, 5, d) == (0.0, 0.0)
     assert array_element_xy(25, 5, d) == pytest.approx((24e-3, -24e-3))
+    # an index array gives the scalar calls' centers, bit for bit
+    for k in (1, 4, 5, 9):
+        x, y = array_element_xy(np.arange(1, k * k + 1), k, d)
+        scalar = [array_element_xy(i, k, d) for i in range(1, k * k + 1)]
+        assert np.array_equal(np.stack([x, y], axis=-1), scalar)
 
 
-@pytest.mark.parametrize("i", [0, 26, -3])
+@pytest.mark.parametrize(
+    "i",
+    [
+        0,
+        26,
+        -3,
+        pytest.param(np.array([1, 0, 13]), id="array-with-0"),
+        pytest.param(np.array([25, 26]), id="array-with-26"),
+    ],
+)
 def test_array_element_xy_range(i):
     with pytest.raises(ValueError):
         array_element_xy(i, 5, 12e-3)

@@ -42,7 +42,7 @@ from vcselink.scenario import build_scenario
 def aligned_25x25():
     tx = build_layout(LayoutKind.SQUARE, k=5, transmitter=True)
     rx = build_layout(LayoutKind.SQUARE, k=5)
-    return mimo_matrix(BeamParams(850e-9, 100e-6), 2.0, tx, rx, MisalignmentState()).gains
+    return mimo_matrix(BeamParams(850e-9, 100e-6), 2.0, tx, rx, MisalignmentState())
 
 
 class TestLinkParams:
@@ -123,7 +123,7 @@ class TestSinrDirect:
     def test_crosstalk_asymmetry_at_small_waist(self):
         tx = build_layout(LayoutKind.SQUARE, k=5, transmitter=True)
         rx = build_layout(LayoutKind.SQUARE, k=5)
-        h = mimo_matrix(BeamParams(850e-9, 50e-6), 2.0, tx, rx, MisalignmentState()).gains
+        h = mimo_matrix(BeamParams(850e-9, 50e-6), 2.0, tx, rx, MisalignmentState())
         params = LinkParams()
         assert sinr_direct(h, 12, params) < sinr_direct(h, 0, params)
 
@@ -424,7 +424,7 @@ def test_svd_noise_mapping_branch_against_combined(kind):
         scenario = build_scenario(
             reference_config(rx_array={"kind": kind}, mode="svd", misalignment={"x_de": x_de})
         )
-        h, params = scenario.channel_matrix().gains, scenario.params
+        h, params = scenario.channel_matrix(), scenario.params
         report = aggregate_rate(h, params, Mode.SVD)
         u, s, _ = svd_thin(h)
         branch = sinr_svd(s, noise_variance(h[: h.shape[1]], params), params)

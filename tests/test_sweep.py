@@ -233,3 +233,12 @@ def test_a_point_names_a_real_valued_field(field):
     with pytest.raises(ConfigError) as excinfo:
         sweep([reference_config()], [{field: 1.0}])
     assert excinfo.value.field == field
+
+
+def test_a_point_cannot_set_the_sweep_itself():
+    cfg = reference_config(
+        sweep={"parameter": "beam.w0", "start": 50e-6, "stop": 100e-6, "steps": 3}
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        sweep([cfg], [{"sweep.steps": 5.0}])
+    assert excinfo.value.field == "sweep.steps"
