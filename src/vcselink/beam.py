@@ -30,7 +30,13 @@ def rayleigh_range(waist_radius: float, wavelength: float) -> float:
         raise ValueError(f"waist_radius must be finite and > 0, got {waist_radius}")
     if not 0.0 < wavelength < math.inf:
         raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
-    return math.pi * waist_radius * waist_radius / wavelength
+    z_r = math.pi * waist_radius * waist_radius / wavelength
+    if not 0.0 < z_r < math.inf:
+        raise ValueError(
+            f"Rayleigh range pi*w0^2/wavelength must be finite and > 0, got {z_r} "
+            f"(w0 {waist_radius}, wavelength {wavelength})"
+        )
+    return z_r
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -182,10 +182,15 @@ def gain_gmm(
     """
     _check_link_distance(L)
     if isinstance(state, MisalignmentState):
-        integrand, live = _link_integrand(beam, [(L, *astuple(state))])
+        integrand, live = _link_integrand(beam, [_link_row(L, state)])
         return integrate_disk(integrand, pd.radius, spec) if len(live) else 0.0
-    links = [(L, *astuple(s)) for s in state]
+    links = [_link_row(L, s) for s in state]
     return _exact_gains(beam, pd, links, spec, lambda k: f"state {k}")
+
+
+def _link_row(L: float, s: MisalignmentState) -> tuple:
+    """Link row of :func:`_link_integrand` for a lone link in state ``s``."""
+    return (L, s.x_de, s.y_de, s.phi_a, s.phi_e, s.psi_a, s.psi_e)
 
 
 def _exact_gains(beam: BeamParams, pd: PdGeometry, links, spec, where) -> np.ndarray:
@@ -237,15 +242,26 @@ def gain_approx_displacement(beam: BeamParams, L: float, pd: PdGeometry, x_off, 
     (including any array displacement). Accepts arrays and broadcasts.
     """
     _check_link_distance(L)
-    w = math.sqrt(float(spot_radius_sq(L, beam)))
-    a = _SQRT_PI * pd.radius
-    c = _SQRT_2 * w
+    c = _erf_scale(beam.waist_radius**2, beam.rayleigh_range, L)
+    out = _erf_product(_SQRT_PI * pd.radius, c, x_off, y_off)
+    return float(out) if out.ndim == 0 else out
+
+
+def _erf_scale(w0_sq, z_r, z):
+    """sqrt(2)*w(z) of a beam with squared waist ``w0_sq`` and Rayleigh
+    range ``z_r`` (as :func:`spot_radius_sq`); every argument broadcasts."""
+    zn = np.asarray(z, dtype=float) / z_r
+    return _SQRT_2 * np.sqrt(w0_sq * (1.0 + zn * zn))
+
+
+def _erf_product(a, c, x_off, y_off) -> np.ndarray:
+    """Displacement closed form for an equivalent square of side ``a`` and
+    erf scale ``c``; every argument broadcasts."""
     x_off = np.asarray(x_off, dtype=float)
     y_off = np.asarray(y_off, dtype=float)
     fx = erf((a + 2.0 * x_off) / c) + erf((a - 2.0 * x_off) / c)
     fy = erf((a + 2.0 * y_off) / c) + erf((a - 2.0 * y_off) / c)
-    out = 0.25 * fx * fy
-    return float(out) if out.ndim == 0 else out
+    return 0.25 * fx * fy
 
 
 def gain_approx_tx_tilt(
@@ -267,19 +283,80 @@ def gain_approx_tx_tilt(
     Accepts arrays for the positions and the angles and broadcasts.
     """
     _check_link_distance(L)
+    out = _tilt_erf_product(beam.waist_radius**2, beam.rayleigh_range, L, _SQRT_PI * pd.radius,
+                            x_i, y_i, x_j, y_j, phi_a, phi_e)
+    return float(out) if out.ndim == 0 else out
+
+
+def _tilt_erf_product(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, phi_a, phi_e) -> np.ndarray:
+    """Transmitter-tilt closed form for an equivalent square of side ``a``;
+    the beam (``w0_sq``, ``z_r``) broadcasts like the angles."""
     ca, sa = np.cos(phi_a), np.sin(phi_a)
     ce, se = np.cos(phi_e), np.sin(phi_e)
-    w_eff = np.sqrt(spot_radius_sq(L * ce * ca, beam))
-    a = _SQRT_PI * pd.radius
-    c = _SQRT_2 * w_eff
+    c = _erf_scale(w0_sq, z_r, L * ce * ca)
     x_i = np.asarray(x_i, dtype=float)
     y_i = np.asarray(y_i, dtype=float)
     x_term = x_i * ca - np.asarray(x_j, dtype=float) - L * sa
     y_term = y_i * ce - np.asarray(y_j, dtype=float) - L * se * ca
     fx = erf((a * ca + 2.0 * x_term) / c) + erf((a * ca - 2.0 * x_term) / c)
     fy = erf((a * ce + 2.0 * y_term) / c) + erf((a * ce - 2.0 * y_term) / c)
-    out = 0.25 * fx * fy
-    return float(out) if out.ndim == 0 else out
+    return 0.25 * fx * fy
+
+
+def _per_point(values) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None, None]
+
+
+def _closed_form_stack(
+    beams: Sequence[BeamParams],
+    L: float,
+    tx: ArrayLayout,
+    rx: ArrayLayout,
+    states: Sequence[MisalignmentState],
+    method: GainMethod,
+    stacklevel: int = 2,
+) -> np.ndarray:
+    """Closed-form gain matrices of one array pair at P points, a (P, N_r,
+    N_t) stack: point p has beam ``beams[p]`` and state ``states[p]``. One
+    broadcast over the leading point axis computes them all, each equal bit
+    for bit to the point's own :func:`mimo_matrix`. A warning about ignored
+    state fields fires once per stack and names the frame ``stacklevel`` up."""
+    _check_link_distance(L)
+    a = _SQRT_PI * rx.pd.radius
+    x_i, y_i = rx.elements[:, 0][:, None], rx.elements[:, 1][:, None]
+    x_j, y_j = tx.elements[:, 0][None, :], tx.elements[:, 1][None, :]
+    w0_sq = _per_point([beam.waist_radius**2 for beam in beams])
+    z_r = _per_point([beam.rayleigh_range for beam in beams])
+
+    if method is GainMethod.APPROX_TX_TILT:
+        if any(s.x_de != 0.0 or s.y_de != 0.0 or s.psi_a != 0.0 or s.psi_e != 0.0
+               for s in states):
+            warnings.warn(
+                "transmitter-tilt approximation ignores displacement and "
+                "receiver angles",
+                stacklevel=stacklevel,
+            )
+        phi_a = _per_point([state.phi_a for state in states])
+        phi_e = _per_point([state.phi_e for state in states])
+        return _tilt_erf_product(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, phi_a, phi_e)
+
+    c = _erf_scale(w0_sq, z_r, L)
+    if method is GainMethod.APPROX_DISPLACEMENT:
+        if not all(state.is_axial for state in states):
+            warnings.warn(
+                "displacement approximation ignores orientation angles",
+                stacklevel=stacklevel,
+            )
+        x_de = _per_point([state.x_de for state in states])
+        y_de = _per_point([state.y_de for state in states])
+        return _erf_product(a, c, x_i - x_j - x_de, y_i - y_j - y_de)
+
+    if not all(state.is_aligned for state in states):
+        raise ValueError("aligned closed form requires a zero misalignment state")
+    gains = _erf_product(a, c, x_i - x_j, y_i - y_j)
+    on_axis = (x_i == x_j) & (y_i == y_j)
+    gains[:, on_axis] = _per_point([gain_aligned(beam, L, rx.pd) for beam in beams])[:, 0]
+    return gains
 
 
 def mimo_matrix(
@@ -297,7 +374,9 @@ def mimo_matrix(
     Each entry treats its transmitter/receiver element pair as a single
     link: element positions are rotated and displaced with their array,
     then the single-link gain is evaluated with the pair's own distance
-    and center offsets while keeping the array orientation angles.
+    and center offsets while keeping the array orientation angles. The
+    closed forms are the one-point case of :func:`_closed_form_stack`,
+    which evaluates a chunk of sweep points at once.
     """
     method = GainMethod(method)
     if rx.pd is None:
@@ -305,38 +384,8 @@ def mimo_matrix(
     pd = rx.pd
     nt, nr = tx.n_elements, rx.n_elements
 
-    if method is GainMethod.APPROX_DISPLACEMENT:
-        if not state.is_axial:
-            warnings.warn(
-                "displacement approximation ignores orientation angles",
-                stacklevel=2,
-            )
-        x_off = rx.elements[:, 0][:, None] - tx.elements[:, 0][None, :] - state.x_de
-        y_off = rx.elements[:, 1][:, None] - tx.elements[:, 1][None, :] - state.y_de
-        return gain_approx_displacement(beam, L, pd, x_off, y_off)
-
-    if method is GainMethod.APPROX_TX_TILT:
-        if state.x_de != 0.0 or state.y_de != 0.0 or state.psi_a != 0.0 or state.psi_e != 0.0:
-            warnings.warn(
-                "transmitter-tilt approximation ignores displacement and "
-                "receiver angles",
-                stacklevel=2,
-            )
-        x_i = rx.elements[:, 0][:, None]
-        y_i = rx.elements[:, 1][:, None]
-        x_j = tx.elements[:, 0][None, :]
-        y_j = tx.elements[:, 1][None, :]
-        return gain_approx_tx_tilt(beam, L, pd, x_i, y_i, x_j, y_j, state.phi_a, state.phi_e)
-
-    if method is GainMethod.ALIGNED_CLOSED_FORM:
-        if not state.is_aligned:
-            raise ValueError("aligned closed form requires a zero misalignment state")
-        x_off = rx.elements[:, 0][:, None] - tx.elements[:, 0][None, :]
-        y_off = rx.elements[:, 1][:, None] - tx.elements[:, 1][None, :]
-        gains = np.asarray(gain_approx_displacement(beam, L, pd, x_off, y_off))
-        on_axis = (x_off == 0.0) & (y_off == 0.0)
-        gains[on_axis] = gain_aligned(beam, L, pd)
-        return gains
+    if method is not GainMethod.EXACT_GMM:
+        return _closed_form_stack([beam], L, tx, rx, [state], method, stacklevel=3)[0]
 
     # exact route: one batched quadrature over the unique element pairs
     tx_pos = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)

@@ -133,7 +133,8 @@ def _served_sinr(gains: np.ndarray, serving, params: LinkParams):
     transmitters) whose signal comes from transmitter ``serving[...]``; the
     other transmitters of the row interfere. No precoding."""
     g2 = gains**2
-    own = np.take_along_axis(g2, np.asarray(serving)[..., None], axis=-1)[..., 0]
+    serving = np.broadcast_to(serving, g2.shape[:-1])
+    own = np.take_along_axis(g2, serving[..., None], axis=-1)[..., 0]
     scale = params.responsivity**2 * electrical_signal_power(params.p_t)
     return scale * own / (scale * (g2.sum(axis=-1) - own) + noise_variance(gains, params))
 
@@ -223,19 +224,38 @@ def aggregate_rate(h, params: LinkParams, mode: Mode | str = Mode.DIRECT) -> Rat
     i served by transmitter i). SVD mode needs N_r >= N_t and allocates one
     stream per singular value; eigenmode stream i takes detector branch i's
     noise variance (not the U^T-combined noise of all branches). A SINR
-    above the 30 dB QAM fit warns once per call.
+    above the 30 dB QAM fit warns once per call. This is the one-matrix
+    case of the stacked link budget that sweeps run.
     """
+    gains = _as_gains(h, square=Mode(mode) is Mode.DIRECT)
+    if gains.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    return _rate_reports(gains[None], params, mode, stacklevel=4)[0]
+
+
+def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str,
+                  stacklevel: int = 3) -> list[RateReport]:
+    """:func:`aggregate_rate` of each matrix of a (P, N_r, N_t) gain stack
+    that shares ``params``, computed once for the whole stack (one stacked
+    SVD, one noise, SINR and bits expression). Each report equals the
+    matrix's own ``aggregate_rate`` bit for bit; the 30 dB QAM-fit warning
+    fires once per stack and names the frame ``stacklevel`` up."""
     mode = Mode(mode)
-    gains = _as_gains(h, square=mode is Mode.DIRECT)
-    n_t = gains.shape[1]
+    n_t = stack.shape[-1]
     if mode is Mode.DIRECT:
-        sinrs = _served_sinr(gains, np.arange(n_t), params)
+        sinrs = _served_sinr(stack, np.arange(n_t), params)
     else:
-        _, s, _ = svd_thin(gains)
-        sinrs = sinr_svd(s, noise_variance(gains[:n_t], params), params)
-    bits = _qam_bits(sinrs, params.target_ber, stacklevel=3)
-    per_rate = params.subcarrier_efficiency * params.bandwidth * bits
-    return RateReport(sinrs, bits, per_rate, float(per_rate.sum()), mode)
+        if stack.shape[-2] < n_t:
+            raise ValueError("svd_thin requires N_r >= N_t")
+        # with U, as svd_thin: the values-only LAPACK route rounds differently
+        _, s, _ = np.linalg.svd(stack, full_matrices=False)
+        sinrs = sinr_svd(s, noise_variance(stack[:, :n_t], params), params)
+    bits = _qam_bits(sinrs, params.target_ber, stacklevel)
+    rates = params.subcarrier_efficiency * params.bandwidth * bits
+    return [
+        RateReport(sinr, bit, rate, float(total), mode)
+        for sinr, bit, rate, total in zip(sinrs, bits, rates, rates.sum(axis=-1))
+    ]
 
 
 def eye_safe_power_limit(mpe: float, pupil_diameter: float, eta: float = 1.0) -> float:

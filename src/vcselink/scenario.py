@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .beam import BeamParams
+from .beam import BeamParams, rayleigh_range
 from .channel import ArrayLayout, GainMethod, LayoutKind, build_layout, mimo_matrix
-from .channel import _write_csv, write_gains_csv
+from .channel import _closed_form_stack, _write_csv, write_gains_csv
 from .geometry import MisalignmentState
-from .linkbudget import LinkParams, Mode, RateReport, aggregate_rate, write_rates_csv
+from .linkbudget import LinkParams, Mode, RateReport, _rate_reports, aggregate_rate
+from .linkbudget import write_rates_csv
 
 __all__ = [
     "ConfigError",
@@ -77,6 +79,10 @@ DEFAULT_CONFIG: dict = {
 # integer-valued fields; a sweep would hand them floats
 _INTEGER_FIELDS = {"link.n_fft", "tx_array.k", "rx_array.k"}
 
+# gain entries per chunk of a sweep column; the chunk's matrices and link
+# budget are evaluated as one stack, so this bounds their scratch memory
+_CHUNK_ENTRIES = 1 << 15
+
 _ARRAY_KINDS = {k.value for k in LayoutKind}
 _METHODS = {m.value for m in GainMethod}
 _MODES = {m.value for m in Mode}
@@ -102,10 +108,15 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
     return out
 
 
-def _require_number(cfg: dict, path: str, positive=False, nonneg=False):
+def _get_path(cfg: dict, dotted: str):
     node = cfg
-    for part in path.split("."):
+    for part in dotted.split("."):
         node = node[part]
+    return node
+
+
+def _require_number(cfg: dict, path: str, positive=False, nonneg=False):
+    node = _get_path(cfg, path)
     if node is None:
         raise ConfigError(path, "missing required field")
     if isinstance(node, bool) or not isinstance(node, (int, float)):
@@ -124,9 +135,7 @@ def _require_number(cfg: dict, path: str, positive=False, nonneg=False):
 
 
 def _require_choice(cfg: dict, path: str, choices) -> str:
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
+    node = _get_path(cfg, path)
     if node not in choices:
         raise ConfigError(path, f"must be one of {sorted(choices)}, got {node!r}")
     return node
@@ -137,6 +146,7 @@ def _check_fields(cfg: dict) -> None:
                  "link.responsivity", "link.load_resistance", "link.temperature",
                  "link.target_ber", "distance", "pd.radius"):
         _require_number(cfg, path, positive=True)
+    _check_derived(cfg)
     if cfg["link"]["target_ber"] > 1e-2:
         raise ConfigError("link.target_ber", "must be <= 1e-2, the adaptive-QAM fit validity, "
                           f"got {cfg['link']['target_ber']}")
@@ -167,6 +177,35 @@ def _check_fields(cfg: dict) -> None:
             raise ConfigError(f"misalignment.{field}",
                               f"{method} requires zero misalignment, got {value}")
     _require_choice(cfg, "mode", _MODES)
+
+
+def _check_derived(cfg: dict) -> None:
+    """Reject positive fields whose derived values leave the float range,
+    which would turn gains or rates into NaN or a silent 0. Each derived
+    value is monotone in every field it reads, so valid sweep end points
+    make every point valid."""
+    w0, wavelength, distance = cfg["beam"]["w0"], cfg["beam"]["wavelength"], cfg["distance"]
+    try:
+        z_r = rayleigh_range(w0, wavelength)
+    except ValueError:
+        z_r = math.nan
+    w0_sq = w0 * w0
+    if not 0.0 < z_r * z_r < math.inf:  # the intensity divides by z_r^2
+        # z_r^2 = pi^2 w0^4 / wavelength^2: blame w0 when w0^4 alone leaves the range
+        field = "beam.wavelength" if 0.0 < w0_sq * w0_sq < math.inf else "beam.w0"
+        raise ConfigError(field, f"the squared Rayleigh range (pi*w0^2/wavelength)^2 of w0 "
+                          f"{w0} and wavelength {wavelength} is not a finite number > 0")
+    zn = distance / z_r
+    if not w0_sq * (1.0 + zn * zn) < math.inf:
+        raise ConfigError("distance", f"the spot radius w(L)^2 at {distance} m overflows")
+    p_t, responsivity = cfg["link"]["p_t"], cfg["link"]["responsivity"]
+    p_elec = p_t * p_t / 9.0
+    if not 0.0 < p_elec < math.inf:
+        raise ConfigError("link.p_t", f"the signal power p_t^2/9 of {p_t} W is not a "
+                          "finite number > 0")
+    if not 0.0 < responsivity * responsivity * p_elec < math.inf:
+        raise ConfigError("link.responsivity", f"the signal scale responsivity^2 p_t^2/9 of "
+                          f"{responsivity} A/W is not a finite number > 0")
 
 
 def _validate(cfg: dict) -> dict:
@@ -265,21 +304,13 @@ class Scenario:
         return aggregate_rate(matrix, self.params, self.mode)
 
 
-def _build_layout(section: dict, pd_cfg: dict, transmitter: bool) -> ArrayLayout:
-    return build_layout(
-        section["kind"],
-        k=section.get("k"),
-        r_pd=pd_cfg["radius"],
-        delta=pd_cfg["spacing"],
-        transmitter=transmitter,
-    )
+def _beam(cfg: dict) -> BeamParams:
+    return BeamParams(wavelength=cfg["beam"]["wavelength"], waist_radius=cfg["beam"]["w0"])
 
 
-def build_scenario(cfg: dict) -> Scenario:
-    """Instantiate domain objects from a validated configuration."""
-    beam = BeamParams(wavelength=cfg["beam"]["wavelength"], waist_radius=cfg["beam"]["w0"])
+def _link_params(cfg: dict) -> LinkParams:
     link = cfg["link"]
-    params = LinkParams(
+    return LinkParams(
         p_t=link["p_t"],
         bandwidth=link["bandwidth"],
         responsivity=link["responsivity"],
@@ -290,8 +321,11 @@ def build_scenario(cfg: dict) -> Scenario:
         target_ber=link["target_ber"],
         n_fft=link["n_fft"],
     )
+
+
+def _state(cfg: dict) -> MisalignmentState:
     mis = cfg["misalignment"]
-    state = MisalignmentState(
+    return MisalignmentState(
         x_de=mis["x_de"],
         y_de=mis["y_de"],
         phi_a=math.radians(mis["phi_a_deg"]),
@@ -299,23 +333,56 @@ def build_scenario(cfg: dict) -> Scenario:
         psi_a=math.radians(mis["psi_a_deg"]),
         psi_e=math.radians(mis["psi_e_deg"]),
     )
-    tx = _build_layout(cfg["tx_array"], cfg["pd"], transmitter=True)
-    rx = _build_layout(cfg["rx_array"], cfg["pd"], transmitter=False)
-    mode = Mode(cfg["mode"])
+
+
+def _layouts(cfg: dict) -> tuple[ArrayLayout, ArrayLayout]:
+    pd = cfg["pd"]
+    return tuple(
+        build_layout(section["kind"], k=section.get("k"), r_pd=pd["radius"],
+                     delta=pd["spacing"], transmitter=transmitter)
+        for section, transmitter in ((cfg["tx_array"], True), (cfg["rx_array"], False))
+    )
+
+
+def _check_sizes(tx: ArrayLayout, rx: ArrayLayout, mode: Mode) -> None:
     if mode is Mode.DIRECT and tx.n_elements != rx.n_elements:
         raise ConfigError("mode", "direct mode requires equally sized arrays")
     if rx.n_elements < tx.n_elements:
         raise ConfigError("rx_array", "receiver array must not be smaller than transmitter")
+
+
+def build_scenario(cfg: dict) -> Scenario:
+    """Instantiate domain objects from a validated configuration."""
+    tx, rx = _layouts(cfg)
+    mode = Mode(cfg["mode"])
+    _check_sizes(tx, rx, mode)
     return Scenario(
-        beam=beam,
-        params=params,
+        beam=_beam(cfg),
+        params=_link_params(cfg),
         distance=cfg["distance"],
         tx=tx,
         rx=rx,
-        state=state,
+        state=_state(cfg),
         method=GainMethod(cfg["method"]),
         mode=mode,
     )
+
+
+def _rebuild(scenario: Scenario, cfg: dict, sections: set) -> Scenario:
+    """``scenario`` with the parts built from the top-level ``sections`` of
+    ``cfg`` rebuilt; the others are shared."""
+    parts = {}
+    if "beam" in sections:
+        parts["beam"] = _beam(cfg)
+    if "link" in sections:
+        parts["params"] = _link_params(cfg)
+    if "misalignment" in sections:
+        parts["state"] = _state(cfg)
+    if "distance" in sections:
+        parts["distance"] = cfg["distance"]
+    if sections & {"pd", "tx_array", "rx_array"}:
+        parts["tx"], parts["rx"] = _layouts(cfg)
+    return replace(scenario, **parts)
 
 
 def _sweep_values(sweep: dict) -> np.ndarray:
@@ -324,29 +391,91 @@ def _sweep_values(sweep: dict) -> np.ndarray:
     return np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
 
 
+def _at(cfg: dict, point: dict) -> dict:
+    """``cfg`` with the fields of ``point`` replaced."""
+    for field, value in point.items():
+        cfg = _set_path(cfg, field, value)
+    return cfg
+
+
+def _matrices(cells: list[Scenario]) -> np.ndarray:
+    """Channel matrices of scenarios that differ only in what a sweep
+    point sets, as a (P, N_r, N_t) stack. The exact route runs point by
+    point; a closed form runs one stack per run of points that share their
+    layouts and distance."""
+    if cells[0].method is GainMethod.EXACT_GMM:
+        return np.stack([cell.channel_matrix() for cell in cells])
+    stacks = []
+    for (tx, rx, distance), run in groupby(cells, key=lambda c: (c.tx, c.rx, c.distance)):
+        run = list(run)
+        stacks.append(_closed_form_stack([cell.beam for cell in run], distance, tx, rx,
+                                         [cell.state for cell in run], cells[0].method))
+    return np.concatenate(stacks)
+
+
+def _reports(matrices: np.ndarray, cells: list[Scenario], mode: Mode) -> list[RateReport]:
+    """Rate reports of a matrix stack: one link-budget stack per run of
+    points with equal link parameters."""
+    reports: list[RateReport] = []
+    for params, run in groupby(cells, key=lambda cell: cell.params):
+        start = len(reports)
+        reports += _rate_reports(matrices[start:start + len(list(run))], params, mode)
+    return reports
+
+
+def _evaluate(configs: list[dict], points: list[dict]):
+    """Evaluate each resolved configuration (column) at each point, a chunk
+    of points at a time, and yield ``(column, numbers, matrices, reports)``
+    per column and chunk: ``matrices`` is the chunk's (P, N_r, N_t) stack,
+    ``reports`` its P rate reports and ``numbers[p]`` the numbers of the
+    points equal to the chunk's p-th.
+
+    Equal points are evaluated once, and columns that differ only in
+    ``mode`` share their matrices. A column's layouts, link parameters,
+    beam, state and distance are built once, and a point rebuilds only the
+    parts built from the sections it sets."""
+    for field in {field for point in points for field in point}:
+        if not all(_sweepable(cfg, field) for cfg in configs):
+            raise ConfigError(field, "not a real-valued field of every configuration")
+    if not points:
+        return
+    distinct: dict = {}  # point items -> numbers of the points
+    for number, point in enumerate(points):
+        distinct.setdefault(frozenset(point.items()), []).append(number)
+    numbers = list(distinct.values())
+    points = [points[first] for first, *_ in numbers]
+    sections = {field.partition(".")[0] for point in points for field in point}
+    groups: dict = {}  # configuration without its mode -> its columns
+    for column, cfg in enumerate(configs):
+        groups.setdefault(json.dumps({**cfg, "mode": None}, sort_keys=True), []).append(column)
+    for columns in groups.values():
+        cfg = configs[columns[0]]
+        first = build_scenario(_at(cfg, points[0]))
+        for column in columns[1:]:
+            _check_sizes(first.tx, first.rx, Mode(configs[column]["mode"]))
+        size = max(1, _CHUNK_ENTRIES // (first.tx.n_elements * first.rx.n_elements))
+        for start in range(0, len(points), size):
+            cells = [
+                first if number == 0 else _rebuild(first, _at(cfg, points[number]), sections)
+                for number in range(start, min(start + size, len(points)))
+            ]
+            matrices = _matrices(cells)
+            for column in columns:
+                mode = Mode(configs[column]["mode"])
+                yield column, numbers[start:start + size], matrices, _reports(matrices, cells, mode)
+
+
 def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
     """Rate report of each resolved configuration (column) at each point
     (row). A point maps dotted field names to values, ``{"beam.w0": 50e-6}``,
     and replaces them in a copy of every configuration. Configurations that
-    differ only in ``mode`` share the point's channel matrix."""
-    for field in {field for point in points for field in point}:
-        if not all(_sweepable(cfg, field) for cfg in configs):
-            raise ConfigError(field, "not a real-valued field of every configuration")
-    rows = []
-    for point in points:
-        matrices = []  # (configuration without its mode, channel matrix)
-        row = []
-        for cfg in configs:
-            for field, value in point.items():
-                cfg = _set_path(cfg, field, value)
-            scenario = build_scenario(cfg)
-            key = {**cfg, "mode": None}
-            matrix = next((m for k, m in matrices if k == key), None)
-            if matrix is None:
-                matrix = scenario.channel_matrix()
-                matrices.append((key, matrix))
-            row.append(scenario.rates(matrix))
-        rows.append(row)
+    differ only in ``mode`` share the point's channel matrix, and equal
+    points share their reports."""
+    rows = [[None] * len(configs) for _ in points]
+    for column, numbers, _, reports in _evaluate(configs, points):
+        for equal, report in zip(numbers, reports):
+            for number in equal:
+                rows[number][column] = report
     return rows
 
 
@@ -368,23 +497,32 @@ def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = build_scenario(cfg)
-    matrix = scenario.channel_matrix()
-    report = scenario.rates(matrix)
-
-    gains_path = out / "gains.csv"
-    rates_path = out / "rates.csv"
-    write_gains_csv(matrix, gains_path)
-    write_rates_csv(report, rates_path)
-    written = [gains_path, rates_path]
-
+    # the base configuration is point 0, so a sweep value equal to it
+    # shares its matrix
+    points = [{}]
     if cfg["sweep"] is not None:
         parameter = cfg["sweep"]["parameter"]
         values = np.sort(_sweep_values(cfg["sweep"]))
-        reports = sweep([cfg], [{parameter: float(v)} for v in values])
+        points = [{parameter: _get_path(cfg, parameter)},
+                  *({parameter: float(v)} for v in values)]
+    reports = [None] * len(points)
+    for _, numbers, matrices, chunk in _evaluate([cfg], points):
+        for equal, matrix, report in zip(numbers, matrices, chunk):
+            if 0 in equal:
+                base = matrix
+            for number in equal:
+                reports[number] = report
+
+    gains_path = out / "gains.csv"
+    rates_path = out / "rates.csv"
+    write_gains_csv(base, gains_path)
+    write_rates_csv(reports[0], rates_path)
+    written = [gains_path, rates_path]
+
+    if cfg["sweep"] is not None:
         sweep_path = out / "sweep.csv"
         header = [parameter, "aggregate_rate_bps", "min_sinr_db", "max_sinr_db"]
-        _write_csv(sweep_path, header, (_sweep_row(v, r) for v, (r,) in zip(values, reports)))
+        _write_csv(sweep_path, header, map(_sweep_row, values, reports[1:]))
         written.append(sweep_path)
 
     meta = {

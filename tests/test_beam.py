@@ -47,6 +47,14 @@ def test_rayleigh_range_rejects_nonpositive(w0, lam):
         rayleigh_range(w0, lam)
 
 
+@pytest.mark.parametrize("w0,lam", [(1e-300, 850e-9), (1e200, 850e-9), (100e-6, 1e-320)])
+def test_rayleigh_range_rejects_a_result_beyond_the_float_range(w0, lam):
+    with pytest.raises(ValueError, match="Rayleigh range"):
+        rayleigh_range(w0, lam)
+    with pytest.raises(ValueError, match="Rayleigh range"):
+        BeamParams(lam, w0)
+
+
 def test_beam_params_derives_and_checks_rayleigh_range(beam100):
     expected = math.pi * (100e-6) ** 2 / 850e-9
     assert beam100.rayleigh_range == pytest.approx(expected, rel=1e-12)

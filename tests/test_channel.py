@@ -20,6 +20,7 @@ from vcselink.channel import (
     read_gains_csv,
     write_gains_csv,
 )
+from vcselink.channel import _closed_form_stack
 from vcselink.geometry import MisalignmentState
 from vcselink.linkbudget import nmse
 from vcselink.quadrature import QuadratureSpec
@@ -235,6 +236,52 @@ class TestLayouts:
         for bad in ({"r_pd": math.nan}, {"r_pd": math.inf}, {"delta": math.nan}):
             with pytest.raises(ValueError):
                 build_layout(LayoutKind.SQUARE, k=3, transmitter=True, **bad)
+
+
+def _closed_form_points(method, rng, count):
+    beams = [BeamParams(850e-9, float(w)) for w in rng.uniform(10e-6, 200e-6, count)]
+    if method is GainMethod.APPROX_DISPLACEMENT:
+        offsets = rng.uniform(-40e-3, 40e-3, (count, 2))
+        states = [MisalignmentState(x_de=float(x), y_de=float(y)) for x, y in offsets]
+    elif method is GainMethod.APPROX_TX_TILT:
+        angles = rng.uniform(-0.05, 0.05, (count, 2))
+        states = [MisalignmentState(phi_a=float(a), phi_e=float(e)) for a, e in angles]
+    else:
+        states = [MisalignmentState()] * count
+    return beams, states
+
+
+@pytest.mark.parametrize("kind", [LayoutKind.CONFIG_I, LayoutKind.CONFIG_II, LayoutKind.CONFIG_III])
+@pytest.mark.parametrize(
+    "method",
+    [GainMethod.APPROX_DISPLACEMENT, GainMethod.APPROX_TX_TILT, GainMethod.ALIGNED_CLOSED_FORM],
+)
+def test_closed_form_stack_is_mimo_matrix_per_point(method, kind):
+    """One broadcast over a sweep's points gives each point its own
+    mimo_matrix bit for bit, and the one-point case is the single-link
+    closed form of every element pair."""
+    rng = np.random.default_rng(7)
+    tx = build_layout(LayoutKind.SQUARE, k=5, transmitter=True)
+    rx = build_layout(kind)
+    distance = float(rng.uniform(1.0, 4.0))
+    beams, states = _closed_form_points(method, rng, 40)
+    stack = _closed_form_stack(beams, distance, tx, rx, states, method)
+    alone = np.array([mimo_matrix(b, distance, tx, rx, s, method) for b, s in zip(beams, states)])
+    assert stack.shape == (40, rx.n_elements, tx.n_elements)
+    assert np.array_equal(stack, alone) and np.array_equal(np.signbit(stack), np.signbit(alone))
+
+    beam, state = beams[0], states[0]
+    x_i, y_i = rx.elements[:, 0][:, None], rx.elements[:, 1][:, None]
+    x_j, y_j = tx.elements[:, 0][None, :], tx.elements[:, 1][None, :]
+    if method is GainMethod.APPROX_TX_TILT:
+        pairs = gain_approx_tx_tilt(beam, distance, rx.pd, x_i, y_i, x_j, y_j,
+                                    state.phi_a, state.phi_e)
+    else:
+        pairs = gain_approx_displacement(beam, distance, rx.pd, x_i - x_j - state.x_de,
+                                         y_i - y_j - state.y_de)
+    if method is GainMethod.ALIGNED_CLOSED_FORM:
+        pairs[(x_i == x_j) & (y_i == y_j)] = gain_aligned(beam, distance, rx.pd)
+    assert np.array_equal(stack[0], pairs)
 
 
 class TestMimoMatrix:

@@ -164,6 +164,31 @@ class TestConfigValidation:
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            # the Rayleigh range or its square underflows to 0
+            ({"beam": {"w0": 1e-300}}, "beam.w0"),
+            ({"beam": {"w0": 100e-6, "wavelength": 1e300}}, "beam.wavelength"),
+            # w(L)^2 overflows: every gain would be 0
+            ({"distance": 1e300}, "distance"),
+            # p_t^2/9 overflows: every SINR would be NaN
+            ({"link": {"p_t": 1e300}}, "link.p_t"),
+            # responsivity^2 overflows: the CLI used to exit 1 on an OverflowError
+            ({"link": {"responsivity": 1e200}}, "link.responsivity"),
+            ({"method": "approx-displacement",
+              "sweep": {"parameter": "distance", "start": 2.0, "stop": 1e300, "steps": 3}},
+             "distance"),
+        ],
+    )
+    def test_derived_values_beyond_the_float_range_rejected(self, tmp_path, capsys,
+                                                           overrides, field):
+        path = write_config(tmp_path / "c.json", overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_points_leave_the_config_untouched(self, tmp_path):
         from vcselink.scenario import _set_path
 

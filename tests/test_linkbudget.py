@@ -34,8 +34,9 @@ from vcselink.linkbudget import (
     svd_thin,
     write_rates_csv,
 )
+from vcselink.linkbudget import _rate_reports
 from vcselink.presets import reference_config, sinr_map
-from vcselink.scenario import build_scenario
+from vcselink.scenario import _CHUNK_ENTRIES, build_scenario
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,41 @@ def test_aggregate_direct_sinrs_are_sinr_direct(h, p_t):
     assert report.per_link_sinr.tolist() == [
         sinr_direct(h, i, params) for i in range(h.shape[0])
     ]
+
+
+@settings(max_examples=30)
+@given(
+    shape=st.sampled_from([(25, Mode.DIRECT), (25, Mode.SVD), (41, Mode.SVD), (81, Mode.SVD)]),
+    past_chunk=st.sampled_from([-1, 0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+    p_t=st.floats(1e-4, 1e-2),
+)
+def test_a_stacked_link_budget_is_aggregate_rate_per_matrix(shape, past_chunk, seed, p_t):
+    """A stack as long as a sweep chunk of its matrices, one shorter or one
+    longer, gives each matrix the report of its own aggregate_rate, bit for
+    bit."""
+    n_r, mode = shape
+    count = _CHUNK_ENTRIES // (n_r * 25) + past_chunk
+    rng = np.random.default_rng(seed)
+    stack = rng.random((count, n_r, 25)) ** rng.uniform(1.0, 30.0, (count, 1, 1))
+    params = LinkParams(p_t=p_t, temperature=float(rng.uniform(200.0, 400.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        reports = _rate_reports(stack, params, mode)
+        alone = [aggregate_rate(h, params, mode) for h in stack]
+    assert len(reports) == count
+    for report, single in zip(reports, alone):
+        for name in ("per_link_sinr", "per_link_bits", "per_link_rate"):
+            assert getattr(report, name).tolist() == getattr(single, name).tolist()
+        assert report.aggregate == single.aggregate and report.mode is single.mode
+
+
+def test_qam_fit_warning_once_per_stack():
+    stack = np.stack([np.diag([0.9, 0.8, 0.7])] * 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _rate_reports(stack, LinkParams(p_t=1e-2), Mode.DIRECT)
+    assert [w.category for w in caught] == [UserWarning]
 
 
 @settings(max_examples=40)

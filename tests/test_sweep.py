@@ -118,7 +118,47 @@ SWEEPS = {
         "sweep": {"parameter": "link.temperature", "start": 400.0, "stop": 100.0,
                   "steps": 4},
     },
+    # a distance point rebuilds no layout: one closed-form stack per point
+    "distance": {
+        "method": "approx-tx-tilt",
+        "misalignment": {"phi_a_deg": 0.2},
+        "sweep": {"parameter": "distance", "start": 1.0, "stop": 3.0, "steps": 5},
+    },
+    # a pd.radius point rebuilds both layouts
+    "pd-radius": {
+        "method": "aligned-closed-form",
+        "mode": "svd",
+        "rx_array": {"kind": "config-iii"},
+        "sweep": {"parameter": "pd.radius", "start": 1e-3, "stop": 3e-3, "steps": 4},
+    },
+    # the exact route runs point by point
+    "wavelength": {
+        "misalignment": {"x_de": 1e-3},
+        "sweep": {"parameter": "beam.wavelength", "start": 800e-9, "stop": 1550e-9,
+                  "steps": 3},
+    },
+    # a link.* point rebuilds the link parameters: one link-budget stack per point
+    "p-t": {
+        "method": "approx-displacement",
+        "mode": "svd",
+        "rx_array": {"kind": "config-ii"},
+        "sweep": {"parameter": "link.p_t", "start": 1e-4, "stop": 1e-3, "steps": 5,
+                  "scale": "log"},
+    },
+    # 81 x 25 matrices: more points than one chunk of scenario._CHUNK_ENTRIES
+    "beyond-a-chunk": {
+        "method": "approx-displacement",
+        "mode": "svd",
+        "rx_array": {"kind": "config-iii"},
+        "sweep": {"parameter": "misalignment.x_de", "start": 0.0, "stop": 20e-3,
+                  "steps": 40},
+    },
 }
+
+
+def test_one_sweep_case_spans_several_chunks():
+    per_chunk = scenario._CHUNK_ENTRIES // (81 * 25)
+    assert SWEEPS["beyond-a-chunk"]["sweep"]["steps"] > 2 * per_chunk
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -242,3 +282,54 @@ def test_a_point_cannot_set_the_sweep_itself():
     with pytest.raises(ConfigError) as excinfo:
         sweep([cfg], [{"sweep.steps": 5.0}])
     assert excinfo.value.field == "sweep.steps"
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(scenario, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, name, counting)
+    return calls
+
+
+def test_a_column_builds_its_layouts_once_for_a_misalignment_sweep(monkeypatch):
+    calls = _counting(monkeypatch, "build_layout")
+    configs = [reference_config(rx_array={"kind": kind}, method="approx-displacement",
+                                mode="svd") for kind in ("config-i", "config-iii")]
+    rows = sweep(configs, [{"misalignment.x_de": x} for x in np.linspace(0.0, 5e-3, 6)])
+    assert len(rows) == 6
+    assert len(calls) == 2 * len(configs)  # a transmitter and a receiver layout each
+
+
+def test_a_pd_radius_sweep_builds_the_layouts_of_every_point(monkeypatch):
+    calls = _counting(monkeypatch, "build_layout")
+    points = [{"pd.radius": r} for r in (1e-3, 2e-3, 3e-3)]
+    sweep([reference_config(method="aligned-closed-form")], points)
+    assert len(calls) == 2 * len(points)
+
+
+def test_equal_points_share_their_matrix_and_report(monkeypatch):
+    calls = _counting(monkeypatch, "mimo_matrix")
+    points = [{"beam.w0": w} for w in (60e-6, 80e-6, 60e-6)]
+    rows = sweep([reference_config(**_square(2))], points)
+    assert len(calls) == 2
+    assert rows[2][0] is rows[0][0] and rows[1][0] is not rows[0][0]
+
+
+def test_simulate_evaluates_its_base_point_once_when_the_sweep_starts_there(
+        tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, "mimo_matrix")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "beam": {"w0": 60e-6}, **_square(2),
+        "sweep": {"parameter": "beam.w0", "start": 60e-6, "stop": 90e-6, "steps": 3},
+    }))
+    run_scenario(path, tmp_path / "out")
+    assert len(calls) == 3
+    alone = build_scenario(load_config(path))
+    gains = np.loadtxt(tmp_path / "out" / "gains.csv", delimiter=",", skiprows=1)
+    assert np.allclose(gains, alone.channel_matrix(), rtol=1e-11, atol=0.0)
