@@ -424,15 +424,19 @@ def mimo_matrix(
 def write_gains_csv(gains: np.ndarray, path) -> None:
     """CSV serialization of an N_r x N_t gain array: header ``j=1..Nt``, one
     row per receiver element."""
-    _write_csv(path, [f"j={j + 1}" for j in range(gains.shape[1])], gains)
+    _write_csv(path, [f"j={j + 1}" for j in range(gains.shape[1])], gains.tolist())
 
 
 def _write_csv(path, header, rows) -> None:
-    """Float table as CSV: header line, rows at 12 significant digits, LF endings."""
+    """Float table as CSV: header line, rows at 12 significant digits, LF endings.
+
+    Every row has one value per header name; ``"%.11e" % v`` is the text of
+    ``f"{v:.11e}"``."""
+    line = ",".join(["%.11e"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.11e}" for v in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def read_gains_csv(path) -> np.ndarray:

@@ -8,6 +8,10 @@ so it holds inside the Rayleigh range as well as far beyond it. A
 trajectory scores when its crossing of the detector plane falls inside the
 detector disk; the hit fraction estimates the captured power fraction
 independently of the disk quadrature route.
+
+Rays are drawn, solved and scored in blocks. Several links can share one
+seed's draws (``_ray_gains``): each block is drawn once and scored for every
+link, and each link's estimate is the one ``ray_gain_mc`` gives it alone.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ def _crossing(proj, base, slope, w0, zr):
     crossing. Most rays reach a fixed point within a few steps, but some end
     in a 2-cycle that moves zeta by 1 ulp (up to a quarter of the rays at a
     receiver tilt of 80 deg). So the solve stops early only once every ray
-    repeats its value of two steps before, and then keeps the iterate whose
-    parity matches the last step: the result is the full solve's bit for bit.
+    has either stopped moving or repeats its value of two steps before, and
+    then keeps the iterate whose parity matches the last step: the result
+    is the full solve's bit for bit.
     """
     zeta = np.full(len(proj), -base / slope)
     before = None
@@ -75,11 +80,91 @@ def _crossing(proj, base, slope, w0, zr):
         g = base + zeta * slope + w_z * proj
         g_prime = slope + (w0 * w0 * zeta / (zr * zr * w_z)) * proj
         after = zeta - g / g_prime
-        # NaN never compares equal, so a block with a NaN ray runs every step
-        if before is not None and np.array_equal(after, before):
+        # a ray at a fixed point never moves again, and one in a 2-cycle
+        # repeats its value of two steps before; NaN never compares equal,
+        # so a block with a NaN ray runs every step
+        settled = after == zeta
+        if before is not None:
+            settled |= after == before
+        if settled.all():
             return after if (_NEWTON_STEPS - step) % 2 == 0 else zeta
         before, zeta = zeta, after
     return zeta
+
+
+def _frame(state: MisalignmentState, L: float):
+    """Projections that place a trajectory of ``state`` in the receiver
+    frame, or None for a transmitter facing away from the receiver."""
+    n_t = tx_normal(state.phi_a, state.phi_e)
+    n_r = rx_normal(state.psi_a, state.psi_e)
+    if float(n_t @ n_r) <= 0.0:
+        return None
+    waist = np.array([state.x_de, state.y_de, L])
+    direction = -n_t  # propagation sense, toward the receiver plane
+    e1, e2 = _transverse_basis(n_t)
+    # a trajectory meets the detector plane at waist + t*direction + s1*e1
+    # + s2*e2 for per-ray scalars (t, s1, s2), so its coordinates along the
+    # receiver normal and the two in-plane axes (u, v) need only the
+    # projections of these four vectors
+    m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
+    return [
+        [float(x @ axis) for x in (waist, direction, e1, e2)]
+        for axis in (n_r, m_r[:, 0], m_r[:, 1])
+    ]
+
+
+def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tuple[float, float]]:
+    """``(gain, std_error)`` of each ``(beam, state)`` link, every link scored
+    on the same ray draws of ``spec``.
+
+    Each block of rays is drawn once for all links, and the links of one
+    state share its projection onto the receiver normal. Each link keeps its
+    own Newton solve on the same operands, so its result equals the
+    one-link ``ray_gain_mc`` bit for bit.
+    """
+    _check_link_distance(L)
+    by_state: dict[MisalignmentState, list[int]] = {}
+    for index, (_, state) in enumerate(links):
+        by_state.setdefault(state, []).append(index)
+    # state-major, so that one projection is live at a time; a link facing
+    # away scores no ray
+    groups = []
+    for state, indices in by_state.items():
+        frame = _frame(state, L)
+        if frame is not None:
+            groups.append((frame, indices))
+    if not groups:
+        return [(0.0, 0.0)] * len(links)
+
+    hits = [0] * len(links)
+    rng = np.random.default_rng(spec.seed)
+    with np.errstate(all="ignore"):
+        # consecutive blocks of draws reproduce one (ray_count, 2) draw
+        for start in range(0, spec.ray_count, _CHUNK):
+            size = min(_CHUNK, spec.ray_count - start)
+            nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T
+            for frame, indices in groups:
+                (base, slope, a1, a2), (u_w, u_d, u_1, u_2), (v_w, v_d, v_1, v_2) = frame
+                tol = 1e-9 * (abs(base) + pd.radius)
+                proj = nu1 * a1 + nu2 * a2
+                for index in indices:
+                    beam = links[index][0]
+                    w0, zr = beam.waist_radius, beam.rayleigh_range
+                    t = _crossing(proj, base, slope, w0, zr)
+                    w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
+                    residual = np.abs(base + t * slope + w_z * proj)
+                    # grazing rays that failed to converge (NaN residual) miss
+                    ok = (t > 0.0) & (residual <= tol)
+                    s1, s2 = w_z * nu1, w_z * nu2
+                    u = u_w + t * u_d + s1 * u_1 + s2 * u_2
+                    v = v_w + t * v_d + s1 * v_1 + s2 * v_2
+                    hits[index] += np.count_nonzero(ok & (u**2 + v**2 <= pd.radius**2))
+
+    results = []
+    for count in hits:
+        p_hat = float(count) / spec.ray_count
+        results.append((p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.ray_count)))
+    return results
 
 
 def ray_gain_mc(
@@ -94,45 +179,4 @@ def ray_gain_mc(
     Returns ``(gain, std_error)`` with a binomial standard error; identical
     seeds give identical results.
     """
-    _check_link_distance(L)
-    spec = spec or RayBundleSpec()
-    n_t = tx_normal(state.phi_a, state.phi_e)
-    n_r = rx_normal(state.psi_a, state.psi_e)
-    if float(n_t @ n_r) <= 0.0:
-        return 0.0, 0.0
-
-    waist = np.array([state.x_de, state.y_de, L])
-    direction = -n_t  # propagation sense, toward the receiver plane
-    e1, e2 = _transverse_basis(n_t)
-    # a trajectory meets the detector plane at waist + t*direction + s1*e1
-    # + s2*e2 for per-ray scalars (t, s1, s2), so its coordinates along the
-    # receiver normal and the two in-plane axes (u, v) need only the
-    # projections of these four vectors
-    m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
-    (base, slope, a1, a2), (u_w, u_d, u_1, u_2), (v_w, v_d, v_1, v_2) = (
-        [float(x @ axis) for x in (waist, direction, e1, e2)]
-        for axis in (n_r, m_r[:, 0], m_r[:, 1])
-    )
-    w0, zr = beam.waist_radius, beam.rayleigh_range
-    tol = 1e-9 * (abs(base) + pd.radius)
-
-    rng = np.random.default_rng(spec.seed)
-    hits = 0
-    with np.errstate(all="ignore"):
-        # consecutive blocks of draws reproduce one (ray_count, 2) draw
-        for start in range(0, spec.ray_count, _CHUNK):
-            size = min(_CHUNK, spec.ray_count - start)
-            nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T
-            proj = nu1 * a1 + nu2 * a2
-            t = _crossing(proj, base, slope, w0, zr)
-            w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
-            residual = np.abs(base + t * slope + w_z * proj)
-            # grazing rays that failed to converge (NaN residual) miss
-            ok = (t > 0.0) & (residual <= tol)
-            s1, s2 = w_z * nu1, w_z * nu2
-            u = u_w + t * u_d + s1 * u_1 + s2 * u_2
-            v = v_w + t * v_d + s1 * v_1 + s2 * v_2
-            hits += np.count_nonzero(ok & (u**2 + v**2 <= pd.radius**2))
-    p_hat = float(hits) / spec.ray_count
-    std_error = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.ray_count)
-    return p_hat, std_error
+    return _ray_gains([(beam, state)], L, pd, spec or RayBundleSpec())[0]

@@ -29,7 +29,7 @@ from .channel import (
 )
 from .geometry import MisalignmentState
 from .linkbudget import LinkParams, _served_sinr, nmse
-from .oracle import RayBundleSpec, ray_gain_mc
+from .oracle import RayBundleSpec, _ray_gains
 from .scenario import DEFAULT_CONFIG, ConfigError, build_scenario, resolve_config, sweep
 
 __all__ = [
@@ -265,25 +265,35 @@ def preset_gmm_verify(
     """Single-link gains: exact integration versus the trajectory sampler,
     for six misalignment families and two waist sizes.
 
-    Point k of a panel samples with seed ``seed + k`` for both waists, so
-    the two waist columns use the same ray draws and their sampling errors
-    are correlated."""
+    Point k of every panel samples with seed ``seed + k`` for both waists:
+    its 12 links are scored on one set of ray draws, so the sampling errors
+    of point k are correlated across panels and waists."""
     pd = PdGeometry(PD_RADIUS)
-    written = []
+    beams = [BeamParams(WAVELENGTH, w0) for w0 in (50e-6, 100e-6)]
+    panels = {}
     for panel, (field, sign, stop, fixed) in _VERIFY_PANELS.items():
         values = np.linspace(0.0, stop, points)
         states = [MisalignmentState(**{field: sign * float(v)}, **fixed) for v in values]
+        panels[panel] = (field, values, states)
+    # sampled[k][2 * p + b]: point k of panel p at waist b
+    sampled = [
+        _ray_gains(
+            [(beam, states[k]) for _, _, states in panels.values() for beam in beams],
+            LINK_DISTANCE, pd, RayBundleSpec(rays, seed=seed + k),
+        )
+        for k in range(points)
+    ]
+    written = []
+    for p, (panel, (field, values, states)) in enumerate(panels.items()):
         header = ["r_de_mm" if field == "x_de" else "phi_or_psi_rad"]
         cols = [values * 1e3 if field == "x_de" else values]
-        for w0 in (50e-6, 100e-6):
-            beam = BeamParams(WAVELENGTH, w0)
-            tag = f"w0_{int(w0 * 1e6)}um"
-            sampled = [
-                ray_gain_mc(beam, LINK_DISTANCE, pd, state, RayBundleSpec(rays, seed=seed + idx))
-                for idx, state in enumerate(states)
-            ]
+        for b, beam in enumerate(beams):
+            tag = f"w0_{int(beam.waist_radius * 1e6)}um"
             header += [f"gain_exact_{tag}", f"gain_mc_{tag}", f"mc_std_error_{tag}"]
-            cols += [gain_gmm(beam, LINK_DISTANCE, pd, states), *zip(*sampled)]
+            cols += [
+                gain_gmm(beam, LINK_DISTANCE, pd, states),
+                *zip(*(point[2 * p + b] for point in sampled)),
+            ]
         path = out_dir / f"gmm_verify_{panel}.csv"
         _write_csv(path, header, zip(*cols))
         written.append(path)

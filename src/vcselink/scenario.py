@@ -23,8 +23,8 @@ from .beam import BeamParams, rayleigh_range
 from .channel import ArrayLayout, GainMethod, LayoutKind, build_layout, mimo_matrix
 from .channel import _closed_form_stack, _write_csv, write_gains_csv
 from .geometry import MisalignmentState
-from .linkbudget import LinkParams, Mode, RateReport, _rate_reports, aggregate_rate
-from .linkbudget import write_rates_csv
+from .linkbudget import LinkParams, Mode, RateReport, _rate_reports, _thermal_variance
+from .linkbudget import aggregate_rate, write_rates_csv
 
 __all__ = [
     "ConfigError",
@@ -146,7 +146,6 @@ def _check_fields(cfg: dict) -> None:
                  "link.responsivity", "link.load_resistance", "link.temperature",
                  "link.target_ber", "distance", "pd.radius"):
         _require_number(cfg, path, positive=True)
-    _check_derived(cfg)
     if cfg["link"]["target_ber"] > 1e-2:
         raise ConfigError("link.target_ber", "must be <= 1e-2, the adaptive-QAM fit validity, "
                           f"got {cfg['link']['target_ber']}")
@@ -158,6 +157,7 @@ def _check_fields(cfg: dict) -> None:
             linear = math.inf
         if not 0.0 < linear < math.inf:
             raise ConfigError(path, f"{level} dB has no finite non-zero linear value")
+    _check_derived(cfg)
     _require_number(cfg, "pd.spacing", nonneg=True)
     n_fft = cfg["link"]["n_fft"]
     if not isinstance(n_fft, int) or isinstance(n_fft, bool):
@@ -198,7 +198,8 @@ def _check_derived(cfg: dict) -> None:
     zn = distance / z_r
     if not w0_sq * (1.0 + zn * zn) < math.inf:
         raise ConfigError("distance", f"the spot radius w(L)^2 at {distance} m overflows")
-    p_t, responsivity = cfg["link"]["p_t"], cfg["link"]["responsivity"]
+    link = cfg["link"]
+    p_t, responsivity = link["p_t"], link["responsivity"]
     p_elec = p_t * p_t / 9.0
     if not 0.0 < p_elec < math.inf:
         raise ConfigError("link.p_t", f"the signal power p_t^2/9 of {p_t} W is not a "
@@ -206,6 +207,18 @@ def _check_derived(cfg: dict) -> None:
     if not 0.0 < responsivity * responsivity * p_elec < math.inf:
         raise ConfigError("link.responsivity", f"the signal scale responsivity^2 p_t^2/9 of "
                           f"{responsivity} A/W is not a finite number > 0")
+    noise_figure = 10 ** (link["noise_figure_db"] / 10.0)  # the value build_scenario uses
+    if not _thermal_variance(link["temperature"], link["load_resistance"], link["bandwidth"],
+                             noise_figure) < math.inf:
+        factors = {  # the thermal noise grows with each of these: blame the largest
+            "link.temperature": link["temperature"],
+            "link.load_resistance": 1.0 / link["load_resistance"],
+            "link.bandwidth": link["bandwidth"],
+            "link.noise_figure_db": noise_figure,
+        }
+        field = max(factors, key=factors.get)
+        raise ConfigError(field, "the thermal noise 4kT/R_L*B*F overflows: every SINR "
+                          "would be 0")
 
 
 def _validate(cfg: dict) -> dict:

@@ -20,7 +20,7 @@ from vcselink.channel import (
     read_gains_csv,
     write_gains_csv,
 )
-from vcselink.channel import _closed_form_stack
+from vcselink.channel import _closed_form_stack, _write_csv
 from vcselink.geometry import MisalignmentState
 from vcselink.linkbudget import nmse
 from vcselink.quadrature import QuadratureSpec
@@ -391,3 +391,19 @@ def test_gains_csv_round_trip(tmp_path, beam100):
     assert np.allclose(parsed, matrix, rtol=1e-11)
     write_gains_csv(parsed, path)
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_csv_text_is_the_f_string_of_each_value(tmp_path, as_array):
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+              np.float64(1.0 / 3.0), np.float64(-0.0), 1.7976931348623157e308, 0, 7, -3, 10**20]
+    rows = [values, values[::-1]]
+    if as_array:
+        rows = np.array(rows, dtype=float)
+    path = tmp_path / "t.csv"
+    header = [f"c{i}" for i in range(len(values))]
+    _write_csv(path, header, rows)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.11e}" for v in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode()

@@ -179,6 +179,11 @@ class TestConfigValidation:
             ({"method": "approx-displacement",
               "sweep": {"parameter": "distance", "start": 2.0, "stop": 1e300, "steps": 3}},
              "distance"),
+            # the thermal noise 4kT/R_L*B*F overflows: every SINR would be 0
+            ({"link": {"load_resistance": 1e-320}}, "link.load_resistance"),
+            ({"link": {"noise_figure_db": 3000}}, "link.noise_figure_db"),
+            ({"sweep": {"parameter": "link.bandwidth", "start": 20e9, "stop": 1e308,
+                        "steps": 3}}, "link.bandwidth"),
         ],
     )
     def test_derived_values_beyond_the_float_range_rejected(self, tmp_path, capsys,

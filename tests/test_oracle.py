@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vcselink import oracle
+from vcselink import oracle, presets
 from vcselink.beam import BeamParams
 from vcselink.channel import PdGeometry, gain_aligned, gain_gmm
 from vcselink.geometry import MisalignmentState, rotation_matrix, rx_normal, tx_normal
@@ -239,13 +239,62 @@ def test_sampler_equals_whole_array_pass_on_drawn_states(
     )
 
 
+def shared_draw_links():
+    """Two waists of one state, a repeated link, the 80 deg receiver tilt
+    and a transmitter facing away, in no particular order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        away = MisalignmentState(psi_a=math.radians(100.0))
+    return [
+        (BEAM50, BIT_STATES["mixed40"]),
+        (BEAM50, away),
+        (BEAM100, BIT_STATES["mixed40"]),
+        (BEAM100, BIT_STATES["psi80"]),
+        (BEAM50, BIT_STATES["displaced"]),
+        (BEAM50, BIT_STATES["mixed40"]),
+    ]
+
+
+@pytest.mark.parametrize("rays", [CHUNK + 1, 3 * CHUNK + 7])
+def test_shared_draws_equal_the_one_link_sampler(rays):
+    links = shared_draw_links()
+    spec = RayBundleSpec(ray_count=rays, seed=rays % 89)
+    expected = [ray_gain_mc(beam, L, PD, state, spec) for beam, state in links]
+    assert expected[1] == (0.0, 0.0) and all(gain > 0.0 for gain, _ in expected[2:])
+    assert oracle._ray_gains(links, L, PD, spec) == expected
+
+
 def test_chunk_size_does_not_change_the_estimate(monkeypatch):
     state = BIT_STATES["mixed80"]
     spec = RayBundleSpec(ray_count=50_000, seed=17)
     expected = ray_gain_mc(BEAM50, L, PD, state, spec)
+    links = shared_draw_links()
+    shared = oracle._ray_gains(links, L, PD, spec)
     for chunk in (4099, 10_000, 50_000, 1 << 20):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert ray_gain_mc(BEAM50, L, PD, state, spec) == expected
+        assert oracle._ray_gains(links, L, PD, spec) == shared
+
+
+def test_gmm_verify_samples_each_link_as_the_one_link_sampler(tmp_path):
+    # point k of every panel and waist draws its rays with seed + k
+    seed, points, rays = 2, 3, CHUNK + 1
+    paths = presets.preset_gmm_verify(tmp_path, seed=seed, points=points, rays=rays)
+    pd = PdGeometry(presets.PD_RADIUS)
+    for path, (field, sign, stop, fixed) in zip(paths, presets._VERIFY_PANELS.values()):
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        columns = dict(zip(header, zip(*rows)))
+        states = [MisalignmentState(**{field: sign * float(v)}, **fixed)
+                  for v in np.linspace(0.0, stop, points)]
+        for w0 in (50e-6, 100e-6):
+            beam = BeamParams(presets.WAVELENGTH, w0)
+            tag = f"w0_{int(w0 * 1e6)}um"
+            sampled = [
+                ray_gain_mc(beam, presets.LINK_DISTANCE, pd, state, RayBundleSpec(rays, seed + k))
+                for k, state in enumerate(states)
+            ]
+            for name, values in zip(("gain_mc", "mc_std_error"), zip(*sampled)):
+                assert columns[f"{name}_{tag}"] == tuple(f"{v:.11e}" for v in values)
 
 
 def test_newton_early_exit_keeps_the_full_solve():
