@@ -41,7 +41,6 @@ __all__ = [
     "gain_approx_tx_tilt",
     "mimo_matrix",
     "write_gains_csv",
-    "read_gains_csv",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -438,12 +437,3 @@ def _write_csv(path, header, rows) -> None:
         for row in rows:
             fh.write(line % tuple(row))
 
-
-def read_gains_csv(path) -> np.ndarray:
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    gains = np.array(rows)
-    if gains.shape[1] != len(header):
-        raise ValueError("gain CSV width does not match its header")
-    return gains

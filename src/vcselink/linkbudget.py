@@ -32,7 +32,6 @@ __all__ = [
     "eye_safe_power_limit",
     "nmse",
     "write_rates_csv",
-    "read_rates_csv",
 ]
 
 BOLTZMANN = 1.380649e-23  # J/K
@@ -215,7 +214,7 @@ class RateReport:
     per_link_bits: np.ndarray
     per_link_rate: np.ndarray
     aggregate: float
-    mode: Mode | None
+    mode: Mode
 
     def __post_init__(self) -> None:
         for name in ("per_link_sinr", "per_link_bits", "per_link_rate"):
@@ -299,13 +298,3 @@ def write_rates_csv(report: RateReport, path) -> None:
             fh.write(f"{idx},{_sinr_db(g):.11e},{b:.11e},{r:.11e}\n")
         fh.write(f"aggregate,,,{report.aggregate:.11e}\n")
 
-
-def read_rates_csv(path) -> RateReport:
-    """Parse a rates CSV back into a report (value-level inverse of
-    :func:`write_rates_csv`; the mode is not part of the file)."""
-    with open(path, "r", newline="") as fh:
-        rows = [line.strip().split(",") for line in fh.readlines()[1:] if line.strip()]
-    streams = np.array([r[1:] for r in rows if r[0] != "aggregate"], dtype=float)
-    sinr_db, bits, rates = streams.reshape(-1, 3).T
-    aggregate = next((float(r[3]) for r in rows if r[0] == "aggregate"), 0.0)
-    return RateReport(10 ** (sinr_db / 10.0), bits, rates, aggregate, None)

@@ -3,13 +3,12 @@ link design (2 m link, 850 nm, 3 mm detectors on a 12 mm lattice, 1 mW per
 laser, 20 GHz bandwidth).
 
 Each ``preset_*`` function writes plot-ready CSV data; ``run_preset``
-dispatches by name. Every rate is evaluated by the ``simulate`` engine
-(``build_scenario`` -> channel matrix -> ``aggregate_rate``) on the
-reference configuration with a few sections replaced; the rate tables
-evaluate each curve point through ``scenario.sweep``. The module also
-exposes the scalar helpers the experiments are built from (rate-vs-waist
-thresholds, misalignment crossings, the approximation-error table), which
-are reused by the acceptance test suite.
+dispatches by name. Every rate is evaluated by the ``simulate`` engine,
+``scenario.sweep``, on the reference configuration with a few sections
+replaced, one sweep point per curve point. The module also exposes the
+scalar helpers the experiments are built from (rate-vs-waist thresholds,
+misalignment crossings, the approximation-error table), which are reused
+by the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -79,28 +78,12 @@ def _square_arrays(k: int) -> dict:
 
 def waist_threshold_um(k: int) -> int | None:
     """Smallest waist on the 1 um grid of 10-100 um whose aligned k x k
-    reference system (direct mode) reaches 1 Tb/s; None when even 100 um
-    falls short.
-
-    Relies on the rate being nondecreasing in the waist over this range.
-    """
-
-    def reaches(w_um: int) -> bool:
-        cfg = reference_config(beam={"w0": w_um * 1e-6}, **_square_arrays(k))
-        return build_scenario(cfg).rates().aggregate >= _TB
-
-    lo, hi = 10, 100
-    if not reaches(hi):
-        return None
-    if reaches(lo):
-        return lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    reference system (direct mode) reaches 1 Tb/s; None when no waist of
+    the grid does. The grid is one ``scenario.sweep``."""
+    waists = range(10, 101)
+    rows = sweep([reference_config(**_square_arrays(k))],
+                 [{"beam.w0": w_um * 1e-6} for w_um in waists])
+    return next((w_um for w_um, (report,) in zip(waists, rows) if report.aggregate >= _TB), None)
 
 
 def first_crossing_below(fn, start: float, stop: float, step: float, threshold: float,

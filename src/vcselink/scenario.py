@@ -24,7 +24,7 @@ from .channel import ArrayLayout, GainMethod, LayoutKind, build_layout, mimo_mat
 from .channel import _closed_form_stack, _write_csv, write_gains_csv
 from .geometry import MisalignmentState
 from .linkbudget import LinkParams, Mode, RateReport, _rate_reports, _thermal_variance
-from .linkbudget import aggregate_rate, write_rates_csv
+from .linkbudget import write_rates_csv
 
 __all__ = [
     "ConfigError",
@@ -157,7 +157,6 @@ def _check_fields(cfg: dict) -> None:
             linear = math.inf
         if not 0.0 < linear < math.inf:
             raise ConfigError(path, f"{level} dB has no finite non-zero linear value")
-    _check_derived(cfg)
     _require_number(cfg, "pd.spacing", nonneg=True)
     n_fft = cfg["link"]["n_fft"]
     if not isinstance(n_fft, int) or isinstance(n_fft, bool):
@@ -177,13 +176,14 @@ def _check_fields(cfg: dict) -> None:
             raise ConfigError(f"misalignment.{field}",
                               f"{method} requires zero misalignment, got {value}")
     _require_choice(cfg, "mode", _MODES)
+    _check_derived(cfg)
 
 
 def _check_derived(cfg: dict) -> None:
-    """Reject positive fields whose derived values leave the float range,
-    which would turn gains or rates into NaN or a silent 0. Each derived
-    value is monotone in every field it reads, so valid sweep end points
-    make every point valid."""
+    """Reject fields whose derived values leave the float range, which
+    would turn gains or rates into NaN or a silent 0. Each derived value is
+    monotone in every field it reads (in a displacement's magnitude), so
+    valid sweep end points make every point valid."""
     w0, wavelength, distance = cfg["beam"]["w0"], cfg["beam"]["wavelength"], cfg["distance"]
     try:
         z_r = rayleigh_range(w0, wavelength)
@@ -195,9 +195,25 @@ def _check_derived(cfg: dict) -> None:
         field = "beam.wavelength" if 0.0 < w0_sq * w0_sq < math.inf else "beam.w0"
         raise ConfigError(field, f"the squared Rayleigh range (pi*w0^2/wavelength)^2 of w0 "
                           f"{w0} and wavelength {wavelength} is not a finite number > 0")
-    zn = distance / z_r
+    pd, mis = cfg["pd"], cfg["misalignment"]
+    cells = max(side["k"] if side["kind"] == "square" else 5
+                for side in (cfg["tx_array"], cfg["rx_array"]))
+    lengths = {  # what the point kernel adds up: detector, lattice, displacement, distance
+        "pd.radius": (2 * cells + 1) * pd["radius"],
+        "pd.spacing": cells * pd["spacing"],
+        "misalignment.x_de": abs(mis["x_de"]),
+        "misalignment.y_de": abs(mis["y_de"]),
+        "distance": distance,
+    }
+    reach = 10.0 * sum(lengths.values())  # bounds every coordinate the kernel squares
+    field = max(lengths, key=lengths.get)
+    if not reach * reach < math.inf:
+        raise ConfigError(field, f"{_get_path(cfg, field)} m makes the squared lengths of "
+                          "the point kernel overflow")
+    zn = reach / z_r
     if not w0_sq * (1.0 + zn * zn) < math.inf:
-        raise ConfigError("distance", f"the spot radius w(L)^2 at {distance} m overflows")
+        raise ConfigError(field, f"the spot radius w(z)^2 of w0 {w0} overflows within the "
+                          f"{reach} m that the point kernel reaches")
     link = cfg["link"]
     p_t, responsivity = link["p_t"], link["responsivity"]
     p_elec = p_t * p_t / 9.0
@@ -304,57 +320,51 @@ class Scenario:
     rx: ArrayLayout
     state: MisalignmentState
     method: GainMethod
-    mode: Mode
 
-    def channel_matrix(self) -> np.ndarray:
-        return mimo_matrix(
-            self.beam, self.distance, self.tx, self.rx, self.state, self.method
+
+# the top-level configuration sections that Scenario fields are built from
+_SECTIONS = frozenset({"beam", "link", "distance", "misalignment", "pd", "tx_array", "rx_array"})
+
+
+def _parts(cfg: dict, sections) -> dict:
+    """The Scenario fields built from the top-level ``sections`` of ``cfg``."""
+    parts = {}
+    if "beam" in sections:
+        parts["beam"] = BeamParams(wavelength=cfg["beam"]["wavelength"],
+                                   waist_radius=cfg["beam"]["w0"])
+    if "link" in sections:
+        link = cfg["link"]
+        parts["params"] = LinkParams(
+            p_t=link["p_t"],
+            bandwidth=link["bandwidth"],
+            responsivity=link["responsivity"],
+            rin=10 ** (link["rin_db_hz"] / 10.0),
+            load_resistance=link["load_resistance"],
+            noise_figure=10 ** (link["noise_figure_db"] / 10.0),
+            temperature=link["temperature"],
+            target_ber=link["target_ber"],
+            n_fft=link["n_fft"],
         )
-
-    def rates(self, matrix: np.ndarray | None = None) -> RateReport:
-        if matrix is None:
-            matrix = self.channel_matrix()
-        return aggregate_rate(matrix, self.params, self.mode)
-
-
-def _beam(cfg: dict) -> BeamParams:
-    return BeamParams(wavelength=cfg["beam"]["wavelength"], waist_radius=cfg["beam"]["w0"])
-
-
-def _link_params(cfg: dict) -> LinkParams:
-    link = cfg["link"]
-    return LinkParams(
-        p_t=link["p_t"],
-        bandwidth=link["bandwidth"],
-        responsivity=link["responsivity"],
-        rin=10 ** (link["rin_db_hz"] / 10.0),
-        load_resistance=link["load_resistance"],
-        noise_figure=10 ** (link["noise_figure_db"] / 10.0),
-        temperature=link["temperature"],
-        target_ber=link["target_ber"],
-        n_fft=link["n_fft"],
-    )
-
-
-def _state(cfg: dict) -> MisalignmentState:
-    mis = cfg["misalignment"]
-    return MisalignmentState(
-        x_de=mis["x_de"],
-        y_de=mis["y_de"],
-        phi_a=math.radians(mis["phi_a_deg"]),
-        phi_e=math.radians(mis["phi_e_deg"]),
-        psi_a=math.radians(mis["psi_a_deg"]),
-        psi_e=math.radians(mis["psi_e_deg"]),
-    )
-
-
-def _layouts(cfg: dict) -> tuple[ArrayLayout, ArrayLayout]:
-    pd = cfg["pd"]
-    return tuple(
-        build_layout(section["kind"], k=section.get("k"), r_pd=pd["radius"],
-                     delta=pd["spacing"], transmitter=transmitter)
-        for section, transmitter in ((cfg["tx_array"], True), (cfg["rx_array"], False))
-    )
+    if "distance" in sections:
+        parts["distance"] = cfg["distance"]
+    if "misalignment" in sections:
+        mis = cfg["misalignment"]
+        parts["state"] = MisalignmentState(
+            x_de=mis["x_de"],
+            y_de=mis["y_de"],
+            phi_a=math.radians(mis["phi_a_deg"]),
+            phi_e=math.radians(mis["phi_e_deg"]),
+            psi_a=math.radians(mis["psi_a_deg"]),
+            psi_e=math.radians(mis["psi_e_deg"]),
+        )
+    if not sections.isdisjoint({"pd", "tx_array", "rx_array"}):
+        pd = cfg["pd"]
+        parts["tx"], parts["rx"] = (
+            build_layout(section["kind"], k=section.get("k"), r_pd=pd["radius"],
+                         delta=pd["spacing"], transmitter=transmitter)
+            for section, transmitter in ((cfg["tx_array"], True), (cfg["rx_array"], False))
+        )
+    return parts
 
 
 def _check_sizes(tx: ArrayLayout, rx: ArrayLayout, mode: Mode) -> None:
@@ -365,37 +375,11 @@ def _check_sizes(tx: ArrayLayout, rx: ArrayLayout, mode: Mode) -> None:
 
 
 def build_scenario(cfg: dict) -> Scenario:
-    """Instantiate domain objects from a validated configuration."""
-    tx, rx = _layouts(cfg)
-    mode = Mode(cfg["mode"])
-    _check_sizes(tx, rx, mode)
-    return Scenario(
-        beam=_beam(cfg),
-        params=_link_params(cfg),
-        distance=cfg["distance"],
-        tx=tx,
-        rx=rx,
-        state=_state(cfg),
-        method=GainMethod(cfg["method"]),
-        mode=mode,
-    )
-
-
-def _rebuild(scenario: Scenario, cfg: dict, sections: set) -> Scenario:
-    """``scenario`` with the parts built from the top-level ``sections`` of
-    ``cfg`` rebuilt; the others are shared."""
-    parts = {}
-    if "beam" in sections:
-        parts["beam"] = _beam(cfg)
-    if "link" in sections:
-        parts["params"] = _link_params(cfg)
-    if "misalignment" in sections:
-        parts["state"] = _state(cfg)
-    if "distance" in sections:
-        parts["distance"] = cfg["distance"]
-    if sections & {"pd", "tx_array", "rx_array"}:
-        parts["tx"], parts["rx"] = _layouts(cfg)
-    return replace(scenario, **parts)
+    """Instantiate domain objects from a validated configuration; its
+    ``mode`` must fit the array sizes."""
+    scenario = Scenario(**_parts(cfg, _SECTIONS), method=GainMethod(cfg["method"]))
+    _check_sizes(scenario.tx, scenario.rx, Mode(cfg["mode"]))
+    return scenario
 
 
 def _sweep_values(sweep: dict) -> np.ndarray:
@@ -417,7 +401,8 @@ def _matrices(cells: list[Scenario]) -> np.ndarray:
     point; a closed form runs one stack per run of points that share their
     layouts and distance."""
     if cells[0].method is GainMethod.EXACT_GMM:
-        return np.stack([cell.channel_matrix() for cell in cells])
+        return np.stack([mimo_matrix(cell.beam, cell.distance, cell.tx, cell.rx, cell.state,
+                                     cell.method) for cell in cells])
     stacks = []
     for (tx, rx, distance), run in groupby(cells, key=lambda c: (c.tx, c.rx, c.distance)):
         run = list(run)
@@ -469,7 +454,7 @@ def _evaluate(configs: list[dict], points: list[dict]):
         size = max(1, _CHUNK_ENTRIES // (first.tx.n_elements * first.rx.n_elements))
         for start in range(0, len(points), size):
             cells = [
-                first if number == 0 else _rebuild(first, _at(cfg, points[number]), sections)
+                replace(first, **_parts(_at(cfg, points[number]), sections)) if number else first
                 for number in range(start, min(start + size, len(points)))
             ]
             matrices = _matrices(cells)

@@ -43,7 +43,7 @@ from vcselink.presets import (
     waist_threshold_um,
 )
 from vcselink.quadrature import integrate_disk, integrate_disk_mc
-from vcselink.scenario import build_scenario, run_scenario
+from vcselink.scenario import build_scenario, run_scenario, sweep
 
 PD = PdGeometry(PD_RADIUS)
 BEAM100 = BeamParams(850e-9, 100e-6)
@@ -75,7 +75,13 @@ def cal_params():
 def engine_rate(**sections):
     """Aggregate rate of the reference design (calibrated temperature) with
     the given config sections replaced, through the ``simulate`` engine."""
-    return build_scenario(reference_config(**sections)).rates().aggregate
+    return sweep([reference_config(**sections)], [{}])[0][0].aggregate
+
+
+def reference_matrix(cfg):
+    """Channel matrix of a resolved configuration, by ``mimo_matrix``."""
+    built = build_scenario(cfg)
+    return mimo_matrix(built.beam, built.distance, built.tx, built.rx, built.state, built.method)
 
 
 def square_arrays(k):
@@ -346,11 +352,11 @@ def test_c09_property_bundle(request, tmp_path, cal_params):
 
 
 def test_c10_sinr_operating_points(request, cal_params):
-    h100 = build_scenario(reference_config()).channel_matrix()
+    h100 = reference_matrix(reference_config())
     sinr_db = [10 * math.log10(sinr_direct(h100, i, cal_params)) for i in range(25)]
     in_band = min(sinr_db) >= 22.0 and max(sinr_db) <= 24.0
 
-    h50 = build_scenario(reference_config(beam={"w0": 50e-6})).channel_matrix()
+    h50 = reference_matrix(reference_config(beam={"w0": 50e-6}))
     matrix_ordering = sinr_direct(h50, 12, cal_params) < sinr_direct(h50, 0, cal_params)
     xs, _, grid = sinr_map(50e-6, grid_step=6e-3)
     center = grid[np.searchsorted(xs, 0.0), np.searchsorted(xs, 0.0)]

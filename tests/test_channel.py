@@ -17,7 +17,6 @@ from vcselink.channel import (
     gain_approx_tx_tilt,
     gain_gmm,
     mimo_matrix,
-    read_gains_csv,
     write_gains_csv,
 )
 from vcselink.channel import _closed_form_stack, _write_csv
@@ -386,7 +385,8 @@ def test_gains_csv_round_trip(tmp_path, beam100):
     path = tmp_path / "gains.csv"
     write_gains_csv(matrix, path)
     first = path.read_bytes()
-    parsed = read_gains_csv(path)
+    assert first.startswith(b"j=1,j=2,j=3,j=4\n")
+    parsed = np.loadtxt(path, delimiter=",", skiprows=1)
     assert parsed.shape == (4, 4)
     assert np.allclose(parsed, matrix, rtol=1e-11)
     write_gains_csv(parsed, path)

@@ -184,10 +184,21 @@ class TestConfigValidation:
             ({"link": {"noise_figure_db": 3000}}, "link.noise_figure_db"),
             ({"sweep": {"parameter": "link.bandwidth", "start": 20e9, "stop": 1e308,
                         "steps": 3}}, "link.bandwidth"),
+            # a length the point kernel squares overflows: gains would be NaN or 0
+            ({"pd": {"radius": 1e300}}, "pd.radius"),
+            ({"pd": {"spacing": 1e300}}, "pd.spacing"),
+            ({"misalignment": {"x_de": 1e300}}, "misalignment.x_de"),
+            ({"misalignment": {"y_de": -1e300}}, "misalignment.y_de"),
+            ({"sweep": {"parameter": "misalignment.x_de", "start": 0.0, "stop": 1e300,
+                        "steps": 3}}, "misalignment.x_de"),
+            # w(z)^2 overflows where the tilted kernel reaches, not yet at distance L
+            ({"beam": {"w0": 5e-79}, "misalignment": {"x_de": 1e10, "phi_a_deg": 10.0}},
+             "misalignment.x_de"),
         ],
     )
     def test_derived_values_beyond_the_float_range_rejected(self, tmp_path, capsys,
                                                            overrides, field):
+        # a RuntimeWarning is an error in this suite, so it would exit 1, not 2
         path = write_config(tmp_path / "c.json", overrides)
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == 2

@@ -1,8 +1,8 @@
 """The sweep engine ``scenario.sweep``. ``simulate`` sweeps and the four rate
 presets are checked byte for byte against the per-point drivers the engine
-replaced, which this module keeps as the reference: a ``build_scenario`` per
-sweep value, and a fully resolved reference configuration per preset cell
-with matrices shared through JSON keys."""
+replaced, which this module keeps as the reference: ``mimo_matrix`` and
+``aggregate_rate`` per sweep value, and a fully resolved reference
+configuration per preset cell with matrices shared through JSON keys."""
 
 import copy
 import json
@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 from vcselink import scenario
+from vcselink.channel import mimo_matrix
+from vcselink.linkbudget import aggregate_rate
 from vcselink.presets import (
     preset_rate_vs_displacement,
     preset_rate_vs_rx_tilt,
     preset_rate_vs_tx_tilt,
     preset_rate_vs_waist,
     reference_config,
+    waist_threshold_um,
 )
 from vcselink.scenario import (
     ConfigError,
@@ -33,8 +36,19 @@ from vcselink.scenario import (
 # -- the reference drivers ---------------------------------------------------
 
 
+def _matrix(built):
+    return mimo_matrix(built.beam, built.distance, built.tx, built.rx, built.state, built.method)
+
+
+def _rates(cfg):
+    """Rate report of a resolved configuration, point by point, outside the
+    sweep engine."""
+    built = build_scenario(cfg)
+    return aggregate_rate(_matrix(built), built.params, cfg["mode"])
+
+
 def _reference_sweep_point(cfg, parameter, value):
-    report = build_scenario(_set_path(cfg, parameter, float(value))).rates()
+    report = _rates(_set_path(cfg, parameter, float(value)))
     finite = report.per_link_sinr[report.per_link_sinr > 0]
     lo = 10 * math.log10(finite.min()) if finite.size else float("-inf")
     hi = 10 * math.log10(finite.max()) if finite.size else float("-inf")
@@ -62,8 +76,8 @@ def _reference_rates(configs):
         built = build_scenario(cfg)
         key = json.dumps({**cfg, "mode": None}, sort_keys=True)
         if key not in matrices:
-            matrices[key] = built.channel_matrix()
-        rates.append(built.rates(matrices[key]).aggregate)
+            matrices[key] = _matrix(built)
+        rates.append(aggregate_rate(matrices[key], built.params, cfg["mode"]).aggregate)
     return rates
 
 
@@ -265,7 +279,7 @@ def test_a_point_leaves_its_base_config_unchanged():
     moved = reference_config(
         method="approx-displacement", beam={"w0": 60e-6}, misalignment={"x_de": 2e-3}
     )
-    assert report.aggregate == build_scenario(moved).rates().aggregate
+    assert report.aggregate == _rates(moved).aggregate
 
 
 @pytest.mark.parametrize("field", ["beam.w00", "no.such", "tx_array.k", "mode"])
@@ -330,6 +344,11 @@ def test_simulate_evaluates_its_base_point_once_when_the_sweep_starts_there(
     }))
     run_scenario(path, tmp_path / "out")
     assert len(calls) == 3
-    alone = build_scenario(load_config(path))
+    alone = _matrix(build_scenario(load_config(path)))
     gains = np.loadtxt(tmp_path / "out" / "gains.csv", delimiter=",", skiprows=1)
-    assert np.allclose(gains, alone.channel_matrix(), rtol=1e-11, atol=0.0)
+    assert np.allclose(gains, alone, rtol=1e-11, atol=0.0)
+
+
+def test_waist_thresholds_are_pinned_to_the_grid():
+    # criterion c04 allows 3 um either way; an off-by-one on the grid shows here
+    assert {k: waist_threshold_um(k) for k in (2, 3, 4, 5)} == {2: None, 3: 98, 4: 60, 5: 50}
