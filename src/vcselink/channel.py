@@ -14,6 +14,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
@@ -87,7 +88,9 @@ class ArrayLayout:
 
     ``elements`` is an (N, 2) array of x/y centers, ``pitch`` the base
     lattice pitch 2*r_pd + delta and ``side`` the hosting aperture side.
-    ``pd`` is None for transmitter arrays.
+    ``pd`` is None for transmitter arrays. A layout hashes by identity;
+    :func:`build_layout` makes ``elements`` read-only, so a cache keyed on
+    the layout cannot go stale.
     """
 
     kind: LayoutKind
@@ -146,6 +149,7 @@ def build_layout(
             elements = np.vstack([base, inter])
         else:  # CONFIG_III
             elements = _square_lattice(9, pitch / 2.0)
+    elements.flags.writeable = False  # layouts hash by identity: their elements never change
     return ArrayLayout(kind=kind, elements=elements, pd=pd, pitch=pitch, side=side)
 
 
@@ -242,7 +246,9 @@ def gain_approx_displacement(beam: BeamParams, L: float, pd: PdGeometry, x_off, 
     """
     _check_link_distance(L)
     c = _erf_scale(beam.waist_radius**2, beam.rayleigh_range, L)
-    out = _erf_product(_SQRT_PI * pd.radius, c, x_off, y_off)
+    a = _SQRT_PI * pd.radius
+    x_off, y_off = np.asarray(x_off, dtype=float), np.asarray(y_off, dtype=float)
+    out = 0.25 * _erf_sum(a, c, x_off) * _erf_sum(a, c, y_off)
     return float(out) if out.ndim == 0 else out
 
 
@@ -253,14 +259,11 @@ def _erf_scale(w0_sq, z_r, z):
     return _SQRT_2 * np.sqrt(w0_sq * (1.0 + zn * zn))
 
 
-def _erf_product(a, c, x_off, y_off) -> np.ndarray:
-    """Displacement closed form for an equivalent square of side ``a`` and
-    erf scale ``c``; every argument broadcasts."""
-    x_off = np.asarray(x_off, dtype=float)
-    y_off = np.asarray(y_off, dtype=float)
-    fx = erf((a + 2.0 * x_off) / c) + erf((a - 2.0 * x_off) / c)
-    fy = erf((a + 2.0 * y_off) / c) + erf((a - 2.0 * y_off) / c)
-    return 0.25 * fx * fy
+def _erf_sum(a, c, off):
+    """One axis factor of the erf-product closed forms: erf((a + 2 off)/c) +
+    erf((a - 2 off)/c) for a square of side ``a``, erf scale ``c`` and spot
+    offset ``off``; every argument broadcasts. A gain is 0.25 fx fy."""
+    return erf((a + 2.0 * off) / c) + erf((a - 2.0 * off) / c)
 
 
 def gain_approx_tx_tilt(
@@ -282,28 +285,32 @@ def gain_approx_tx_tilt(
     Accepts arrays for the positions and the angles and broadcasts.
     """
     _check_link_distance(L)
-    out = _tilt_erf_product(beam.waist_radius**2, beam.rayleigh_range, L, _SQRT_PI * pd.radius,
-                            x_i, y_i, x_j, y_j, phi_a, phi_e)
+    fx, fy = _tilt_factors(beam.waist_radius**2, beam.rayleigh_range, L, _SQRT_PI * pd.radius,
+                           x_i, y_i, x_j, y_j, phi_a, phi_e)
+    out = 0.25 * fx * fy
     return float(out) if out.ndim == 0 else out
 
 
-def _tilt_erf_product(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, phi_a, phi_e) -> np.ndarray:
-    """Transmitter-tilt closed form for an equivalent square of side ``a``;
-    the beam (``w0_sq``, ``z_r``) broadcasts like the angles."""
+def _tilt_factors(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, phi_a, phi_e):
+    """The x and y factors of the transmitter-tilt closed form for an
+    equivalent square of side ``a``; fx reads only the x coordinates and fy
+    only the y ones. The beam (``w0_sq``, ``z_r``) broadcasts like the angles."""
     ca, sa = np.cos(phi_a), np.sin(phi_a)
     ce, se = np.cos(phi_e), np.sin(phi_e)
     c = _erf_scale(w0_sq, z_r, L * ce * ca)
-    x_i = np.asarray(x_i, dtype=float)
-    y_i = np.asarray(y_i, dtype=float)
-    x_term = x_i * ca - np.asarray(x_j, dtype=float) - L * sa
-    y_term = y_i * ce - np.asarray(y_j, dtype=float) - L * se * ca
-    fx = erf((a * ca + 2.0 * x_term) / c) + erf((a * ca - 2.0 * x_term) / c)
-    fy = erf((a * ce + 2.0 * y_term) / c) + erf((a * ce - 2.0 * y_term) / c)
-    return 0.25 * fx * fy
+    x_term = np.asarray(x_i, dtype=float) * ca - np.asarray(x_j, dtype=float) - L * sa
+    y_term = np.asarray(y_i, dtype=float) * ce - np.asarray(y_j, dtype=float) - L * se * ca
+    return _erf_sum(a * ca, c, x_term), _erf_sum(a * ce, c, y_term)
 
 
 def _per_point(values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None, None]
+
+
+def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct entries of ``values`` and the index of each entry among them."""
+    unique, inverse = np.unique(values, return_inverse=True)
+    return unique, inverse.reshape(np.shape(values))
 
 
 def _closed_form_stack(
@@ -316,14 +323,15 @@ def _closed_form_stack(
     stacklevel: int = 2,
 ) -> np.ndarray:
     """Closed-form gain matrices of one array pair at P points, a (P, N_r,
-    N_t) stack: point p has beam ``beams[p]`` and state ``states[p]``. One
-    broadcast over the leading point axis computes them all, each equal bit
-    for bit to the point's own :func:`mimo_matrix`. A warning about ignored
-    state fields fires once per stack and names the frame ``stacklevel`` up."""
+    N_t) stack: point p has beam ``beams[p]`` and state ``states[p]``. Each
+    gain is 0.25 fx fy, so erf runs per point only on the distinct x_i - x_j
+    (displacement, aligned) or (x_i, x_j) pairs (tilt), and likewise in y,
+    then gathers: every matrix equals the full elementwise broadcast bit for
+    bit. A warning about ignored state fields fires once per stack and
+    names the frame ``stacklevel`` up."""
     _check_link_distance(L)
     a = _SQRT_PI * rx.pd.radius
-    x_i, y_i = rx.elements[:, 0][:, None], rx.elements[:, 1][:, None]
-    x_j, y_j = tx.elements[:, 0][None, :], tx.elements[:, 1][None, :]
+    (rx_x, rx_y), (tx_x, tx_y) = rx.elements.T, tx.elements.T
     w0_sq = _per_point([beam.waist_radius**2 for beam in beams])
     z_r = _per_point([beam.rayleigh_range for beam in beams])
 
@@ -335,27 +343,69 @@ def _closed_form_stack(
                 "receiver angles",
                 stacklevel=stacklevel,
             )
-        phi_a = _per_point([state.phi_a for state in states])
-        phi_e = _per_point([state.phi_e for state in states])
-        return _tilt_erf_product(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, phi_a, phi_e)
+        (ux_i, ix_i), (uy_i, iy_i), (ux_j, ix_j), (uy_j, iy_j) = map(
+            _distinct, (rx_x, rx_y, tx_x, tx_y))
+        fx, fy = _tilt_factors(w0_sq, z_r, L, a, ux_i[:, None], uy_i[:, None], ux_j, uy_j,
+                               _per_point([state.phi_a for state in states]),
+                               _per_point([state.phi_e for state in states]))
+        return 0.25 * fx[:, ix_i[:, None], ix_j] * fy[:, iy_i[:, None], iy_j]
 
-    c = _erf_scale(w0_sq, z_r, L)
     if method is GainMethod.APPROX_DISPLACEMENT:
         if not all(state.is_axial for state in states):
             warnings.warn(
                 "displacement approximation ignores orientation angles",
                 stacklevel=stacklevel,
             )
-        x_de = _per_point([state.x_de for state in states])
-        y_de = _per_point([state.y_de for state in states])
-        return _erf_product(a, c, x_i - x_j - x_de, y_i - y_j - y_de)
-
-    if not all(state.is_aligned for state in states):
+    elif not all(state.is_aligned for state in states):
         raise ValueError("aligned closed form requires a zero misalignment state")
-    gains = _erf_product(a, c, x_i - x_j, y_i - y_j)
-    on_axis = (x_i == x_j) & (y_i == y_j)
-    gains[:, on_axis] = _per_point([gain_aligned(beam, L, rx.pd) for beam in beams])[:, 0]
+    c = _erf_scale(w0_sq, z_r, L)
+    # an aligned state has x_de = y_de = 0, and (x_i - x_j) - 0.0 is x_i - x_j
+    (ux, ix), (uy, iy) = _distinct(rx_x[:, None] - tx_x), _distinct(rx_y[:, None] - tx_y)
+    fx = _erf_sum(a, c, ux - _per_point([state.x_de for state in states]))[:, 0, ix]
+    fy = _erf_sum(a, c, uy - _per_point([state.y_de for state in states]))[:, 0, iy]
+    gains = 0.25 * fx * fy
+    if method is GainMethod.ALIGNED_CLOSED_FORM:
+        on_axis = (rx_x[:, None] == tx_x) & (rx_y[:, None] == tx_y)
+        gains[:, on_axis] = _per_point([gain_aligned(beam, L, rx.pd) for beam in beams])[:, 0]
     return gains
+
+
+@lru_cache(maxsize=32)
+def _pair_keys(L: float, tx: ArrayLayout, rx: ArrayLayout, state: MisalignmentState):
+    """Unique element pairs of the exact route for one geometry: the (K, 7)
+    link rows of the K pair keys, the flat index of each key's first entry,
+    the (N_r, N_t) key number of each entry (-1 for a non-positive
+    distance), all read-only, and the entries (i, j) with a non-positive
+    distance. Layouts hash by identity, so a ``beam.w0`` sweep column,
+    which keeps its layouts and state, collects its keys once."""
+    tx_pos = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)
+    rx_pos = rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)
+    offsets = tx_pos[None, :, :] - rx_pos[:, None, :]  # (dx, dy, pair distance)
+    keys: dict = {}  # pair key -> its number
+    firsts = []  # flat index of the first entry of each key
+    links = []  # link row of each key, from its first entry
+    slot = []  # key number of each entry; -1 for a non-positive distance
+    bad = []  # entries (i, j) with a non-positive distance
+    axial = state.is_axial
+    angles = (state.phi_a, state.phi_e, state.psi_a, state.psi_e)
+    for i, row in enumerate(offsets.tolist()):
+        for j, (dx, dy, l_pair) in enumerate(row):
+            if l_pair <= 0:
+                bad.append((i, j))
+                slot.append(-1)
+                continue
+            # gains for rotation-free states depend only on the radial offset
+            key = (l_pair, math.hypot(dx, dy)) if axial else (l_pair, dx, dy)
+            number = keys.setdefault(key, len(keys))
+            if number == len(firsts):
+                firsts.append(len(slot))
+                links.append((l_pair, dx, dy, *angles))
+            slot.append(number)
+    arrays = (np.array(links, dtype=float).reshape(-1, 7), np.array(firsts, dtype=int),
+              np.array(slot, dtype=int).reshape(rx.n_elements, tx.n_elements))
+    for array in arrays:
+        array.flags.writeable = False
+    return (*arrays, tuple(bad))
 
 
 def mimo_matrix(
@@ -374,48 +424,29 @@ def mimo_matrix(
     link: element positions are rotated and displaced with their array,
     then the single-link gain is evaluated with the pair's own distance
     and center offsets while keeping the array orientation angles. The
-    closed forms are the one-point case of :func:`_closed_form_stack`,
-    which evaluates a chunk of sweep points at once.
+    closed forms are the one-point case of :func:`_closed_form_stack`
+    (erf on distinct coordinates only). The exact route integrates each
+    unique element pair once, with the pairs of a geometry collected once
+    and cached (:func:`_pair_keys`), so a beam sweep reuses them.
     """
     method = GainMethod(method)
     if rx.pd is None:
         raise ValueError("receiver layout must carry PD geometry")
-    pd = rx.pd
-    nt, nr = tx.n_elements, rx.n_elements
 
     if method is not GainMethod.EXACT_GMM:
         return _closed_form_stack([beam], L, tx, rx, [state], method, stacklevel=3)[0]
 
     # exact route: one batched quadrature over the unique element pairs
-    tx_pos = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)
-    rx_pos = rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)
-    offsets = tx_pos[None, :, :] - rx_pos[:, None, :]  # (dx, dy, pair distance)
-    keys: dict = {}  # pair key -> its number
-    firsts = []  # first entry (i, j) of each key, in row-major order
-    links = []  # link row of each key, from its first entry
-    slot = []  # key number of each entry; -1 for a non-positive distance
-    axial = state.is_axial
-    angles = (state.phi_a, state.phi_e, state.psi_a, state.psi_e)
-    for i, row in enumerate(offsets.tolist()):
-        for j, (dx, dy, l_pair) in enumerate(row):
-            if l_pair <= 0:
-                warnings.warn(
-                    f"non-positive pair distance for entry ({i}, {j}); gain set to 0",
-                    stacklevel=2,
-                )
-                slot.append(-1)
-                continue
-            # gains for rotation-free states depend only on the radial offset
-            key = (l_pair, math.hypot(dx, dy)) if axial else (l_pair, dx, dy)
-            number = keys.setdefault(key, len(keys))
-            if number == len(firsts):
-                firsts.append((i, j))
-                links.append((l_pair, dx, dy, *angles))
-            slot.append(number)
-    values = _exact_gains(beam, pd, links, spec, lambda k: f"entry {firsts[k]}")
-    slot = np.array(slot).reshape(nr, nt)
+    links, firsts, slot, bad = _pair_keys(L, tx, rx, state)
+    for i, j in bad:
+        warnings.warn(
+            f"non-positive pair distance for entry ({i}, {j}); gain set to 0",
+            stacklevel=2,
+        )
+    values = _exact_gains(beam, rx.pd, links, spec,
+                          lambda k: f"entry {divmod(int(firsts[k]), tx.n_elements)}")
     found = slot >= 0
-    gains = np.zeros((nr, nt))
+    gains = np.zeros(slot.shape)
     gains[found] = values[slot[found]]
     return gains
 

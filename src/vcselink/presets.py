@@ -153,9 +153,10 @@ def sinr_map(w0: float, grid_step: float = 1e-3) -> tuple[np.ndarray, np.ndarray
     tx, rx = scenario.tx, scenario.rx
     half = rx.side / 2.0
     xs = ys = np.linspace(-half, half, int(round(2 * half / grid_step)) + 1)
-    px, py = np.meshgrid(xs, ys)
-    dx = px[:, :, None] - tx.elements[:, 0]
-    dy = py[:, :, None] - tx.elements[:, 1]
+    # offsets (1, nx, N_t) and (ny, 1, N_t): each erf factor is evaluated on
+    # one raster axis only and broadcasts to the (ny, nx, N_t) gains
+    dx = xs[None, :, None] - tx.elements[:, 0]
+    dy = ys[:, None, None] - tx.elements[:, 1]
     gains = gain_approx_displacement(scenario.beam, scenario.distance, rx.pd, dx, dy)
     owner = np.argmin(dx * dx + dy * dy, axis=2)
     with np.errstate(divide="ignore"):

@@ -23,7 +23,7 @@ from .beam import BeamParams, rayleigh_range
 from .channel import ArrayLayout, GainMethod, LayoutKind, build_layout, mimo_matrix
 from .channel import _closed_form_stack, _write_csv, write_gains_csv
 from .geometry import MisalignmentState
-from .linkbudget import LinkParams, Mode, RateReport, _rate_reports, _thermal_variance
+from .linkbudget import LinkParams, Mode, RateReport, _rate_reports, noise_variance
 from .linkbudget import write_rates_csv
 
 __all__ = [
@@ -223,18 +223,23 @@ def _check_derived(cfg: dict) -> None:
     if not 0.0 < responsivity * responsivity * p_elec < math.inf:
         raise ConfigError("link.responsivity", f"the signal scale responsivity^2 p_t^2/9 of "
                           f"{responsivity} A/W is not a finite number > 0")
-    noise_figure = 10 ** (link["noise_figure_db"] / 10.0)  # the value build_scenario uses
-    if not _thermal_variance(link["temperature"], link["load_resistance"], link["bandwidth"],
-                             noise_figure) < math.inf:
-        factors = {  # the thermal noise grows with each of these: blame the largest
-            "link.temperature": link["temperature"],
-            "link.load_resistance": 1.0 / link["load_resistance"],
-            "link.bandwidth": link["bandwidth"],
-            "link.noise_figure_db": noise_figure,
+    params = _parts(cfg, {"link"})["params"]
+    # a gain of 1 from each of the at most (2 cells - 1)^2 transmitters bounds every row
+    with np.errstate(over="ignore"):
+        noise = noise_variance(np.ones((2 * cells - 1) ** 2), params)
+    if not noise < math.inf:
+        factors = {  # the noise grows with each of these: blame the largest
+            "link.temperature": params.temperature,
+            "link.load_resistance": 1.0 / params.load_resistance,
+            "link.bandwidth": params.bandwidth,
+            "link.noise_figure_db": params.noise_figure,
+            "link.rin_db_hz": params.rin,
+            "link.p_t": params.p_t,
+            "link.responsivity": params.responsivity,
         }
         field = max(factors, key=factors.get)
-        raise ConfigError(field, "the thermal noise 4kT/R_L*B*F overflows: every SINR "
-                          "would be 0")
+        raise ConfigError(field, "the noise variance (thermal 4kT/R_L*B*F plus shot and RIN "
+                          "at gain 1) overflows: every SINR would be 0")
 
 
 def _validate(cfg: dict) -> dict:
@@ -398,8 +403,11 @@ def _at(cfg: dict, point: dict) -> dict:
 def _matrices(cells: list[Scenario]) -> np.ndarray:
     """Channel matrices of scenarios that differ only in what a sweep
     point sets, as a (P, N_r, N_t) stack. The exact route runs point by
-    point; a closed form runs one stack per run of points that share their
-    layouts and distance."""
+    point through :func:`mimo_matrix`, which collects the pair keys of a
+    geometry once: the cells of a beam sweep share their layout and state
+    objects, so they share the keys. A closed form runs one stack per run
+    of points that share their layouts and distance, with erf only on the
+    distinct coordinates."""
     if cells[0].method is GainMethod.EXACT_GMM:
         return np.stack([mimo_matrix(cell.beam, cell.distance, cell.tx, cell.rx, cell.state,
                                      cell.method) for cell in cells])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf as scipy_erf
 
 from vcselink.beam import BeamParams, beam_radius, waist_for_spot
 from vcselink.channel import (
@@ -21,8 +22,10 @@ from vcselink.channel import (
 )
 from vcselink.channel import _closed_form_stack, _write_csv
 from vcselink.geometry import MisalignmentState
-from vcselink.linkbudget import nmse
+from vcselink.linkbudget import _served_sinr, nmse
+from vcselink.presets import reference_config, sinr_map
 from vcselink.quadrature import QuadratureSpec
+from vcselink.scenario import build_scenario
 
 L = 2.0
 PD = PdGeometry(3e-3)
@@ -281,6 +284,162 @@ def test_closed_form_stack_is_mimo_matrix_per_point(method, kind):
     if method is GainMethod.ALIGNED_CLOSED_FORM:
         pairs[(x_i == x_j) & (y_i == y_j)] = gain_aligned(beam, distance, rx.pd)
     assert np.array_equal(stack[0], pairs)
+
+
+# Independent reference: the erf-product closed forms as full elementwise
+# broadcasts over every (N_r, N_t) entry, with scipy's erf.
+
+
+def _ref_scale(beam, z):
+    zn = np.asarray(z, dtype=float) / beam.rayleigh_range
+    return math.sqrt(2.0) * np.sqrt(beam.waist_radius**2 * (1.0 + zn * zn))
+
+
+def _ref_displacement(beam, distance, pd, x_off, y_off):
+    a, c = math.sqrt(math.pi) * pd.radius, _ref_scale(beam, distance)
+    x_off, y_off = np.asarray(x_off, dtype=float), np.asarray(y_off, dtype=float)
+    fx = scipy_erf((a + 2.0 * x_off) / c) + scipy_erf((a - 2.0 * x_off) / c)
+    fy = scipy_erf((a + 2.0 * y_off) / c) + scipy_erf((a - 2.0 * y_off) / c)
+    return 0.25 * fx * fy
+
+
+def _ref_tx_tilt(beam, distance, pd, x_i, y_i, x_j, y_j, phi_a, phi_e):
+    a = math.sqrt(math.pi) * pd.radius
+    ca, sa, ce, se = np.cos(phi_a), np.sin(phi_a), np.cos(phi_e), np.sin(phi_e)
+    c = _ref_scale(beam, distance * ce * ca)
+    x_term = np.asarray(x_i, dtype=float) * ca - np.asarray(x_j, dtype=float) - distance * sa
+    y_term = np.asarray(y_i, dtype=float) * ce - np.asarray(y_j, dtype=float) - distance * se * ca
+    fx = scipy_erf((a * ca + 2.0 * x_term) / c) + scipy_erf((a * ca - 2.0 * x_term) / c)
+    fy = scipy_erf((a * ce + 2.0 * y_term) / c) + scipy_erf((a * ce - 2.0 * y_term) / c)
+    return 0.25 * fx * fy
+
+
+def _ref_matrix(beam, distance, tx, rx, state, method):
+    x_i, y_i = rx.elements[:, 0][:, None], rx.elements[:, 1][:, None]
+    x_j, y_j = tx.elements[:, 0][None, :], tx.elements[:, 1][None, :]
+    if method is GainMethod.APPROX_TX_TILT:
+        return _ref_tx_tilt(beam, distance, rx.pd, x_i, y_i, x_j, y_j, state.phi_a, state.phi_e)
+    if method is GainMethod.APPROX_DISPLACEMENT:
+        return _ref_displacement(beam, distance, rx.pd, x_i - x_j - state.x_de,
+                                 y_i - y_j - state.y_de)
+    gains = _ref_displacement(beam, distance, rx.pd, x_i - x_j, y_i - y_j)
+    gains[(x_i == x_j) & (y_i == y_j)] = gain_aligned(beam, distance, rx.pd)
+    return gains
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                                           np.signbit(b))
+
+
+_RECEIVERS = [("square", k) for k in range(1, 6)] + [
+    (kind, None) for kind in ("config-i", "config-ii", "config-iii")
+]
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def closed_form_points(draw, method):
+    """Random waists and method-specific states of one stack, with signed zeros."""
+    count = draw(st.integers(1, 6))
+    beams = [BeamParams(850e-9, w) for w in draw(st.lists(st.floats(5e-6, 300e-6),
+                                                            min_size=count, max_size=count))]
+    if method is GainMethod.APPROX_DISPLACEMENT:
+        offset = st.one_of(_SIGNED_ZERO, st.floats(-0.05, 0.05))
+        fields = {"x_de": offset, "y_de": offset}
+    elif method is GainMethod.APPROX_TX_TILT:
+        angle = st.one_of(_SIGNED_ZERO, st.floats(-0.08, 0.08))
+        fields = {"phi_a": angle, "phi_e": angle}
+    else:
+        fields = {name: _SIGNED_ZERO for name in ("x_de", "y_de", "phi_a", "psi_e")}
+    states = [MisalignmentState(**draw(st.fixed_dictionaries(fields))) for _ in range(count)]
+    return beams, states
+
+
+_CLOSED_FORMS = [GainMethod.APPROX_DISPLACEMENT, GainMethod.APPROX_TX_TILT,
+                 GainMethod.ALIGNED_CLOSED_FORM]
+
+
+@settings(max_examples=80)
+@given(
+    method=st.sampled_from(_CLOSED_FORMS),
+    receiver=st.sampled_from(_RECEIVERS),
+    k_tx=st.integers(1, 5),
+    r_pd=st.floats(0.5e-3, 5e-3),
+    delta=st.one_of(st.just(0.0), st.floats(0.0, 10e-3)),
+    distance=st.floats(0.5, 5.0),
+    data=st.data(),
+)
+def test_closed_form_stack_matches_the_elementwise_reference(method, receiver, k_tx, r_pd,
+                                                            delta, distance, data):
+    """The separable stack (erf on distinct coordinates, then a gather) equals
+    the full elementwise broadcast of every entry bit for bit."""
+    kind, k = receiver
+    tx = build_layout("square", k=k_tx, r_pd=r_pd, delta=delta, transmitter=True)
+    rx = build_layout(kind, k=k, r_pd=r_pd, delta=delta)
+    beams, states = data.draw(closed_form_points(method))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ignored state fields are not the point here
+        stack = _closed_form_stack(beams, distance, tx, rx, states, method)
+    expected = np.array([_ref_matrix(b, distance, tx, rx, s, method)
+                         for b, s in zip(beams, states)])
+    assert _same_bits(stack, expected)
+
+
+@settings(max_examples=40)
+@given(
+    w0=st.floats(5e-6, 300e-6),
+    distance=st.floats(0.5, 5.0),
+    x=st.floats(-0.05, 0.05),
+    y=st.floats(-0.05, 0.05),
+    phi_a=st.floats(-0.08, 0.08),
+    phi_e=st.floats(-0.08, 0.08),
+    shape=st.sampled_from([(3,), (4, 1), (1, 5)]),
+)
+def test_single_link_closed_forms_match_the_elementwise_reference(w0, distance, x, y, phi_a,
+                                                                  phi_e, shape):
+    beam = BeamParams(850e-9, w0)
+    disp = gain_approx_displacement(beam, distance, PD, x, y)
+    assert type(disp) is float and _same_bits(disp, _ref_displacement(beam, distance, PD, x, y))
+    tilt = gain_approx_tx_tilt(beam, distance, PD, x, y, 0.0, 0.0, phi_a, phi_e)
+    assert type(tilt) is float
+    assert _same_bits(tilt, _ref_tx_tilt(beam, distance, PD, x, y, 0.0, 0.0, phi_a, phi_e))
+
+    spread = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+    xs, ys, angles = x * spread, (y * spread).T, phi_a * spread
+    assert _same_bits(gain_approx_displacement(beam, distance, PD, xs, ys),
+                      _ref_displacement(beam, distance, PD, xs, ys))
+    assert _same_bits(gain_approx_tx_tilt(beam, distance, PD, xs, y, 0.0, ys, angles, phi_e),
+                      _ref_tx_tilt(beam, distance, PD, xs, y, 0.0, ys, angles, phi_e))
+
+
+@pytest.mark.parametrize("w0, grid_step", [(50e-6, 1e-3), (100e-6, 1e-3), (73e-6, 2.5e-3)])
+def test_sinr_map_matches_the_full_raster_reference(w0, grid_step):
+    """``sinr_map`` broadcasts one offset axis per raster axis; the reference
+    evaluates every (y, x, transmitter) offset of the full meshgrid."""
+    xs, ys, sinr_db = sinr_map(w0, grid_step=grid_step)
+    scenario = build_scenario(reference_config(beam={"w0": w0}))
+    px, py = np.meshgrid(xs, ys)
+    dx = px[:, :, None] - scenario.tx.elements[:, 0]
+    dy = py[:, :, None] - scenario.tx.elements[:, 1]
+    gains = _ref_displacement(scenario.beam, scenario.distance, scenario.rx.pd, dx, dy)
+    owner = np.argmin(dx * dx + dy * dy, axis=2)
+    with np.errstate(divide="ignore"):
+        expected = 10.0 * np.log10(_served_sinr(gains, owner, scenario.params))
+    assert _same_bits(sinr_db, expected)
+
+
+@pytest.mark.parametrize("kind, k", [("square", 3), ("config-i", None), ("config-ii", None),
+                                     ("config-iii", None)])
+@pytest.mark.parametrize("transmitter", [False, True])
+def test_layout_elements_are_read_only(kind, k, transmitter):
+    # layouts hash by identity, so caches keyed on them rely on fixed elements
+    layout = build_layout(kind, k=k, transmitter=transmitter)
+    with pytest.raises(ValueError):
+        layout.elements[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        layout.elements[:, 1] += 1.0
 
 
 class TestMimoMatrix:

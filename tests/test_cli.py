@@ -184,6 +184,13 @@ class TestConfigValidation:
             ({"link": {"noise_figure_db": 3000}}, "link.noise_figure_db"),
             ({"sweep": {"parameter": "link.bandwidth", "start": 20e9, "stop": 1e308,
                         "steps": 3}}, "link.bandwidth"),
+            # the shot and RIN noise at gain 1 overflow: every SINR would be 0
+            ({"beam": {"w0": 6e-5}, "link": {"rin_db_hz": 2000, "bandwidth": 1e300}},
+             "link.bandwidth"),
+            ({"link": {"rin_db_hz": 3080}}, "link.rin_db_hz"),
+            ({"link": {"p_t": 1e153, "bandwidth": 1e19}}, "link.p_t"),
+            ({"sweep": {"parameter": "link.rin_db_hz", "start": -155, "stop": 3080,
+                        "steps": 3}}, "link.rin_db_hz"),
             # a length the point kernel squares overflows: gains would be NaN or 0
             ({"pd": {"radius": 1e300}}, "pd.radius"),
             ({"pd": {"spacing": 1e300}}, "pd.spacing"),

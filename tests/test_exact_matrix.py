@@ -265,3 +265,78 @@ def test_lone_gain_runs_through_integrate_disk_and_the_point_kernel(monkeypatch)
     assert seen["integrals"] == ["integrand"] and seen["kernel_points"] > 0
     monkeypatch.undo()
     assert gain == gain_gmm(BeamParams(850e-9, 80e-6), L, PD, state)
+
+
+# The pair keys of a geometry are collected once (channel._pair_keys) and
+# reused by every later call with the same layouts, distance and state.
+
+
+def _cold(beam, rx, state, **kwargs):
+    channel._pair_keys.cache_clear()
+    return mimo_matrix(beam, L, TX, rx, state, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "rx, state",
+    [
+        (build_layout(LayoutKind.SQUARE, k=5), MisalignmentState()),
+        (CONFIG_I, MisalignmentState(x_de=3e-3, y_de=-1e-3)),
+        (CONFIG_III, MisalignmentState(phi_a=rad(0.2), psi_e=rad(-8.0))),
+    ],
+    ids=["aligned", "displaced", "tilted"],
+)
+def test_warm_pair_keys_give_the_cold_matrix_across_beams(rx, state):
+    beams = [BeamParams(850e-9, w0) for w0 in (30e-6, 64e-6, 100e-6)]
+    cold = [_cold(beam, rx, state) for beam in beams]
+    channel._pair_keys.cache_clear()
+    warm = [mimo_matrix(beam, L, TX, rx, state) for beam in beams]
+    info = channel._pair_keys.cache_info()
+    assert (info.misses, info.hits) == (1, len(beams) - 1)
+    for w, c in zip(warm, cold):
+        assert np.array_equal(w, c) and np.array_equal(np.signbit(w), np.signbit(c))
+    links, firsts, slot, _ = channel._pair_keys(L, TX, rx, state)
+    assert not (links.flags.writeable or firsts.flags.writeable or slot.flags.writeable)
+
+
+def test_signed_zero_states_share_their_pair_keys():
+    # -0.0 == 0.0, so both states hit one cache entry; the gains agree bit for bit
+    beam, rx = BeamParams(850e-9, 64e-6), CONFIG_I
+    signed = MisalignmentState(x_de=-0.0, phi_a=-0.0, psi_e=-0.0)
+    cold = _cold(beam, rx, signed)
+    channel._pair_keys.cache_clear()
+    mimo_matrix(beam, L, TX, rx, MisalignmentState())
+    warm = mimo_matrix(beam, L, TX, rx, signed)
+    assert channel._pair_keys.cache_info().hits == 1
+    assert np.array_equal(warm, cold) and np.array_equal(np.signbit(warm), np.signbit(cold))
+
+
+def test_non_positive_distance_warns_on_a_cache_hit():
+    beam = BeamParams(850e-9, 100e-6)
+    tx = ArrayLayout(LayoutKind.SQUARE, np.array([[0.0, 0.0], [1e-3, 0.0]]), None, 12e-3, 12e-3)
+    rx_xy = np.array([[0.0, 0.0], [3.0, 0.0], [1e-3, 0.0]])
+    rx = ArrayLayout(LayoutKind.SQUARE, rx_xy, PD, 12e-3, 12e-3)
+    state = MisalignmentState(psi_a=rad(60.0))
+    channel._pair_keys.cache_clear()
+    for call in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = mimo_matrix(beam, L, tx, rx, state)
+        assert [str(w.message) for w in caught] == [
+            f"non-positive pair distance for entry (1, {j}); gain set to 0" for j in (0, 1)
+        ]
+        assert all(w.filename == __file__ for w in caught)
+        assert not h[1].any() and np.all(h[[0, 2]] > 0.0)
+    assert channel._pair_keys.cache_info().hits == 1
+
+
+def test_quadrature_failure_names_the_entry_on_a_cache_hit():
+    beam = BeamParams(850e-9, 100e-6)
+    rx = build_layout(LayoutKind.SQUARE, k=5)
+    state = MisalignmentState(x_de=24e-3)
+    starved = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-14, max_subdivisions=1)
+    channel._pair_keys.cache_clear()
+    mimo_matrix(beam, L, TX, rx, state)  # converges and fills the cache
+    with pytest.raises(DiskQuadratureError) as excinfo:
+        mimo_matrix(beam, L, TX, rx, state, spec=starved)
+    assert channel._pair_keys.cache_info().hits == 1
+    assert excinfo.value.context == "entry (1, 0)"
