@@ -28,7 +28,7 @@ from .geometry import (
     rx_element_pose,
     tx_element_pose,
 )
-from .quadrature import QuadratureSpec, _integrate_disks, integrate_disk
+from .quadrature import _integrate_disks, integrate_disk
 
 __all__ = [
     "PdGeometry",
@@ -173,7 +173,6 @@ def gain_gmm(
     L: float,
     pd: PdGeometry,
     state: MisalignmentState | Sequence[MisalignmentState],
-    spec: QuadratureSpec | None = None,
 ) -> float | np.ndarray:
     """Exact misaligned gain: disk integral of the beam intensity evaluated
     through the point kernel, weighted by the alignment cosine.
@@ -186,9 +185,9 @@ def gain_gmm(
     _check_link_distance(L)
     if isinstance(state, MisalignmentState):
         integrand, live = _link_integrand(beam, [_link_row(L, state)])
-        return integrate_disk(integrand, pd.radius, spec) if len(live) else 0.0
+        return integrate_disk(integrand, pd.radius) if len(live) else 0.0
     links = [_link_row(L, s) for s in state]
-    return _exact_gains(beam, pd, links, spec, lambda k: f"state {k}")
+    return _exact_gains(beam, pd, links, lambda k: f"state {k}")
 
 
 def _link_row(L: float, s: MisalignmentState) -> tuple:
@@ -196,14 +195,12 @@ def _link_row(L: float, s: MisalignmentState) -> tuple:
     return (L, s.x_de, s.y_de, s.phi_a, s.phi_e, s.psi_a, s.psi_e)
 
 
-def _exact_gains(beam: BeamParams, pd: PdGeometry, links, spec, where) -> np.ndarray:
+def _exact_gains(beam: BeamParams, pd: PdGeometry, links, where) -> np.ndarray:
     """Exact gains of link rows (see :func:`_link_integrand`) in one batched
     quadrature; ``where(k)`` locates a failure of row k."""
     integrand, live = _link_integrand(beam, links)
     gains = np.zeros(len(links))
-    gains[live] = _integrate_disks(
-        integrand, pd.radius, len(live), spec, lambda k: where(live[k])
-    )
+    gains[live] = _integrate_disks(integrand, pd.radius, len(live), lambda k: where(live[k]))
     return gains
 
 
@@ -415,7 +412,6 @@ def mimo_matrix(
     rx: ArrayLayout,
     state: MisalignmentState,
     method: GainMethod | str = GainMethod.EXACT_GMM,
-    spec: QuadratureSpec | None = None,
 ) -> np.ndarray:
     """Assemble the N_r x N_t array-to-array gain matrix (rows: receiver
     elements, columns: transmitter elements) as a float array.
@@ -443,7 +439,7 @@ def mimo_matrix(
             f"non-positive pair distance for entry ({i}, {j}); gain set to 0",
             stacklevel=2,
         )
-    values = _exact_gains(beam, rx.pd, links, spec,
+    values = _exact_gains(beam, rx.pd, links,
                           lambda k: f"entry {divmod(int(firsts[k]), tx.n_elements)}")
     found = slot >= 0
     gains = np.zeros(slot.shape)

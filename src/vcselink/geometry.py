@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "MisalignmentState",
     "rotation_matrix",
-    "rx_point_to_ref",
     "tx_normal",
     "rx_normal",
     "alignment_cosine",
@@ -92,19 +91,10 @@ def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def rx_point_to_ref(x, y, psi_a: float, psi_e: float):
-    """Project a point (x, y) of the tilted receiver plane into the
-    reference frame: R_y(-psi_a) @ R_x(-psi_e) @ [x, y, 0].
-
-    Accepts scalars or broadcastable arrays; returns the (u, v, w) triple.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _rotate_rx(x, y, np.cos(psi_a), np.sin(psi_a), np.cos(psi_e), np.sin(psi_e))
-
-
 def _rotate_rx(x, y, ca, sa, ce, se):
-    """:func:`rx_point_to_ref` given the cosines and sines of psi_a, psi_e."""
+    """Project a point (x, y) of the tilted receiver plane into the
+    reference frame, R_y(-psi_a) @ R_x(-psi_e) @ [x, y, 0], given the
+    cosines and sines of psi_a and psi_e; returns the (u, v, w) triple."""
     return x * ca + y * sa * se, y * ce, x * sa - y * ca * se
 
 

@@ -216,10 +216,6 @@ class RateReport:
     aggregate: float
     mode: Mode
 
-    def __post_init__(self) -> None:
-        for name in ("per_link_sinr", "per_link_bits", "per_link_rate"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
 
 def aggregate_rate(h, params: LinkParams, mode: Mode | str = Mode.DIRECT) -> RateReport:
     """Aggregate throughput of the array link.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .beam import BeamParams
 from .channel import PdGeometry, _check_link_distance
-from .geometry import MisalignmentState, rotation_matrix, rx_normal, tx_normal
+from .geometry import MisalignmentState, alignment_cosine, rotation_matrix, rx_normal, tx_normal
 
 __all__ = ["RayBundleSpec", "ray_gain_mc"]
 
@@ -94,11 +94,12 @@ def _crossing(proj, base, slope, w0, zr):
 
 def _frame(state: MisalignmentState, L: float):
     """Projections that place a trajectory of ``state`` in the receiver
-    frame, or None for a transmitter facing away from the receiver."""
+    frame, or None for a link facing away: an alignment cosine <= 0, the
+    links whose exact gain is 0 without integration."""
+    if alignment_cosine(state) <= 0.0:
+        return None
     n_t = tx_normal(state.phi_a, state.phi_e)
     n_r = rx_normal(state.psi_a, state.psi_e)
-    if float(n_t @ n_r) <= 0.0:
-        return None
     waist = np.array([state.x_de, state.y_de, L])
     direction = -n_t  # propagation sense, toward the receiver plane
     e1, e2 = _transverse_basis(n_t)

@@ -10,49 +10,30 @@ integrates a batch of integrands at once over the same disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "DiskQuadratureError",
     "integrate_disk",
     "integrate_disk_mc",
 ]
 
 _BASE_RADIAL_ORDER = 8
+# refinement doubles the tensor order until two successive estimates agree
+# to _REL_TOL (or _ABS_TOL for near-zero integrals), at most
+# _MAX_SUBDIVISIONS times; _REL_TOL sits two orders below the smallest
+# approximation error this package ever needs to resolve, so quadrature
+# error never contaminates a comparison
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-14
+_MAX_SUBDIVISIONS = 8
 _ANGULAR_FACTOR = 2  # angular order per radial order; trapezoid is spectral here
 # most points per integrand call, which bounds the size of its temporaries;
 # at 1 << 14 (128 KB arrays) glibc trims and re-faults the heap top on
 # every call, which made matrix assembly about 1.5x slower (x86-64, glibc)
 _CHUNK_POINTS = 1 << 13
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Termination control for the adaptive disk integrator.
-
-    Refinement doubles the tensor order until two successive estimates agree
-    to ``rel_tol`` (or ``abs_tol`` for near-zero integrals). The default
-    rel_tol sits two orders below the smallest approximation error this
-    package ever needs to resolve, so quadrature error never contaminates a
-    comparison.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
-        if not 0.0 <= self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
-        n = self.max_subdivisions
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"max_subdivisions must be an integer >= 1, got {n!r}")
 
 
 class DiskQuadratureError(RuntimeError):
@@ -111,7 +92,7 @@ def _fixed_order(f, radius: float, n_radial: int, active: np.ndarray) -> np.ndar
     return (row_sums * w_r).sum(axis=1) * (2.0 * np.pi / n_ang)
 
 
-def _integrate_disks(f, radius: float, count: int, spec: QuadratureSpec | None, where):
+def _integrate_disks(f, radius: float, count: int, where):
     """Integrate ``count`` integrands over the same disk in one adaptive pass.
 
     ``f(x, y, k)`` gets node coordinates ``x``, ``y`` of shape (1, rows,
@@ -125,14 +106,13 @@ def _integrate_disks(f, radius: float, count: int, spec: QuadratureSpec | None, 
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
-    spec = spec or QuadratureSpec()
     result = np.empty(count)
     active = np.arange(count)
     prev = _fixed_order(f, radius, _BASE_RADIAL_ORDER, active)
-    for level in range(1, spec.max_subdivisions + 1):
+    for level in range(1, _MAX_SUBDIVISIONS + 1):
         cur = _fixed_order(f, radius, _BASE_RADIAL_ORDER << level, active)
         diff = np.abs(cur - prev)
-        done = diff <= np.maximum(spec.rel_tol * np.abs(cur), spec.abs_tol)
+        done = diff <= np.maximum(_REL_TOL * np.abs(cur), _ABS_TOL)
         result[active[done]] = cur[done]
         active, prev, diff = active[~done], cur[~done], diff[~done]
         if not len(active):
@@ -142,14 +122,14 @@ def _integrate_disks(f, radius: float, count: int, spec: QuadratureSpec | None, 
     )
 
 
-def integrate_disk(f, radius: float, spec: QuadratureSpec | None = None) -> float:
+def integrate_disk(f, radius: float) -> float:
     """Integrate ``f(x, y)`` over the disk x^2 + y^2 <= radius^2.
 
     Deterministic: identical inputs produce bit-identical results.
-    Raises :class:`DiskQuadratureError` when ``spec.max_subdivisions``
-    doublings do not reach the requested tolerance.
+    Raises :class:`DiskQuadratureError` when ``_MAX_SUBDIVISIONS``
+    doublings do not reach the tolerance.
     """
-    values = _integrate_disks(lambda x, y, k: f(x, y), radius, 1, spec, lambda k: "")
+    values = _integrate_disks(lambda x, y, k: f(x, y), radius, 1, lambda k: "")
     return float(values[0])
 
 

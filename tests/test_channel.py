@@ -24,7 +24,6 @@ from vcselink.channel import _closed_form_stack, _write_csv
 from vcselink.geometry import MisalignmentState
 from vcselink.linkbudget import _served_sinr, nmse
 from vcselink.presets import reference_config, sinr_map
-from vcselink.quadrature import QuadratureSpec
 from vcselink.scenario import build_scenario
 
 L = 2.0
@@ -91,15 +90,14 @@ class TestGmmGain:
             state = MisalignmentState(phi_a=math.radians(120))
         assert gain_gmm(beam100, L, PD, state) == 0.0
 
-    def test_circular_symmetry(self, beam100):
-        tight = QuadratureSpec(rel_tol=1e-11)
+    def test_circular_symmetry(self, beam100, tight_quadrature):
         r_de = 4e-3
-        ref = gain_gmm(beam100, L, PD, MisalignmentState(x_de=r_de), tight)
+        ref = gain_gmm(beam100, L, PD, MisalignmentState(x_de=r_de))
         for angle in (0.3, 1.2, 2.5):
             state = MisalignmentState(
                 x_de=r_de * math.cos(angle), y_de=r_de * math.sin(angle)
             )
-            assert gain_gmm(beam100, L, PD, state, tight) == pytest.approx(ref, rel=1e-9)
+            assert gain_gmm(beam100, L, PD, state) == pytest.approx(ref, rel=1e-9)
 
     def test_continuity_in_every_component(self, beam100):
         base = dict(
@@ -528,13 +526,13 @@ class TestMimoMatrix:
             h = mimo_matrix(beam100, L, tx, rx, state)
         assert h[0, 0] == 0.0
 
-    def test_convergence_failure_names_the_entry(self, beam100, system):
+    def test_convergence_failure_names_the_entry(self, beam100, system, starve_quadrature):
         tx, rx = system
-        starved = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=1)
+        starve_quadrature(rel_tol=1e-15, abs_tol=0.0)
         from vcselink.quadrature import DiskQuadratureError
 
         with pytest.raises(DiskQuadratureError, match=r"entry \(0, 0\)"):
-            mimo_matrix(beam100, L, tx, rx, MisalignmentState(), spec=starved)
+            mimo_matrix(beam100, L, tx, rx, MisalignmentState())
 
 
 def test_gains_csv_round_trip(tmp_path, beam100):

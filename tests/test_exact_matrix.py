@@ -21,7 +21,7 @@ from vcselink.geometry import (
     rx_element_pose,
     tx_element_pose,
 )
-from vcselink.quadrature import DiskQuadratureError, QuadratureSpec
+from vcselink.quadrature import DiskQuadratureError
 
 L = 2.0
 TX = build_layout(LayoutKind.SQUARE, k=5, transmitter=True)
@@ -125,21 +125,21 @@ def test_negated_x_displacement_mirrors_the_matrix(x_de, y_de, w0, kind):
     expected = h[np.ix_(_mirror_index(rx), _mirror_index(TX))]
     # the mirrored pair sums its angular nodes in another order; an entry
     # below abs_tol converges through abs_tol, so only that much is promised
-    abs_tol = QuadratureSpec().abs_tol
+    abs_tol = quadrature._ABS_TOL
     large = expected >= abs_tol
     assert np.allclose(mirrored[large], expected[large], rtol=1e-12, atol=0.0)
     assert np.all(np.abs(mirrored[~large] - expected[~large]) <= abs_tol)
 
 
-def test_error_names_first_failing_entry_after_a_converged_one():
+def test_error_names_first_failing_entry_after_a_converged_one(starve_quadrature):
     beam = BeamParams(850e-9, 100e-6)
     rx = build_layout(LayoutKind.SQUARE, k=5)
     state = MisalignmentState(x_de=24e-3)
-    starved = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-14, max_subdivisions=1)
+    starve_quadrature(rel_tol=1e-15, abs_tol=1e-14)
     # entry (0, 0) is far off the beam and converges through abs_tol
-    assert gain_gmm(beam, L, PD, MisalignmentState(x_de=24e-3, y_de=-24e-3), starved) < 1e-14
+    assert gain_gmm(beam, L, PD, MisalignmentState(x_de=24e-3, y_de=-24e-3)) < 1e-14
     with pytest.raises(DiskQuadratureError) as excinfo:
-        mimo_matrix(beam, L, TX, rx, state, spec=starved)
+        mimo_matrix(beam, L, TX, rx, state)
     assert str(excinfo.value) == (
         "disk quadrature did not converge [entry (1, 0)]: "
         "estimate 0.0001977008146111217, error bound 4.916795323748474e-13"
@@ -228,19 +228,19 @@ def test_empty_batch_gives_an_empty_array():
     assert isinstance(gains, np.ndarray) and gains.shape == (0,)
 
 
-def test_batch_error_names_the_lowest_failing_state():
+def test_batch_error_names_the_lowest_failing_state(starve_quadrature):
     beam = BeamParams(850e-9, 100e-6)
-    starved = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-14, max_subdivisions=1)
+    starve_quadrature(rel_tol=1e-15, abs_tol=1e-14)
     far = MisalignmentState(x_de=24e-3, y_de=-24e-3)  # converges through abs_tol
     failing = [MisalignmentState(x_de=12e-3), MisalignmentState(x_de=9e-3)]
     with pytest.raises(DiskQuadratureError) as lone:
-        gain_gmm(beam, L, PD, failing[0], starved)
+        gain_gmm(beam, L, PD, failing[0])
     assert lone.value.context == ""
     with pytest.raises(DiskQuadratureError):
-        gain_gmm(beam, L, PD, failing[1], starved)
+        gain_gmm(beam, L, PD, failing[1])
     # the facing-away state 0 is never integrated, yet keeps its number
     with pytest.raises(DiskQuadratureError) as batch:
-        gain_gmm(beam, L, PD, [FACING_AWAY, far, *failing], starved)
+        gain_gmm(beam, L, PD, [FACING_AWAY, far, *failing])
     assert batch.value.context == "state 2"
     assert str(batch.value) == str(lone.value).replace("converge:", "converge [state 2]:")
 
@@ -250,9 +250,9 @@ def test_lone_gain_runs_through_integrate_disk_and_the_point_kernel(monkeypatch)
     # point-kernel calls through these module bindings
     seen = {"integrals": [], "kernel_points": 0}
 
-    def integrate_spy(f, radius, spec=None):
+    def integrate_spy(f, radius):
         seen["integrals"].append(f.__name__)
-        return quadrature.integrate_disk(f, radius, spec)
+        return quadrature.integrate_disk(f, radius)
 
     def kernel_spy(x, y, *link):
         seen["kernel_points"] += x.size
@@ -329,14 +329,14 @@ def test_non_positive_distance_warns_on_a_cache_hit():
     assert channel._pair_keys.cache_info().hits == 1
 
 
-def test_quadrature_failure_names_the_entry_on_a_cache_hit():
+def test_quadrature_failure_names_the_entry_on_a_cache_hit(starve_quadrature):
     beam = BeamParams(850e-9, 100e-6)
     rx = build_layout(LayoutKind.SQUARE, k=5)
     state = MisalignmentState(x_de=24e-3)
-    starved = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-14, max_subdivisions=1)
     channel._pair_keys.cache_clear()
     mimo_matrix(beam, L, TX, rx, state)  # converges and fills the cache
+    starve_quadrature(rel_tol=1e-15, abs_tol=1e-14)
     with pytest.raises(DiskQuadratureError) as excinfo:
-        mimo_matrix(beam, L, TX, rx, state, spec=starved)
+        mimo_matrix(beam, L, TX, rx, state)
     assert channel._pair_keys.cache_info().hits == 1
     assert excinfo.value.context == "entry (1, 0)"

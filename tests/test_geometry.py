@@ -8,13 +8,13 @@ from vcselink.channel import PdGeometry, gain_gmm
 from vcselink.geometry import (
     MisalignmentState,
     _link_constants,
+    _rotate_rx,
     alignment_cosine,
     array_element_xy,
     gmm_point_frame,
     rotation_matrix,
     rx_element_pose,
     rx_normal,
-    rx_point_to_ref,
     tx_element_pose,
     tx_normal,
 )
@@ -53,6 +53,12 @@ def test_rotation_orthogonality(axis):
 def test_rotation_rejects_unknown_axis():
     with pytest.raises(ValueError):
         rotation_matrix("z", 0.1)
+
+
+def rx_point_to_ref(x, y, psi_a, psi_e):
+    """A receiver-plane point (x, y) in the reference frame, as the point
+    kernel projects it."""
+    return _rotate_rx(x, y, math.cos(psi_a), math.sin(psi_a), math.cos(psi_e), math.sin(psi_e))
 
 
 def test_rx_point_to_ref_identity():

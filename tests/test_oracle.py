@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from vcselink import oracle, presets
 from vcselink.beam import BeamParams
 from vcselink.channel import PdGeometry, gain_aligned, gain_gmm
-from vcselink.geometry import MisalignmentState, rotation_matrix, rx_normal, tx_normal
+from vcselink.geometry import (
+    MisalignmentState,
+    alignment_cosine,
+    rotation_matrix,
+    rx_normal,
+    tx_normal,
+)
 from vcselink.oracle import RayBundleSpec, _transverse_basis, ray_gain_mc
 
 L = 2.0
@@ -141,10 +147,10 @@ def test_agrees_hundreds_of_rayleigh_ranges_from_the_waist():
 def reference_ray_gain_mc(beam, L, pd, state, spec):
     """The sampler as one whole-array pass: every ray at once, 8 Newton
     steps for all of them, (N, 3) points rotated into the receiver frame."""
+    if alignment_cosine(state) <= 0.0:
+        return 0.0, 0.0
     n_t = tx_normal(state.phi_a, state.phi_e)
     n_r = rx_normal(state.psi_a, state.psi_e)
-    if float(n_t @ n_r) <= 0.0:
-        return 0.0, 0.0
     waist = np.array([state.x_de, state.y_de, L])
     direction = -n_t
     e1, e2 = _transverse_basis(n_t)
@@ -215,6 +221,18 @@ def test_facing_away_equals_whole_array_pass(beam):
     expected = reference_ray_gain_mc(beam, L, PD, state, spec)
     assert expected == (0.0, 0.0)
     assert ray_gain_mc(beam, L, PD, state, spec) == expected
+
+
+def test_facing_away_rule_is_the_exact_gains():
+    # on the 90 deg boundary the product of the two normals and the
+    # alignment cosine round to opposite signs in many states; the sampler
+    # must skip exactly the links that the quadrature skips
+    rng = np.random.default_rng(4)
+    phi_a = [-0.5521693638968994, *rng.uniform(-1.4, -0.1, 2000)]
+    psi_a = [1.0186269628979971, *(a + math.pi / 2 for a in phi_a[1:])]
+    for a, b in zip(phi_a, psi_a):
+        state = MisalignmentState(phi_a=a, psi_a=b)
+        assert (oracle._frame(state, L) is None) == (alignment_cosine(state) <= 0.0), state
 
 
 @settings(max_examples=20)

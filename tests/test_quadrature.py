@@ -6,7 +6,6 @@ import pytest
 from vcselink import quadrature
 from vcselink.quadrature import (
     DiskQuadratureError,
-    QuadratureSpec,
     integrate_disk,
     integrate_disk_mc,
 )
@@ -39,13 +38,12 @@ def test_odd_integrand_vanishes():
 
 
 def test_linearity():
-    spec = QuadratureSpec()
     f = gaussian_capture(2.0)
     g = lambda x, y: np.cos(3.0 * x) * np.exp(-y * y)  # noqa: E731
     alpha, beta = 2.5, -1.25
-    combo = integrate_disk(lambda x, y: alpha * f(x, y) + beta * g(x, y), 1.0, spec)
-    separate = alpha * integrate_disk(f, 1.0, spec) + beta * integrate_disk(g, 1.0, spec)
-    assert combo == pytest.approx(separate, rel=10 * spec.rel_tol)
+    combo = integrate_disk(lambda x, y: alpha * f(x, y) + beta * g(x, y), 1.0)
+    separate = alpha * integrate_disk(f, 1.0) + beta * integrate_disk(g, 1.0)
+    assert combo == pytest.approx(separate, rel=10 * quadrature._REL_TOL)
 
 
 def test_scaling():
@@ -60,11 +58,11 @@ def test_determinism_bit_identical():
     assert integrate_disk(f, 3e-3) == integrate_disk(f, 3e-3)
 
 
-def test_convergence_failure_carries_estimate():
-    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
+def test_convergence_failure_carries_estimate(starve_quadrature):
+    starve_quadrature(rel_tol=1e-13, abs_tol=0.0)
     sharp = lambda x, y: np.exp(-1e4 * (x * x + y * y))  # noqa: E731
     with pytest.raises(DiskQuadratureError) as excinfo:
-        integrate_disk(sharp, 1.0, spec)
+        integrate_disk(sharp, 1.0)
     # the carried value is the best (still unconverged) estimate
     assert excinfo.value.estimate == pytest.approx(math.pi / 1e4, rel=0.5)
     assert excinfo.value.error_bound > 0
@@ -80,7 +78,7 @@ def test_batch_matches_lone_integrals_whatever_the_chunk(monkeypatch):
         sizes.append(np.broadcast(k, x).size)
         return np.exp(-sharpness[k] * (x * x + y * y))
 
-    args = (1.0, len(sharpness), QuadratureSpec(), lambda k: f"peak {k}")
+    args = (1.0, len(sharpness), lambda k: f"peak {k}")
     chunked = quadrature._integrate_disks(peaks, *args)
     assert max(sizes) == quadrature._CHUNK_POINTS
     assert sum(sizes) > 4 * quadrature._CHUNK_POINTS
@@ -92,42 +90,14 @@ def test_batch_matches_lone_integrals_whatever_the_chunk(monkeypatch):
         assert lone == pytest.approx(math.pi / a * (1.0 - math.exp(-a)), rel=1e-9)
 
 
-def test_batch_failure_names_the_lowest_unconverged_integral():
-    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=1)
+def test_batch_failure_names_the_lowest_unconverged_integral(starve_quadrature):
+    starve_quadrature(rel_tol=1e-13, abs_tol=0.0)
     sharpness = np.array([1.0, 1e4, 2e4])
     with pytest.raises(DiskQuadratureError, match=r"\[peak 1\]"):
         quadrature._integrate_disks(
             lambda x, y, k: np.exp(-sharpness[k] * (x * x + y * y)),
-            1.0, len(sharpness), spec, lambda k: f"peak {k}",
+            1.0, len(sharpness), lambda k: f"peak {k}",
         )
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
-    assert QuadratureSpec(abs_tol=0.0).abs_tol == 0.0
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"rel_tol": math.nan},
-        {"rel_tol": math.inf},
-        {"abs_tol": math.nan},
-        {"abs_tol": math.inf},
-        {"max_subdivisions": 2.5},
-        {"max_subdivisions": True},
-    ],
-)
-def test_spec_rejects_non_finite_and_non_integer_values(kwargs):
-    # a NaN tolerance used to fail every convergence test (exit 3) and an
-    # infinite one to accept any error; the field is named either way
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
-        QuadratureSpec(**kwargs)
 
 
 def test_bad_radius():
