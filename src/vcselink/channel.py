@@ -243,7 +243,7 @@ def gain_approx_displacement(beam: BeamParams, L: float, pd: PdGeometry, x_off, 
     """
     _check_link_distance(L)
     c = _erf_scale(beam.waist_radius**2, beam.rayleigh_range, L)
-    a = _SQRT_PI * pd.radius
+    a = pd.equivalent_square_side
     x_off, y_off = np.asarray(x_off, dtype=float), np.asarray(y_off, dtype=float)
     out = 0.25 * _erf_sum(a, c, x_off) * _erf_sum(a, c, y_off)
     return float(out) if out.ndim == 0 else out
@@ -282,8 +282,8 @@ def gain_approx_tx_tilt(
     Accepts arrays for the positions and the angles and broadcasts.
     """
     _check_link_distance(L)
-    fx, fy = _tilt_factors(beam.waist_radius**2, beam.rayleigh_range, L, _SQRT_PI * pd.radius,
-                           x_i, y_i, x_j, y_j, phi_a, phi_e)
+    fx, fy = _tilt_factors(beam.waist_radius**2, beam.rayleigh_range, L,
+                           pd.equivalent_square_side, x_i, y_i, x_j, y_j, phi_a, phi_e)
     out = 0.25 * fx * fy
     return float(out) if out.ndim == 0 else out
 
@@ -327,7 +327,7 @@ def _closed_form_stack(
     bit. A warning about ignored state fields fires once per stack and
     names the frame ``stacklevel`` up."""
     _check_link_distance(L)
-    a = _SQRT_PI * rx.pd.radius
+    a = rx.pd.equivalent_square_side
     (rx_x, rx_y), (tx_x, tx_y) = rx.elements.T, tx.elements.T
     w0_sq = _per_point([beam.waist_radius**2 for beam in beams])
     z_r = _per_point([beam.rayleigh_range for beam in beams])
@@ -370,39 +370,33 @@ def _closed_form_stack(
 @lru_cache(maxsize=32)
 def _pair_keys(L: float, tx: ArrayLayout, rx: ArrayLayout, state: MisalignmentState):
     """Unique element pairs of the exact route for one geometry: the (K, 7)
-    link rows of the K pair keys, the flat index of each key's first entry,
-    the (N_r, N_t) key number of each entry (-1 for a non-positive
-    distance), all read-only, and the entries (i, j) with a non-positive
-    distance. Layouts hash by identity, so a ``beam.w0`` sweep column,
-    which keeps its layouts and state, collects its keys once."""
+    link rows of the K pair keys, each from its key's first row-major entry,
+    and the (N_r, N_t) key number of each entry, -1 for a non-positive
+    distance; both read-only. Layouts hash by identity, so a ``beam.w0``
+    sweep column, which keeps its layouts and state, collects its keys once."""
     tx_pos = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)
     rx_pos = rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)
     offsets = tx_pos[None, :, :] - rx_pos[:, None, :]  # (dx, dy, pair distance)
     keys: dict = {}  # pair key -> its number
-    firsts = []  # flat index of the first entry of each key
     links = []  # link row of each key, from its first entry
     slot = []  # key number of each entry; -1 for a non-positive distance
-    bad = []  # entries (i, j) with a non-positive distance
     axial = state.is_axial
     angles = (state.phi_a, state.phi_e, state.psi_a, state.psi_e)
-    for i, row in enumerate(offsets.tolist()):
-        for j, (dx, dy, l_pair) in enumerate(row):
+    for row in offsets.tolist():
+        for dx, dy, l_pair in row:
             if l_pair <= 0:
-                bad.append((i, j))
                 slot.append(-1)
                 continue
             # gains for rotation-free states depend only on the radial offset
             key = (l_pair, math.hypot(dx, dy)) if axial else (l_pair, dx, dy)
             number = keys.setdefault(key, len(keys))
-            if number == len(firsts):
-                firsts.append(len(slot))
+            if number == len(links):
                 links.append((l_pair, dx, dy, *angles))
             slot.append(number)
-    arrays = (np.array(links, dtype=float).reshape(-1, 7), np.array(firsts, dtype=int),
-              np.array(slot, dtype=int).reshape(rx.n_elements, tx.n_elements))
-    for array in arrays:
-        array.flags.writeable = False
-    return (*arrays, tuple(bad))
+    links = np.array(links, dtype=float).reshape(-1, 7)
+    slot = np.array(slot, dtype=int).reshape(rx.n_elements, tx.n_elements)
+    links.flags.writeable = slot.flags.writeable = False
+    return links, slot
 
 
 def mimo_matrix(
@@ -433,14 +427,15 @@ def mimo_matrix(
         return _closed_form_stack([beam], L, tx, rx, [state], method, stacklevel=3)[0]
 
     # exact route: one batched quadrature over the unique element pairs
-    links, firsts, slot, bad = _pair_keys(L, tx, rx, state)
-    for i, j in bad:
+    links, slot = _pair_keys(L, tx, rx, state)
+    for i, j in np.argwhere(slot < 0).tolist():
         warnings.warn(
             f"non-positive pair distance for entry ({i}, {j}); gain set to 0",
             stacklevel=2,
         )
+    # a failing key is located at its first entry
     values = _exact_gains(beam, rx.pd, links,
-                          lambda k: f"entry {divmod(int(firsts[k]), tx.n_elements)}")
+                          lambda k: f"entry {divmod(int(np.argmax(slot == k)), tx.n_elements)}")
     found = slot >= 0
     gains = np.zeros(slot.shape)
     gains[found] = values[slot[found]]

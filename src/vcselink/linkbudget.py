@@ -103,22 +103,18 @@ def electrical_signal_power(p_t: float) -> float:
     return p_t * p_t / 9.0
 
 
-def _thermal_variance(temperature, load_resistance, bandwidth, noise_figure) -> float:
-    """Thermal noise variance 4kT/R_L * B * F (A^2) of one receiver branch."""
-    return 4.0 * BOLTZMANN * temperature / load_resistance * (bandwidth * noise_figure)
-
-
 def noise_variance(gains, params: LinkParams):
     """Total receiver-branch noise variance (A^2) of one detector, or of
     each detector of a stack of gain rows (last axis = transmitters).
 
-    Thermal + shot + RIN; shot and RIN terms depend on the total optical
-    power collected from all transmitters, i.e. on the detector's full gain
-    row. Returns a float for one row, else one variance per row.
+    Thermal 4kT/R_L * B * F + shot + RIN; shot and RIN terms depend on the
+    total optical power collected from all transmitters, i.e. on the
+    detector's full gain row. Returns a float for one row, else one
+    variance per row.
     """
     photo = params.responsivity * np.atleast_1d(np.asarray(gains, dtype=float)) * params.p_t
-    thermal = _thermal_variance(params.temperature, params.load_resistance,
-                                params.bandwidth, params.noise_figure)
+    thermal = (4.0 * BOLTZMANN * params.temperature / params.load_resistance
+               * (params.bandwidth * params.noise_figure))
     shot = 2.0 * ELEMENTARY_CHARGE * photo.sum(axis=-1) * params.bandwidth
     rin = params.rin * (photo**2).sum(axis=-1) * params.bandwidth
     total = thermal + shot + rin

@@ -30,6 +30,7 @@ from .geometry import MisalignmentState
 from .linkbudget import LinkParams, _served_sinr, nmse
 from .oracle import RayBundleSpec, _ray_gains
 from .scenario import DEFAULT_CONFIG, ConfigError, build_scenario, resolve_config, sweep
+from .scenario import _output_dir
 
 __all__ = [
     "WAVELENGTH",
@@ -351,6 +352,4 @@ def run_preset(name: str, out_dir, seed: int = 0) -> list[Path]:
         raise ConfigError(
             "preset", f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return PRESETS[name](out, seed=seed)
+    return PRESETS[name](_output_dir(out_dir), seed=seed)

@@ -164,11 +164,10 @@ def _check_fields(cfg: dict) -> None:
     if n_fft < 64 or n_fft & (n_fft - 1):
         raise ConfigError("link.n_fft", f"must be a power of two >= 64, got {n_fft}")
     for side in ("tx_array", "rx_array"):
-        kind = _require_choice(cfg, f"{side}.kind", _ARRAY_KINDS)
-        k = cfg[side].get("k")
-        if kind == "square":
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise ConfigError(f"{side}.k", "square arrays need an integer k >= 1")
+        _require_choice(cfg, f"{side}.kind", _ARRAY_KINDS)
+        k = cfg[side]["k"]  # the config kinds ignore its value
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ConfigError(f"{side}.k", f"must be an integer >= 1, got {k!r}")
     method = _require_choice(cfg, "method", _METHODS)
     for field, value in cfg["misalignment"].items():
         _require_number(cfg, f"misalignment.{field}")
@@ -431,15 +430,13 @@ def _reports(matrices: np.ndarray, cells: list[Scenario], mode: Mode) -> list[Ra
 
 def _evaluate(configs: list[dict], points: list[dict]):
     """Evaluate each resolved configuration (column) at each point, a chunk
-    of points at a time, and yield ``(column, numbers, matrices, reports)``
-    per column and chunk: ``matrices`` is the chunk's (P, N_r, N_t) stack,
-    ``reports`` its P rate reports and ``numbers[p]`` the numbers of the
-    points equal to the chunk's p-th.
+    of points at a time, and yield ``(column, number, matrix, report)`` for
+    every column and point number.
 
-    Equal points are evaluated once, and columns that differ only in
-    ``mode`` share their matrices. A column's layouts, link parameters,
-    beam, state and distance are built once, and a point rebuilds only the
-    parts built from the sections it sets."""
+    Equal points are evaluated once and share their matrix and report, and
+    columns that differ only in ``mode`` share their matrices. A column's
+    layouts, link parameters, beam, state and distance are built once, and
+    a point rebuilds only the parts built from the sections it sets."""
     for field in {field for point in points for field in point}:
         if not all(_sweepable(cfg, field) for cfg in configs):
             raise ConfigError(field, "not a real-valued field of every configuration")
@@ -467,8 +464,10 @@ def _evaluate(configs: list[dict], points: list[dict]):
             ]
             matrices = _matrices(cells)
             for column in columns:
-                mode = Mode(configs[column]["mode"])
-                yield column, numbers[start:start + size], matrices, _reports(matrices, cells, mode)
+                reports = _reports(matrices, cells, Mode(configs[column]["mode"]))
+                for equal, matrix, report in zip(numbers[start:start + size], matrices, reports):
+                    for number in equal:
+                        yield column, number, matrix, report
 
 
 def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
@@ -478,10 +477,8 @@ def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
     differ only in ``mode`` share the point's channel matrix, and equal
     points share their reports."""
     rows = [[None] * len(configs) for _ in points]
-    for column, numbers, _, reports in _evaluate(configs, points):
-        for equal, report in zip(numbers, reports):
-            for number in equal:
-                rows[number][column] = report
+    for column, number, _, report in _evaluate(configs, points):
+        rows[number][column] = report
     return rows
 
 
@@ -490,6 +487,17 @@ def _sweep_row(value: float, report: RateReport) -> tuple[float, float, float, f
     lo = 10 * math.log10(finite.min()) if finite.size else float("-inf")
     hi = 10 * math.log10(finite.max()) if finite.size else float("-inf")
     return value, report.aggregate, lo, hi
+
+
+def _output_dir(out_dir) -> Path:
+    """``out_dir`` as a directory, made with its parents; one that cannot
+    be made (say, an existing file) is a ConfigError naming ``--out``."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot make directory {out}: {exc.strerror}") from None
+    return out
 
 
 def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
@@ -501,8 +509,7 @@ def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
     parameter order. ``seed`` is only recorded in meta.json.
     """
     cfg = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     # the base configuration is point 0, so a sweep value equal to it
     # shares its matrix
     points = [{}]
@@ -512,12 +519,10 @@ def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
         points = [{parameter: _get_path(cfg, parameter)},
                   *({parameter: float(v)} for v in values)]
     reports = [None] * len(points)
-    for _, numbers, matrices, chunk in _evaluate([cfg], points):
-        for equal, matrix, report in zip(numbers, matrices, chunk):
-            if 0 in equal:
-                base = matrix
-            for number in equal:
-                reports[number] = report
+    for _, number, matrix, report in _evaluate([cfg], points):
+        if number == 0:
+            base = matrix
+        reports[number] = report
 
     gains_path = out / "gains.csv"
     rates_path = out / "rates.csv"

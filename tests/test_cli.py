@@ -153,6 +153,12 @@ class TestConfigValidation:
             ({"method": "aligned-closed-form",
               "sweep": {"parameter": "misalignment.x_de", "start": 0, "stop": 1e-3,
                         "steps": 3}}, "misalignment.x_de"),
+            # the config kinds ignore k, but it must still be an integer >= 1
+            ({"rx_array": {"kind": "config-i", "k": "junk"}}, "rx_array.k"),
+            ({"tx_array": {"kind": "config-ii", "k": 1e308}}, "tx_array.k"),
+            ({"rx_array": {"kind": "config-iii", "k": -3}}, "rx_array.k"),
+            ({"rx_array": {"kind": "config-iii", "k": None}}, "rx_array.k"),
+            ({"tx_array": {"kind": "square", "k": 0}}, "tx_array.k"),
         ],
     )
     def test_out_of_domain_values_rejected_before_output(self, tmp_path, capsys, overrides,
@@ -316,6 +322,19 @@ class TestCliEntry:
         bad.write_text(json.dumps({"beam": {"wavelength": 850e-9}}))
         assert main(["simulate", str(bad), "--out", str(tmp_path / "out2")]) == 2
         assert "beam.w0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate", "c.json"], ["preset", "nmse-table"]])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                    command, out):
+        # an existing file, or a path under one; a permission error takes the
+        # same path but cannot be provoked when the tests run as root
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "c.json")
+        (tmp_path / "taken").write_text("a file\n")
+        assert main([*command, "--out", out]) == 2
+        assert "config field '--out': cannot make directory" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "a file\n"
 
     def test_unknown_preset_lists_available(self, tmp_path, capsys):
         assert main(["preset", "nope", "--out", str(tmp_path)]) == 2

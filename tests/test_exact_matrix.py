@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vcselink import channel, geometry, quadrature
@@ -294,8 +294,8 @@ def test_warm_pair_keys_give_the_cold_matrix_across_beams(rx, state):
     assert (info.misses, info.hits) == (1, len(beams) - 1)
     for w, c in zip(warm, cold):
         assert np.array_equal(w, c) and np.array_equal(np.signbit(w), np.signbit(c))
-    links, firsts, slot, _ = channel._pair_keys(L, TX, rx, state)
-    assert not (links.flags.writeable or firsts.flags.writeable or slot.flags.writeable)
+    links, slot = channel._pair_keys(L, TX, rx, state)
+    assert not (links.flags.writeable or slot.flags.writeable)
 
 
 def test_signed_zero_states_share_their_pair_keys():
@@ -327,6 +327,45 @@ def test_non_positive_distance_warns_on_a_cache_hit():
         assert all(w.filename == __file__ for w in caught)
         assert not h[1].any() and np.all(h[[0, 2]] > 0.0)
     assert channel._pair_keys.cache_info().hits == 1
+
+
+_XY = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))  # metres
+
+
+@settings(max_examples=50)
+@given(
+    tx_xy=st.lists(_XY, min_size=1, max_size=3),
+    rx_xy=st.lists(_XY, min_size=1, max_size=4),
+    psi_a=st.floats(-80.0, 80.0),
+    psi_e=st.floats(-80.0, 80.0),
+)
+@example(tx_xy=[(0.0, 0.0), (1e-3, 0.0)], rx_xy=[(0.0, 0.0), (3.0, 0.0), (1e-3, 0.0)],
+         psi_a=60.0, psi_e=0.0)
+def test_pair_table_zeroes_and_warns_for_exactly_the_non_positive_distances(
+        tx_xy, rx_xy, psi_a, psi_e):
+    # a 1 m waist lights every detector within metres of the axis, so every
+    # pair in front of the waist gains > 0
+    beam = BeamParams(850e-9, 1.0)
+    state = MisalignmentState(psi_a=rad(psi_a), psi_e=rad(psi_e))
+    tx = ArrayLayout(LayoutKind.SQUARE, np.array(tx_xy), None, 12e-3, 12e-3)
+    rx = ArrayLayout(LayoutKind.SQUARE, np.array(rx_xy), PD, 12e-3, 12e-3)
+    tx_z = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)[:, 2]
+    rx_z = rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)[:, 2]
+    distance = tx_z[None, :] - rx_z[:, None]
+    # a detector that straddles the waist plane can fail the quadrature (exit 3)
+    assume(not ((distance > 0.0) & (distance <= PD.radius)).any())
+    expected = [
+        f"non-positive pair distance for entry ({i}, {j}); gain set to 0"
+        for i in range(len(rx_xy)) for j in range(len(tx_xy)) if distance[i, j] <= 0.0
+    ]
+    hits = channel._pair_keys.cache_info().hits
+    for call in range(2):  # the second call reads the cached pair table
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = mimo_matrix(beam, L, tx, rx, state)
+        assert [str(w.message) for w in caught] == expected
+        assert np.all(h[distance <= 0.0] == 0.0) and np.all(h[distance > 0.0] > 0.0)
+    assert channel._pair_keys.cache_info().hits == hits + 1
 
 
 def test_quadrature_failure_names_the_entry_on_a_cache_hit(starve_quadrature):
