@@ -81,8 +81,8 @@ def beam_radius(z, beam: BeamParams):
 def curvature_radius(z: float, beam: BeamParams) -> float:
     """Wavefront radius of curvature R(z) = z*(1+(zR/z)^2); z = 0 is rejected
     because the waist wavefront is planar (infinite radius)."""
-    if z <= 0:
-        raise ValueError("curvature_radius requires z > 0")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"z must be finite and > 0, got {z!r}")
     ratio = beam.rayleigh_range / z
     return z * (1.0 + ratio * ratio)
 
@@ -95,8 +95,9 @@ def divergence_half_angle(beam: BeamParams) -> float:
 def waist_for_spot(spot: float, z: float, wavelength: float) -> float:
     """Waist radius of the diverging branch whose spot equals ``spot`` at
     distance ``z``: the smaller root of w(z) = spot in w0."""
-    if spot <= 0 or z <= 0 or wavelength <= 0:
-        raise ValueError("spot, z and wavelength must be > 0")
+    for name, value in (("spot", spot), ("z", z), ("wavelength", wavelength)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     c = wavelength * z / math.pi
     disc = spot**4 - 4.0 * c * c
     if disc < 0:

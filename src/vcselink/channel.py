@@ -17,7 +17,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .beam import BeamParams, spot_radius_sq
 from .geometry import (
@@ -260,7 +259,51 @@ def _erf_sum(a, c, off):
     """One axis factor of the erf-product closed forms: erf((a + 2 off)/c) +
     erf((a - 2 off)/c) for a square of side ``a``, erf scale ``c`` and spot
     offset ``off``; every argument broadcasts. A gain is 0.25 fx fy."""
-    return erf((a + 2.0 * off) / c) + erf((a - 2.0 * off) / c)
+    return _erf((a + 2.0 * off) / c) + _erf((a - 2.0 * off) / c)
+
+
+# Cephes ndtr.c tables: erf = x T(x^2)/U(x^2) on |x| <= 1 and erfc =
+# exp(-x^2) P(x)/Q(x) above; U and Q carry Cephes' implied leading 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(x, coefs):
+    """Cephes ``polevl``: the polynomial with coefficients ``coefs``, highest
+    power first, in Horner order."""
+    out = coefs[0]
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _erf(x) -> np.ndarray:
+    """The Cephes ``ndtr.c`` erf, bit for bit, since a near-equal erf moves
+    rounding-level SVD modes (README). Cephes computes erf(-x) as -erf(x)
+    and erf(x) as 1 - erfc(x) for x > 1, in this order of operations.
+    exp(-x^2) comes from libm through ``math.exp``, because ``np.exp`` can
+    differ by an ulp. For x >= 6 erfc(x) < 2.2e-17 < 2**-54, so 1 - erfc(x)
+    rounds to 1 and Cephes' large-x and underflow branches are not needed.
+    NaN stays NaN and zeros keep their sign."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.where(ax >= 6.0, 1.0, ax)
+    small = ax <= 1.0
+    s = ax[small]
+    out[small] = s * _horner(s * s, _ERF_T) / _horner(s * s, _ERF_U)
+    mid = (ax > 1.0) & (ax < 6.0)
+    m = ax[mid]
+    e = np.fromiter(map(math.exp, (-(m * m)).tolist()), float, m.size)
+    out[mid] = 1.0 - e * _horner(m, _ERFC_P) / _horner(m, _ERFC_Q)
+    return np.copysign(out, x)
 
 
 def gain_approx_tx_tilt(

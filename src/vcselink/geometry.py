@@ -170,10 +170,10 @@ def array_element_xy(i, k: int, d_pd: float):
     """Center (x, y) of element ``i`` (1-based, row-major from the top-left)
     of a k-by-k lattice with pitch d_pd, centered at the origin. ``i`` may be
     an integer array of indices; x and y are then arrays of its shape."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if d_pd <= 0:
-        raise ValueError("d_pd must be > 0")
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if not 0.0 < d_pd < math.inf:
+        raise ValueError(f"d_pd must be finite and > 0, got {d_pd!r}")
     if np.min(i) < 1 or np.max(i) > k * k:
         raise ValueError(f"element index {i} outside 1..{k * k}")
     m = -(-i // k)  # ceil(i / k) in integers

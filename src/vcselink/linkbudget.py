@@ -98,8 +98,8 @@ def electrical_signal_power(p_t: float) -> float:
     standard deviations of the OFDM envelope, which keeps 99.7% of the
     waveform unclipped.
     """
-    if p_t <= 0:
-        raise ValueError("p_t must be > 0")
+    if not 0.0 < p_t < math.inf:
+        raise ValueError(f"p_t must be finite and > 0, got {p_t!r}")
     return p_t * p_t / 9.0
 
 
@@ -257,8 +257,10 @@ def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str,
 def eye_safe_power_limit(mpe: float, pupil_diameter: float, eta: float = 1.0) -> float:
     """Maximum safe source power: MPE times the pupil area over the power
     fraction ``eta`` entering the pupil at the most hazardous position."""
-    if mpe < 0 or pupil_diameter <= 0:
-        raise ValueError("need mpe >= 0 and pupil_diameter > 0")
+    if not 0.0 <= mpe < math.inf:
+        raise ValueError(f"mpe must be finite and >= 0, got {mpe!r}")
+    if not 0.0 < pupil_diameter < math.inf:
+        raise ValueError(f"pupil_diameter must be finite and > 0, got {pupil_diameter!r}")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
     return mpe * math.pi * pupil_diameter**2 / 4.0 / eta

@@ -83,6 +83,12 @@ _INTEGER_FIELDS = {"link.n_fft", "tx_array.k", "rx_array.k"}
 # budget are evaluated as one stack, so this bounds their scratch memory
 _CHUNK_ENTRIES = 1 << 15
 
+# gain entries N_r * N_t of one matrix: 8 MiB of float64, 500 times the
+# largest matrix of any preset (81 x 25); it also keeps the noise check's
+# row of (2 cells - 1)^2 gains below 4.2e6 entries (cells <= 1024)
+_MAX_MATRIX_ENTRIES = 1 << 20
+_CONFIG_ELEMENTS = {"config-i": 25, "config-ii": 41, "config-iii": 81}  # see build_layout
+
 _ARRAY_KINDS = {k.value for k in LayoutKind}
 _METHODS = {m.value for m in GainMethod}
 _MODES = {m.value for m in Mode}
@@ -168,6 +174,12 @@ def _check_fields(cfg: dict) -> None:
         k = cfg[side]["k"]  # the config kinds ignore its value
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ConfigError(f"{side}.k", f"must be an integer >= 1, got {k!r}")
+    sizes = {f"{side}.k": _CONFIG_ELEMENTS.get(cfg[side]["kind"], cfg[side]["k"] ** 2)
+             for side in ("tx_array", "rx_array")}
+    if math.prod(sizes.values()) > _MAX_MATRIX_ENTRIES:
+        field = max(sizes, key=sizes.get)  # the square array: a config kind has <= 81
+        raise ConfigError(field, f"a {sizes['rx_array.k']} x {sizes['tx_array.k']} gain matrix "
+                          f"exceeds the budget of {_MAX_MATRIX_ENTRIES} entries (8 MiB)")
     method = _require_choice(cfg, "method", _METHODS)
     for field, value in cfg["misalignment"].items():
         _require_number(cfg, f"misalignment.{field}")

@@ -20,7 +20,7 @@ from vcselink.channel import (
     mimo_matrix,
     write_gains_csv,
 )
-from vcselink.channel import _closed_form_stack, _write_csv
+from vcselink.channel import _closed_form_stack, _erf, _write_csv
 from vcselink.geometry import MisalignmentState
 from vcselink.linkbudget import _served_sinr, nmse
 from vcselink.presets import reference_config, sinr_map
@@ -410,6 +410,35 @@ def test_single_link_closed_forms_match_the_elementwise_reference(w0, distance, 
                       _ref_displacement(beam, distance, PD, xs, ys))
     assert _same_bits(gain_approx_tx_tilt(beam, distance, PD, xs, y, 0.0, ys, angles, phi_e),
                       _ref_tx_tilt(beam, distance, PD, xs, y, 0.0, ys, angles, phi_e))
+
+
+def _erf_matches_scipy(x):
+    """``_erf`` equals ``scipy.special.erf`` bit for bit, signed zeros
+    included; a NaN only has to be a NaN."""
+    got, want = _erf(x), scipy_erf(x)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and _same_bits(got[~nan], want[~nan])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_erf_is_scipys_bit_for_bit(values):
+    assert _erf_matches_scipy(np.array(values))
+
+
+@pytest.mark.parametrize("lo, hi, n", [(-1.0, 1.0, 10**6), (-8.0, 8.0, 2 * 10**6),
+                                       (-30.0, 30.0, 3 * 10**5), (5.5, 6.5, 10**6)])
+def test_erf_is_scipys_bit_for_bit_across_its_branches(lo, hi, n):
+    # |x| <= 1 is the T/U ratio, 1 < |x| < 6 the P/Q erfc, |x| >= 6 exactly 1
+    assert _erf_matches_scipy(np.random.default_rng(n).uniform(lo, hi, n))
+
+
+def test_erf_is_scipys_bit_for_bit_at_its_edges():
+    edges = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), np.nextafter(6.0, 0.0),
+             6.0, 8.0, 27.0, 40.0, math.inf, math.nan, 1e-300, 5e-324, 1.7976931348623157e308]
+    x = np.array(edges + [-v for v in edges])
+    assert _erf_matches_scipy(x)
+    assert type(_erf(0.5)) is np.float64 and _erf(np.zeros((2, 3))).shape == (2, 3)
 
 
 @pytest.mark.parametrize("w0, grid_step", [(50e-6, 1e-3), (100e-6, 1e-3), (73e-6, 2.5e-3)])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vcselink
 from vcselink.cli import main
 from vcselink.presets import (
     nmse_table_rows,
@@ -10,7 +15,24 @@ from vcselink.presets import (
     preset_sinr_map,
     run_preset,
 )
-from vcselink.scenario import ConfigError, build_scenario, load_config, run_scenario
+from vcselink.scenario import (
+    ConfigError,
+    build_scenario,
+    load_config,
+    resolve_config,
+    run_scenario,
+)
+
+
+def run_cli_process(argv, preamble=""):
+    """Run the CLI with ``argv`` in a fresh interpreter under ``-W error``,
+    after the statements of ``preamble``; returns the completed process."""
+    src = str(Path(vcselink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = f"import sys\n{preamble}\nfrom vcselink.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-W", "error", "-c", script, *argv],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=120)
 
 
 def write_config(path, overrides=None):
@@ -335,6 +357,52 @@ class TestCliEntry:
         assert main([*command, "--out", out]) == 2
         assert "config field '--out': cannot make directory" in capsys.readouterr().err
         assert (tmp_path / "taken").read_text() == "a file\n"
+
+    def test_a_matrix_beyond_the_entry_budget_exits_2_before_allocating(self, tmp_path):
+        # under an address-space limit, so that a check that comes too late
+        # fails with a MemoryError (exit 1) instead of taking the machine
+        square = {"kind": "square", "k": 10**7}
+        path = write_config(tmp_path / "c.json", {"tx_array": square, "rx_array": square})
+        limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+        run = run_cli_process(["simulate", str(path), "--out", str(tmp_path / "out")], limit)
+        assert run.returncode == 2, run.stderr
+        assert "config field 'tx_array.k'" in run.stderr and "1048576 entries" in run.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tx, rx, field", [
+        ({"kind": "square", "k": 33}, {"kind": "square", "k": 32}, "tx_array.k"),
+        ({"kind": "config-iii"}, {"kind": "square", "k": 114}, "rx_array.k"),
+        ({"kind": "square", "k": 1025}, {"kind": "square", "k": 1}, "tx_array.k"),
+    ])
+    def test_the_larger_square_array_is_blamed_beyond_the_budget(self, tx, rx, field):
+        with pytest.raises(ConfigError) as excinfo:
+            resolve_config({"beam": {"w0": 100e-6}, "tx_array": tx, "rx_array": rx})
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("tx, rx", [
+        ({"kind": "square", "k": 32}, {"kind": "square", "k": 32}),  # 1024 x 1024
+        ({"kind": "config-iii"}, {"kind": "square", "k": 113}),  # 12769 x 81
+        ({"kind": "square", "k": 1024}, {"kind": "square", "k": 1}),
+    ])
+    def test_the_largest_arrays_inside_the_budget_resolve(self, tx, rx):
+        cfg = resolve_config({"beam": {"w0": 100e-6}, "tx_array": tx, "rx_array": rx})
+        assert cfg["tx_array"]["kind"] == tx["kind"]
+
+    def test_simulate_runs_without_scipy(self, tmp_path):
+        # numpy is the one runtime dependency: a fresh interpreter that cannot
+        # import scipy writes the bytes of this process's closed-form SVD sweep
+        path = write_config(tmp_path / "c.json", {
+            "rx_array": {"kind": "config-iii"}, "method": "approx-displacement",
+            "mode": "svd", "sweep": {"parameter": "misalignment.x_de", "start": 0.0,
+                                     "stop": 20e-3, "steps": 41}})
+        here = run_scenario(path, tmp_path / "here")
+        run = run_cli_process(["simulate", str(path), "--out", str(tmp_path / "there")],
+                              "sys.modules['scipy'] = None")
+        assert run.returncode == 0, run.stderr
+        assert sorted(p.name for p in (tmp_path / "there").iterdir()) == sorted(
+            p.name for p in here)
+        for p in here:
+            assert (tmp_path / "there" / p.name).read_bytes() == p.read_bytes()
 
     def test_unknown_preset_lists_available(self, tmp_path, capsys):
         assert main(["preset", "nope", "--out", str(tmp_path)]) == 2

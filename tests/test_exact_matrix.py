@@ -99,6 +99,34 @@ def test_random_states_conserve_power(x_de, y_de, phi_a, phi_e, psi_a, psi_e, w0
     assert np.array_equal(h, mimo_matrix(beam, L, TX, CONFIG_I, state))
 
 
+# (gain - 1) over the bound (theta0 tan theta)^2/4 reached at most 1.0184,
+# at w0 = 20 um, a lone 85 deg tilt and L = 1.5 r_pd sin(85 deg), in 7900
+# random draws and a grid over this domain; an excess below 1e-12 is the
+# rounding of a gain of 1 near alignment
+_EXCESS_MARGIN = 0.03
+
+
+@settings(max_examples=40)
+@example(psi_a=85.0, psi_e=0.0, w0=20e-6, distance=1e-3)
+@given(
+    psi_a=st.floats(-85.0, 85.0),
+    psi_e=st.floats(-85.0, 85.0),
+    w0=st.floats(20e-6, 200e-6),
+    distance=st.floats(1e-3, 3.0),
+)
+def test_a_tilted_receiver_gains_at_most_the_cosine_weighted_excess(psi_a, psi_e, w0, distance):
+    """The GMM weights the paraxial intensity by the alignment cosine, which
+    does not conserve power on a tilted disk: a fully captured spot gains
+    about 1 + (theta0 tan theta)^2/4 with theta0 = lambda/(pi w0) (README)."""
+    state = MisalignmentState(psi_a=rad(psi_a), psi_e=rad(psi_e))
+    theta = math.acos(alignment_cosine(state))
+    # a disk that reaches across the waist plane (L < r_pd sin theta) can exit 3
+    distance = max(distance, 1.5 * PD.radius * math.sin(theta))
+    gain = gain_gmm(BeamParams(850e-9, w0), distance, PD, state)
+    excess = (850e-9 / (math.pi * w0) * math.tan(theta)) ** 2 / 4.0
+    assert 0.0 <= gain <= 1.0 + excess * (1.0 + _EXCESS_MARGIN) + 1e-12
+
+
 def _mirror_index(layout):
     """Index of the element at (-x, y) for every element of ``layout``."""
     pts = layout.elements

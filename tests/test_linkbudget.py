@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vcselink.beam import BeamParams
+from vcselink.beam import BeamParams, curvature_radius, waist_for_spot
 from vcselink.channel import (
     LayoutKind,
     build_layout,
@@ -16,7 +16,7 @@ from vcselink.channel import (
     mimo_matrix,
     write_gains_csv,
 )
-from vcselink.geometry import MisalignmentState
+from vcselink.geometry import MisalignmentState, array_element_xy
 from vcselink.linkbudget import (
     LinkParams,
     Mode,
@@ -289,6 +289,34 @@ class TestEyeSafety:
 
     def test_zero_mpe(self):
         assert eye_safe_power_limit(0.0, 7e-3, 1.0) == 0.0
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("helper, args, name", [
+    (electrical_signal_power, (_NAN,), "p_t"),
+    (electrical_signal_power, (_INF,), "p_t"),
+    (waist_for_spot, (_NAN, 2.0, 850e-9), "spot"),
+    (waist_for_spot, (_INF, 2.0, 850e-9), "spot"),
+    (waist_for_spot, (1e-3, 2.0, _NAN), "wavelength"),
+    (curvature_radius, (_NAN, BeamParams(850e-9, 100e-6)), "z"),
+    (curvature_radius, (_INF, BeamParams(850e-9, 100e-6)), "z"),
+    (eye_safe_power_limit, (_NAN, 7e-3), "mpe"),
+    (eye_safe_power_limit, (_INF, 7e-3), "mpe"),
+    (eye_safe_power_limit, (1.0, _INF), "pupil_diameter"),
+    (eye_safe_power_limit, (1.0, _NAN), "pupil_diameter"),
+    (array_element_xy, (1, 3, _NAN), "d_pd"),
+    (array_element_xy, (1, 3, _INF), "d_pd"),
+    (array_element_xy, (1, _NAN, 1.0), "k"),
+    (array_element_xy, (1, _INF, 1.0), "k"),
+    (array_element_xy, (6, 2.5, 1.0), "k"),  # (-0.75, -1.25): a point of no lattice
+])
+def test_public_helpers_reject_nan_infinities_and_fractional_k(helper, args, name):
+    # a check written as v <= 0 lets NaN through, and a NaN or infinite
+    # result would reach the caller as a number
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        helper(*args)
 
 
 class TestNmse:
