@@ -24,6 +24,18 @@ __all__ = ["main"]
 OUT_ENV_VAR = "VCSELINK_OUT"
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer >= 0."""
+    error = argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
+    if value < 0:
+        raise error
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcselink",
@@ -40,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (sim, pre):
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--threads", type=int, default=1, help="ignored; sweeps run serially")
-        cmd.add_argument("--seed", type=int, default=0, help="seed for sampling-based outputs")
+        cmd.add_argument("--seed", type=_seed, default=0, help="seed for sampling-based outputs")
     return parser
 
 

@@ -12,6 +12,16 @@ independently of the disk quadrature route.
 Rays are drawn, solved and scored in blocks. Several links can share one
 seed's draws (``_ray_gains``): each block is drawn once and scored for every
 link, and each link's estimate is the one ``ray_gain_mc`` gives it alone.
+
+Most rays cannot reach the detector. Before the Newton solve, a link drops
+every ray whose normalized offset nu lies outside a disk in nu-space
+(``_keep_disk``): a ray that scores meets the detector plane within the
+detector radius plus the residual tolerance of the detector centre, which
+bounds its axial distance, hence w, hence nu. The bound carries a relative
+margin of 1e-6 and an absolute one of 1e-12 times the waist's distance from
+the detector, which cover the rounding of the scored quantities, so the
+dropped rays are misses of the full solve as well, and the hit counts are
+those of solving every ray.
 """
 
 from __future__ import annotations
@@ -95,7 +105,11 @@ def _crossing(proj, base, slope, w0, zr):
 def _frame(state: MisalignmentState, L: float):
     """Projections that place a trajectory of ``state`` in the receiver
     frame, or None for a link facing away: an alignment cosine <= 0, the
-    links whose exact gain is 0 without integration."""
+    links whose exact gain is 0 without integration.
+
+    The first three rows project (waist, direction, e1, e2) onto the
+    receiver normal and the two in-plane axes; the last holds the waist's
+    coordinates along (direction, e1, e2)."""
     if alignment_cosine(state) <= 0.0:
         return None
     n_t = tx_normal(state.phi_a, state.phi_e)
@@ -108,33 +122,73 @@ def _frame(state: MisalignmentState, L: float):
     # receiver normal and the two in-plane axes (u, v) need only the
     # projections of these four vectors
     m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
-    return [
+    rows = [
         [float(x @ axis) for x in (waist, direction, e1, e2)]
         for axis in (n_r, m_r[:, 0], m_r[:, 1])
     ]
+    return [*rows, [float(waist @ axis) for axis in (direction, e1, e2)]]
+
+
+def _keep_disk(waist, beam: BeamParams, reach: float):
+    """``(m1, m2, limit)``: a ray ``nu`` can score only if
+    ``(nu1 - m1)**2 + (nu2 - m2)**2 <= limit``; None if no ray can.
+
+    ``waist`` is the waist point W in the beam frame (along d, e1, e2) and
+    ``reach`` is r + tol, the detector radius plus the residual tolerance.
+    The detector centre is the frame's origin, at axial distance
+    t_c = -W.d and transverse offset c = (-W.e1, -W.e2). A scored hit
+    Q = W + t*d + w(t)*(nu1*e1 + nu2*e2) has |Q.n_r| <= tol and
+    u**2 + v**2 <= r**2, so |Q| <= R. Its parts along d and across it give
+    t > 0, |t - t_c| <= R and |w(t)*nu - c| <= R, so w(t) lies in
+    [w_lo, w_hi] = [w(max(t_c - R, 0)), w(t_c + R)]. With s = 1/w,
+    |nu - s*c| <= s*R, and s*c lies within |c|*(s_hi - s_lo)/2 of s_m*c,
+    s_m = (s_lo + s_hi)/2: nu lies in the disk about s_m*c of radius
+    s_hi*R + |c|*(s_hi - s_lo)/2.
+
+    R = reach*(1 + 1e-6) + 1e-12*|W|, and the disk's radius gets another
+    factor 1 + 1e-6. The scored quantities are rounded: terms of size R by
+    a few ulps, which the relative margin covers, and the terms of size up
+    to |W| (the waist, t and w*nu of a hit) by a few ulps of |W|, which
+    the absolute one covers. w is evaluated as w0*hypot(1, t/zr), which
+    cannot overflow in Python floats at any finite t.
+    """
+    w_d, w_1, w_2 = waist
+    t_c, c1, c2 = -w_d, -w_1, -w_2
+    bound = reach * (1.0 + 1e-6) + 1e-12 * math.hypot(*waist)
+    if t_c + bound <= 0.0:
+        return None
+    w0, zr = beam.waist_radius, beam.rayleigh_range
+    s_hi = 1.0 / (w0 * math.hypot(1.0, max(t_c - bound, 0.0) / zr))
+    s_lo = 1.0 / (w0 * math.hypot(1.0, (t_c + bound) / zr))
+    s_m = 0.5 * (s_lo + s_hi)
+    radius = (s_hi * bound + math.hypot(c1, c2) * 0.5 * (s_hi - s_lo)) * (1.0 + 1e-6)
+    return s_m * c1, s_m * c2, radius * radius
 
 
 def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tuple[float, float]]:
     """``(gain, std_error)`` of each ``(beam, state)`` link, every link scored
     on the same ray draws of ``spec``.
 
-    Each block of rays is drawn once for all links, and the links of one
-    state share its projection onto the receiver normal. Each link keeps its
-    own Newton solve on the same operands, so its result equals the
-    one-link ``ray_gain_mc`` bit for bit.
+    Each block of rays is drawn once for all links. A link keeps only the
+    rays inside its certain-miss disk (``_keep_disk`` derives the bound and
+    its margins) and solves and scores those; a block in which it keeps
+    none costs it one mask. Its
+    hits are those of solving every ray: each kept ray goes through the
+    same elementwise arithmetic as in a full-block pass, and ``_crossing``
+    returns each ray's full Newton solve whatever rays share its block. So
+    each result equals the one-link ``ray_gain_mc`` bit for bit.
     """
     _check_link_distance(L)
-    by_state: dict[MisalignmentState, list[int]] = {}
-    for index, (_, state) in enumerate(links):
-        by_state.setdefault(state, []).append(index)
-    # state-major, so that one projection is live at a time; a link facing
-    # away scores no ray
-    groups = []
-    for state, indices in by_state.items():
+    plans = []
+    for index, (beam, state) in enumerate(links):
         frame = _frame(state, L)
-        if frame is not None:
-            groups.append((frame, indices))
-    if not groups:
+        if frame is None:  # facing away: scores no ray
+            continue
+        tol = 1e-9 * (abs(frame[0][0]) + pd.radius)
+        disk = _keep_disk(frame[3], beam, pd.radius + tol)
+        if disk is not None:
+            plans.append((index, beam, frame, tol, disk))
+    if not plans:
         return [(0.0, 0.0)] * len(links)
 
     hits = [0] * len(links)
@@ -143,23 +197,25 @@ def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tup
         # consecutive blocks of draws reproduce one (ray_count, 2) draw
         for start in range(0, spec.ray_count, _CHUNK):
             size = min(_CHUNK, spec.ray_count - start)
-            nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T
-            for frame, indices in groups:
-                (base, slope, a1, a2), (u_w, u_d, u_1, u_2), (v_w, v_d, v_1, v_2) = frame
-                tol = 1e-9 * (abs(base) + pd.radius)
-                proj = nu1 * a1 + nu2 * a2
-                for index in indices:
-                    beam = links[index][0]
-                    w0, zr = beam.waist_radius, beam.rayleigh_range
-                    t = _crossing(proj, base, slope, w0, zr)
-                    w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
-                    residual = np.abs(base + t * slope + w_z * proj)
-                    # grazing rays that failed to converge (NaN residual) miss
-                    ok = (t > 0.0) & (residual <= tol)
-                    s1, s2 = w_z * nu1, w_z * nu2
-                    u = u_w + t * u_d + s1 * u_1 + s2 * u_2
-                    v = v_w + t * v_d + s1 * v_1 + s2 * v_2
-                    hits[index] += np.count_nonzero(ok & (u**2 + v**2 <= pd.radius**2))
+            # contiguous rows: every link masks the block and gathers from it
+            nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T.copy()
+            for index, beam, frame, tol, (m1, m2, limit) in plans:
+                keep = np.flatnonzero((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
+                if not keep.size:
+                    continue
+                n1, n2 = nu1[keep], nu2[keep]
+                (base, slope, a1, a2), (u_w, u_d, u_1, u_2), (v_w, v_d, v_1, v_2), _ = frame
+                w0, zr = beam.waist_radius, beam.rayleigh_range
+                proj = n1 * a1 + n2 * a2
+                t = _crossing(proj, base, slope, w0, zr)
+                w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
+                residual = np.abs(base + t * slope + w_z * proj)
+                # grazing rays that failed to converge (NaN residual) miss
+                ok = (t > 0.0) & (residual <= tol)
+                s1, s2 = w_z * n1, w_z * n2
+                u = u_w + t * u_d + s1 * u_1 + s2 * u_2
+                v = v_w + t * v_d + s1 * v_1 + s2 * v_2
+                hits[index] += np.count_nonzero(ok & (u**2 + v**2 <= pd.radius**2))
 
     results = []
     for count in hits:

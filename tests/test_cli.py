@@ -345,6 +345,19 @@ class TestCliEntry:
         assert main(["simulate", str(bad), "--out", str(tmp_path / "out2")]) == 2
         assert "beam.w0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["simulate", "c.json"], ["preset", "sinr-map"], ["preset", "gmm-verify"]])
+    @pytest.mark.parametrize("seed", ["-5", "-1", "2.5"])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, monkeypatch, capsys, command,
+                                                 seed):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "c.json")
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--seed", seed, "--out", "out"])
+        assert exited.value.code == 2
+        assert f"argument --seed: must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [["simulate", "c.json"], ["preset", "nmse-table"]])
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, monkeypatch, capsys,

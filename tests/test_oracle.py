@@ -235,26 +235,112 @@ def test_facing_away_rule_is_the_exact_gains():
         assert (oracle._frame(state, L) is None) == (alignment_cosine(state) <= 0.0), state
 
 
-@settings(max_examples=20)
-@given(
-    x_de=st.floats(-12e-3, 12e-3),
-    y_de=st.floats(-12e-3, 12e-3),
-    phi_a=st.floats(-0.01, 0.01),
-    phi_e=st.floats(-0.01, 0.01),
-    psi_a=st.floats(-1.45, 1.45),
-    psi_e=st.floats(-1.0, 1.0),
-    seed=st.integers(0, 2**32),
-)
-@example(0.0, 0.0, 0.0, 0.0, 1.45, 0.0, 0)
-@example(-2e-3, 0.0, 0.0, 0.0, 1.3, 0.0, 1)
-def test_sampler_equals_whole_array_pass_on_drawn_states(
-    x_de, y_de, phi_a, phi_e, psi_a, psi_e, seed
-):
-    state = MisalignmentState(x_de, y_de, phi_a, phi_e, psi_a, psi_e)
-    spec = RayBundleSpec(ray_count=CHUNK + 1, seed=seed)
-    assert ray_gain_mc(BEAM50, L, PD, state, spec) == reference_ray_gain_mc(
-        BEAM50, L, PD, state, spec
+@st.composite
+def drawn_links(draw):
+    """A ``(beam, L, pd, state)`` link at 1 mm to 3 m: waists of 20-200 um,
+    detectors of 1, 3 and 5 mm and receiver tilts to 85 deg. Displacements
+    reach three units of the spot radius plus the detector radius, and
+    transmitter tilts 3 deg or two units across L, whichever is less, so
+    that misses, partial gains and full captures all occur."""
+    L = draw(st.floats(1e-3, 3.0))
+    beam = BeamParams(850e-9, draw(st.floats(20e-6, 200e-6)))
+    pd = PdGeometry(draw(st.sampled_from([1e-3, 3e-3, 5e-3])))
+    unit = beam.waist_radius * math.hypot(1.0, L / beam.rayleigh_range) + pd.radius
+    shift = st.floats(-3.0, 3.0)
+    tx_max = min(math.radians(3.0), 2.0 * unit / L)
+    tx_tilt = st.floats(-tx_max, tx_max)
+    rx_tilt = st.floats(-math.radians(85.0), math.radians(85.0))
+    state = MisalignmentState(
+        draw(shift) * unit, draw(shift) * unit,
+        draw(tx_tilt), draw(tx_tilt), draw(rx_tilt), draw(rx_tilt),
     )
+    return beam, L, pd, state
+
+
+# (link, rays, seed) at which the certain-miss disk keeps no ray in any
+# block, keeps rays in some blocks only, and straddles the detector plane
+KEPT_SET_CASES = {
+    "beyond": ((BEAM50, L, PD, MisalignmentState(x_de=1.0)), 3 * CHUNK, 0),
+    "sparse": ((BEAM50, L, PD, MisalignmentState(x_de=22e-3)), 3 * CHUNK, 2),
+    "straddling": ((BEAM50, 1e-6, PD, MisalignmentState(psi_a=math.radians(85.0))), 10_000, 1),
+}
+
+
+@settings(max_examples=60)
+@given(link=drawn_links(), rays=st.integers(10_000, 3 * CHUNK), seed=st.integers(0, 2**32))
+@example(link=(BEAM50, L, PD, MisalignmentState(psi_a=1.45)), rays=CHUNK + 1, seed=0)
+@example(link=(BEAM50, L, PD, MisalignmentState(x_de=-2e-3, psi_a=1.3)), rays=CHUNK + 1, seed=1)
+@example(*KEPT_SET_CASES["beyond"])
+@example(*KEPT_SET_CASES["sparse"])
+@example(*KEPT_SET_CASES["straddling"])
+def test_sampler_equals_whole_array_pass_on_drawn_states(link, rays, seed):
+    # the sampler solves only the rays in each link's certain-miss disk; the
+    # reference solves and scores every ray
+    spec = RayBundleSpec(ray_count=rays, seed=seed)
+    assert ray_gain_mc(*link, spec) == reference_ray_gain_mc(*link, spec)
+
+
+@settings(max_examples=150)
+@given(link=drawn_links())
+@example(link=KEPT_SET_CASES["straddling"][0])
+def test_keep_disk_holds_the_whole_detector(link):
+    # every point P of the detector disk, reached at axial distance t > 0,
+    # is the crossing of the ray nu = (P - W).e / w(t); no draw is involved,
+    # so the disk's edge is probed however unlikely a ray there is
+    beam, distance, pd, state = link
+    frame = oracle._frame(state, distance)
+    if frame is None:
+        return
+    disk = oracle._keep_disk(frame[3], beam, pd.radius)
+    n_t = tx_normal(state.phi_a, state.phi_e)
+    e1, e2 = _transverse_basis(n_t)
+    m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
+    angle = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
+    rho = pd.radius * np.array([0.0, 0.5, 0.9, 1.0])[None, :]
+    u, v = (rho * np.cos(angle)).reshape(-1, 1), (rho * np.sin(angle)).reshape(-1, 1)
+    offset = u * m_r[:, 0] + v * m_r[:, 1] - np.array([state.x_de, state.y_de, distance])
+    t = offset @ -n_t
+    w = beam.waist_radius * np.sqrt(1.0 + (t / beam.rayleigh_range) ** 2)
+    nu1, nu2 = (offset @ e1)[t > 0.0] / w[t > 0.0], (offset @ e2)[t > 0.0] / w[t > 0.0]
+    if disk is None:
+        assert nu1.size == 0
+    else:
+        m1, m2, limit = disk
+        assert np.all((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
+
+
+def test_kept_set_cases_are_what_they_say(monkeypatch):
+    solved = []
+    crossing = oracle._crossing
+
+    def recording(proj, *args):
+        solved.append(proj.size)
+        return crossing(proj, *args)
+
+    monkeypatch.setattr(oracle, "_crossing", recording)
+    gains = {}
+    for name, (link, rays, seed) in KEPT_SET_CASES.items():
+        solved.clear()
+        gains[name], _ = ray_gain_mc(*link, RayBundleSpec(rays, seed))
+        if name == "beyond":
+            assert solved == [] and gains[name] == 0.0
+        elif name == "sparse":
+            assert 0 < len(solved) < 3 and gains[name] > 0.0
+    assert 0.3 < gains["straddling"] < 0.7
+
+
+@pytest.mark.parametrize("distance", [1e200, 1e300])
+@pytest.mark.parametrize(
+    "state",
+    [MisalignmentState(), MisalignmentState(psi_a=math.radians(85.0)), MisalignmentState(x_de=1e3)],
+    ids=["aligned", "rx-tilt-85", "displaced-1km"],
+)
+def test_astronomical_link_distances_score_nothing(distance, state):
+    # the spot radii that bound the kept disk are finite or inf, never an
+    # OverflowError of a Python float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ray_gain_mc(BEAM50, distance, PD, state, RayBundleSpec(10_000, 1)) == (0.0, 0.0)
 
 
 def shared_draw_links():
