@@ -235,24 +235,13 @@ def _intensity(beam: BeamParams, z, rho_sq, cos_theta):
 
 
 def gain_approx_displacement(beam: BeamParams, L: float, pd: PdGeometry, x_off, y_off):
-    """erf-product gain for a purely displaced link.
+    """erf-product gain for a purely displaced link: the transmitter-tilt
+    form at zero tilt.
 
     ``x_off``/``y_off`` are the receiver-minus-transmitter center offsets
     (including any array displacement). Accepts arrays and broadcasts.
     """
-    _check_link_distance(L)
-    c = _erf_scale(beam.waist_radius**2, beam.rayleigh_range, L)
-    a = pd.equivalent_square_side
-    x_off, y_off = np.asarray(x_off, dtype=float), np.asarray(y_off, dtype=float)
-    out = 0.25 * _erf_sum(a, c, x_off) * _erf_sum(a, c, y_off)
-    return float(out) if out.ndim == 0 else out
-
-
-def _erf_scale(w0_sq, z_r, z):
-    """sqrt(2)*w(z) of a beam with squared waist ``w0_sq`` and Rayleigh
-    range ``z_r`` (as :func:`spot_radius_sq`); every argument broadcasts."""
-    zn = np.asarray(z, dtype=float) / z_r
-    return _SQRT_2 * np.sqrt(w0_sq * (1.0 + zn * zn))
+    return gain_approx_tx_tilt(beam, L, pd, x_off, y_off, 0.0, 0.0, 0.0, 0.0)
 
 
 def _erf_sum(a, c, off):
@@ -321,30 +310,42 @@ def gain_approx_tx_tilt(
 
     Valid in the small-angle regime where the tilt acts like a beam-spot
     displacement of (L sin(phi_a), L sin(phi_e) cos(phi_a)); the spot radius
-    is evaluated at the foreshortened distance L cos(phi_e) cos(phi_a).
-    Accepts arrays for the positions and the angles and broadcasts.
+    is evaluated at the foreshortened distance L cos(phi_e) cos(phi_a). A
+    transmitter facing away (cos(phi_a) cos(phi_e) <= 0) gains 0. Accepts
+    arrays for the positions and the angles and broadcasts.
     """
     _check_link_distance(L)
-    fx, fy = _tilt_factors(beam.waist_radius**2, beam.rayleigh_range, L,
-                           pd.equivalent_square_side, x_i, y_i, x_j, y_j, phi_a, phi_e)
+    fx, fy = _erf_factors(beam.waist_radius**2, beam.rayleigh_range, L,
+                          pd.equivalent_square_side, x_i, y_i, x_j, y_j, 0.0, 0.0, phi_a, phi_e)
     out = 0.25 * fx * fy
     return float(out) if out.ndim == 0 else out
 
 
-def _tilt_factors(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, phi_a, phi_e):
-    """The x and y factors of the transmitter-tilt closed form for an
-    equivalent square of side ``a``; fx reads only the x coordinates and fy
-    only the y ones. The beam (``w0_sq``, ``z_r``) broadcasts like the angles."""
+def _erf_factors(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, x_de, y_de, phi_a, phi_e):
+    """The x and y factors of the erf-product closed form, whose gain is
+    0.25 fx fy, for an equivalent square of side ``a``: the transmitter-tilt
+    form with the displacement (x_de, y_de) added to the tilt's spot offset.
+    At zero tilt it is the displacement form bit for bit (cos 0 = 1, sin 0 =
+    0). fx reads only the x coordinates and fy only the y ones; the beam
+    (``w0_sq``, ``z_r``) broadcasts like the angles. Both factors are +0
+    where the transmitter faces away, cos(phi_a) cos(phi_e) <= 0, since the
+    foreshortened side would flip their sign; a NaN angle stays NaN."""
     ca, sa = np.cos(phi_a), np.sin(phi_a)
     ce, se = np.cos(phi_e), np.sin(phi_e)
-    c = _erf_scale(w0_sq, z_r, L * ce * ca)
-    x_term = np.asarray(x_i, dtype=float) * ca - np.asarray(x_j, dtype=float) - L * sa
-    y_term = np.asarray(y_i, dtype=float) * ce - np.asarray(y_j, dtype=float) - L * se * ca
-    return _erf_sum(a * ca, c, x_term), _erf_sum(a * ce, c, y_term)
+    zn = L * ce * ca / z_r
+    c = _SQRT_2 * np.sqrt(w0_sq * (1.0 + zn * zn))  # sqrt(2) w(L ce ca), as spot_radius_sq
+    x_i, y_i, x_j, y_j = (np.asarray(v, dtype=float) for v in (x_i, y_i, x_j, y_j))
+    x_term = x_i * ca - x_j - (L * sa + x_de)
+    y_term = y_i * ce - y_j - (L * se * ca + y_de)
+    away = ca * ce <= 0.0
+    return (np.where(away, 0.0, _erf_sum(a * ca, c, x_term)),
+            np.where(away, 0.0, _erf_sum(a * ce, c, y_term)))
 
 
 def _per_point(values) -> np.ndarray:
-    return np.array(values, dtype=float)[:, None, None]
+    """P per-point values as a (P, 1, 1) array; P per-point tuples as one
+    such array per tuple field."""
+    return np.array(values, dtype=float).T[..., None, None]
 
 
 def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
@@ -363,18 +364,15 @@ def _closed_form_stack(
     stacklevel: int = 2,
 ) -> np.ndarray:
     """Closed-form gain matrices of one array pair at P points, a (P, N_r,
-    N_t) stack: point p has beam ``beams[p]`` and state ``states[p]``. Each
-    gain is 0.25 fx fy, so erf runs per point only on the distinct x_i - x_j
-    (displacement, aligned) or (x_i, x_j) pairs (tilt), and likewise in y,
-    then gathers: every matrix equals the full elementwise broadcast bit for
-    bit. A warning about ignored state fields fires once per stack and
-    names the frame ``stacklevel`` up."""
+    N_t) stack: point p has beam ``beams[p]`` and state ``states[p]``. Every
+    method is the one erf product of :func:`_erf_factors`, fed the tilt
+    (transmitter tilt), the displacement (displacement) or neither (aligned).
+    Each gain is 0.25 fx fy, so erf runs per point only on the distinct
+    (x_i, x_j) pairs, and likewise in y, then gathers: every matrix equals
+    the full elementwise broadcast bit for bit. A warning about ignored state
+    fields fires once per stack and names the frame ``stacklevel`` up."""
     _check_link_distance(L)
-    a = rx.pd.equivalent_square_side
-    (rx_x, rx_y), (tx_x, tx_y) = rx.elements.T, tx.elements.T
-    w0_sq = _per_point([beam.waist_radius**2 for beam in beams])
-    z_r = _per_point([beam.rayleigh_range for beam in beams])
-
+    x_de = y_de = phi_a = phi_e = 0.0  # the state fields the method feeds the kernel
     if method is GainMethod.APPROX_TX_TILT:
         if any(s.x_de != 0.0 or s.y_de != 0.0 or s.psi_a != 0.0 or s.psi_e != 0.0
                for s in states):
@@ -383,27 +381,23 @@ def _closed_form_stack(
                 "receiver angles",
                 stacklevel=stacklevel,
             )
-        (ux_i, ix_i), (uy_i, iy_i), (ux_j, ix_j), (uy_j, iy_j) = map(
-            _distinct, (rx_x, rx_y, tx_x, tx_y))
-        fx, fy = _tilt_factors(w0_sq, z_r, L, a, ux_i[:, None], uy_i[:, None], ux_j, uy_j,
-                               _per_point([state.phi_a for state in states]),
-                               _per_point([state.phi_e for state in states]))
-        return 0.25 * fx[:, ix_i[:, None], ix_j] * fy[:, iy_i[:, None], iy_j]
-
-    if method is GainMethod.APPROX_DISPLACEMENT:
+        phi_a, phi_e = _per_point([(state.phi_a, state.phi_e) for state in states])
+    elif method is GainMethod.APPROX_DISPLACEMENT:
         if not all(state.is_axial for state in states):
             warnings.warn(
                 "displacement approximation ignores orientation angles",
                 stacklevel=stacklevel,
             )
+        x_de, y_de = _per_point([(state.x_de, state.y_de) for state in states])
     elif not all(state.is_aligned for state in states):
         raise ValueError("aligned closed form requires a zero misalignment state")
-    c = _erf_scale(w0_sq, z_r, L)
-    # an aligned state has x_de = y_de = 0, and (x_i - x_j) - 0.0 is x_i - x_j
-    (ux, ix), (uy, iy) = _distinct(rx_x[:, None] - tx_x), _distinct(rx_y[:, None] - tx_y)
-    fx = _erf_sum(a, c, ux - _per_point([state.x_de for state in states]))[:, 0, ix]
-    fy = _erf_sum(a, c, uy - _per_point([state.y_de for state in states]))[:, 0, iy]
-    gains = 0.25 * fx * fy
+    (rx_x, rx_y), (tx_x, tx_y) = rx.elements.T, tx.elements.T
+    (ux_i, ix_i), (uy_i, iy_i), (ux_j, ix_j), (uy_j, iy_j) = map(
+        _distinct, (rx_x, rx_y, tx_x, tx_y))
+    w0_sq, z_r = _per_point([(beam.waist_radius**2, beam.rayleigh_range) for beam in beams])
+    fx, fy = _erf_factors(w0_sq, z_r, L, rx.pd.equivalent_square_side, ux_i[:, None],
+                          uy_i[:, None], ux_j, uy_j, x_de, y_de, phi_a, phi_e)
+    gains = 0.25 * fx[:, ix_i[:, None], ix_j] * fy[:, iy_i[:, None], iy_j]
     if method is GainMethod.ALIGNED_CLOSED_FORM:
         on_axis = (rx_x[:, None] == tx_x) & (rx_y[:, None] == tx_y)
         gains[:, on_axis] = _per_point([gain_aligned(beam, L, rx.pd) for beam in beams])[:, 0]
@@ -458,7 +452,7 @@ def mimo_matrix(
     then the single-link gain is evaluated with the pair's own distance
     and center offsets while keeping the array orientation angles. The
     closed forms are the one-point case of :func:`_closed_form_stack`
-    (erf on distinct coordinates only). The exact route integrates each
+    (erf on distinct coordinate pairs only). The exact route integrates each
     unique element pair once, with the pairs of a geometry collected once
     and cached (:func:`_pair_keys`), so a beam sweep reuses them.
     """

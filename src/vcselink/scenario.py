@@ -87,7 +87,8 @@ _CHUNK_ENTRIES = 1 << 15
 # largest matrix of any preset (81 x 25); it also keeps the noise check's
 # row of (2 cells - 1)^2 gains below 4.2e6 entries (cells <= 1024)
 _MAX_MATRIX_ENTRIES = 1 << 20
-_CONFIG_ELEMENTS = {"config-i": 25, "config-ii": 41, "config-iii": 81}  # see build_layout
+_CONFIG_ELEMENTS = {kind.value: build_layout(kind).n_elements
+                    for kind in LayoutKind if kind is not LayoutKind.SQUARE}
 
 _ARRAY_KINDS = {k.value for k in LayoutKind}
 _METHODS = {m.value for m in GainMethod}

@@ -1,9 +1,10 @@
+import contextlib
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf as scipy_erf
 
@@ -410,6 +411,71 @@ def test_single_link_closed_forms_match_the_elementwise_reference(w0, distance, 
                       _ref_displacement(beam, distance, PD, xs, ys))
     assert _same_bits(gain_approx_tx_tilt(beam, distance, PD, xs, y, 0.0, ys, angles, phi_e),
                       _ref_tx_tilt(beam, distance, PD, xs, y, 0.0, ys, angles, phi_e))
+
+
+# angles over the whole circle, displacements up to 1 m
+_ANY_ANGLE = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+_ANY_OFFSET = st.floats(-1.0, 1.0)
+_FACING_AWAY = (100e-6, 1e-3, 0.0, 0.0, math.radians(135.0), 0.0)
+
+
+def _faces_away(phi_a, phi_e):
+    return np.cos(phi_a) * np.cos(phi_e) <= 0.0
+
+
+def _tilted_state(phi_a, phi_e):
+    """A transmitter-tilt state, expecting the warning that angles at or
+    beyond 90 deg raise."""
+    beyond = max(abs(phi_a), abs(phi_e)) >= math.pi / 2
+    with pytest.warns(UserWarning, match="beyond 90 deg") if beyond else contextlib.nullcontext():
+        return MisalignmentState(phi_a=phi_a, phi_e=phi_e)
+
+
+@settings(max_examples=150)
+@example(*_FACING_AWAY)  # its tilt gain was -1: the side a cos(phi_a) flipped the erf sum
+@given(w0=st.floats(5e-6, 300e-6), distance=st.floats(1e-4, 10.0), x=_ANY_OFFSET,
+       y=_ANY_OFFSET, phi_a=_ANY_ANGLE, phi_e=_ANY_ANGLE)
+def test_single_link_closed_form_gains_lie_in_0_1(w0, distance, x, y, phi_a, phi_e):
+    """Both erf-product gains lie in [0, 1], and the tilt gain is +0 where
+    the transmitter faces away, cos(phi_a) cos(phi_e) <= 0; that rule does
+    not turn a NaN angle into a gain of 0."""
+    beam = BeamParams(850e-9, w0)
+    assert 0.0 <= gain_approx_displacement(beam, distance, PD, x, y) <= 1.0
+    tilt = gain_approx_tx_tilt(beam, distance, PD, x, y, 0.0, 0.0, phi_a, phi_e)
+    assert 0.0 <= tilt <= 1.0
+    if _faces_away(phi_a, phi_e):
+        assert _same_bits(tilt, 0.0)
+    for angles in ((math.nan, phi_e), (phi_a, math.nan)):
+        assert math.isnan(gain_approx_tx_tilt(beam, distance, PD, x, y, 0.0, 0.0, *angles))
+
+
+@settings(max_examples=60)
+@example(points=[_FACING_AWAY[:1] + _FACING_AWAY[2:]], distance=_FACING_AWAY[1],
+         receiver=("square", 2), k_tx=2)
+@given(points=st.lists(st.tuples(st.floats(5e-6, 300e-6), _ANY_OFFSET, _ANY_OFFSET,
+                                 _ANY_ANGLE, _ANY_ANGLE), min_size=1, max_size=4),
+       distance=st.floats(1e-4, 10.0), receiver=st.sampled_from(_RECEIVERS),
+       k_tx=st.integers(1, 5))
+def test_closed_form_stack_gains_lie_in_0_1(points, distance, receiver, k_tx):
+    """Every matrix of each closed-form stack lies in [0, 1]; under
+    transmitter tilt a point whose transmitter faces away gains +0."""
+    kind, k = receiver
+    tx = build_layout("square", k=k_tx, transmitter=True)
+    rx = build_layout(kind, k=k)
+    w0, x_de, y_de, phi_a, phi_e = map(np.array, zip(*points))
+    beams = [BeamParams(850e-9, w) for w in w0]
+    states = {
+        GainMethod.APPROX_DISPLACEMENT: [MisalignmentState(x_de=x, y_de=y)
+                                         for x, y in zip(x_de, y_de)],
+        GainMethod.APPROX_TX_TILT: [_tilted_state(a, e) for a, e in zip(phi_a, phi_e)],
+        GainMethod.ALIGNED_CLOSED_FORM: [MisalignmentState()] * len(points),
+    }
+    stacks = {method: _closed_form_stack(beams, distance, tx, rx, method_states, method)
+              for method, method_states in states.items()}
+    for method, stack in stacks.items():
+        assert ((stack >= 0.0) & (stack <= 1.0)).all(), method
+    away = stacks[GainMethod.APPROX_TX_TILT][_faces_away(phi_a, phi_e)]
+    assert _same_bits(away, np.zeros_like(away))
 
 
 def _erf_matches_scipy(x):

@@ -417,6 +417,22 @@ class TestCliEntry:
         for p in here:
             assert (tmp_path / "there" / p.name).read_bytes() == p.read_bytes()
 
+    def test_a_transmitter_facing_away_gains_zero_under_tilt(self, tmp_path):
+        # the tilt closed form flipped sign here: gains of -1 and -0.0, and an
+        # SVD aggregate of 3.11e11 b/s from a transmitter pointing away
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "beam": {"w0": 100e-6}, "distance": 0.001, "method": "approx-tx-tilt",
+            "tx_array": {"kind": "square", "k": 2}, "rx_array": {"kind": "square", "k": 2},
+            "misalignment": {"phi_a_deg": 135.0}, "mode": "svd"}))
+        with pytest.warns(UserWarning, match="beyond 90 deg"):
+            assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+        cells = [cell for line in (tmp_path / "out" / "gains.csv").read_text().splitlines()[1:]
+                 for cell in line.split(",")]
+        assert len(cells) == 16 and all(float(c) >= 0.0 and c[0] != "-" for c in cells)
+        footer = (tmp_path / "out" / "rates.csv").read_text().strip().splitlines()[-1]
+        assert footer == "aggregate,,,0.00000000000e+00"
+
     def test_unknown_preset_lists_available(self, tmp_path, capsys):
         assert main(["preset", "nope", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
