@@ -10,7 +10,6 @@ displacement and transmitter tilt (square-equivalent aperture).
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -18,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._warn import warn
 from .beam import BeamParams, spot_radius_sq
 from .geometry import (
     MisalignmentState,
@@ -317,7 +317,7 @@ def gain_approx_tx_tilt(
     _check_link_distance(L)
     fx, fy = _erf_factors(beam.waist_radius**2, beam.rayleigh_range, L,
                           pd.equivalent_square_side, x_i, y_i, x_j, y_j, 0.0, 0.0, phi_a, phi_e)
-    out = 0.25 * fx * fy
+    out = 0.25 * fx * fy + 0.0  # + 0.0: a zero gain is +0, not -0
     return float(out) if out.ndim == 0 else out
 
 
@@ -361,7 +361,6 @@ def _closed_form_stack(
     rx: ArrayLayout,
     states: Sequence[MisalignmentState],
     method: GainMethod,
-    stacklevel: int = 2,
 ) -> np.ndarray:
     """Closed-form gain matrices of one array pair at P points, a (P, N_r,
     N_t) stack: point p has beam ``beams[p]`` and state ``states[p]``. Every
@@ -370,24 +369,17 @@ def _closed_form_stack(
     Each gain is 0.25 fx fy, so erf runs per point only on the distinct
     (x_i, x_j) pairs, and likewise in y, then gathers: every matrix equals
     the full elementwise broadcast bit for bit. A warning about ignored state
-    fields fires once per stack and names the frame ``stacklevel`` up."""
+    fields fires once per stack."""
     _check_link_distance(L)
     x_de = y_de = phi_a = phi_e = 0.0  # the state fields the method feeds the kernel
     if method is GainMethod.APPROX_TX_TILT:
         if any(s.x_de != 0.0 or s.y_de != 0.0 or s.psi_a != 0.0 or s.psi_e != 0.0
                for s in states):
-            warnings.warn(
-                "transmitter-tilt approximation ignores displacement and "
-                "receiver angles",
-                stacklevel=stacklevel,
-            )
+            warn("transmitter-tilt approximation ignores displacement and receiver angles")
         phi_a, phi_e = _per_point([(state.phi_a, state.phi_e) for state in states])
     elif method is GainMethod.APPROX_DISPLACEMENT:
         if not all(state.is_axial for state in states):
-            warnings.warn(
-                "displacement approximation ignores orientation angles",
-                stacklevel=stacklevel,
-            )
+            warn("displacement approximation ignores orientation angles")
         x_de, y_de = _per_point([(state.x_de, state.y_de) for state in states])
     elif not all(state.is_aligned for state in states):
         raise ValueError("aligned closed form requires a zero misalignment state")
@@ -397,7 +389,8 @@ def _closed_form_stack(
     w0_sq, z_r = _per_point([(beam.waist_radius**2, beam.rayleigh_range) for beam in beams])
     fx, fy = _erf_factors(w0_sq, z_r, L, rx.pd.equivalent_square_side, ux_i[:, None],
                           uy_i[:, None], ux_j, uy_j, x_de, y_de, phi_a, phi_e)
-    gains = 0.25 * fx[:, ix_i[:, None], ix_j] * fy[:, iy_i[:, None], iy_j]
+    # + 0.0: a zero gain is +0, also where both factors are <= 0
+    gains = 0.25 * fx[:, ix_i[:, None], ix_j] * fy[:, iy_i[:, None], iy_j] + 0.0
     if method is GainMethod.ALIGNED_CLOSED_FORM:
         on_axis = (rx_x[:, None] == tx_x) & (rx_y[:, None] == tx_y)
         gains[:, on_axis] = _per_point([gain_aligned(beam, L, rx.pd) for beam in beams])[:, 0]
@@ -461,15 +454,12 @@ def mimo_matrix(
         raise ValueError("receiver layout must carry PD geometry")
 
     if method is not GainMethod.EXACT_GMM:
-        return _closed_form_stack([beam], L, tx, rx, [state], method, stacklevel=3)[0]
+        return _closed_form_stack([beam], L, tx, rx, [state], method)[0]
 
     # exact route: one batched quadrature over the unique element pairs
     links, slot = _pair_keys(L, tx, rx, state)
     for i, j in np.argwhere(slot < 0).tolist():
-        warnings.warn(
-            f"non-positive pair distance for entry ({i}, {j}); gain set to 0",
-            stacklevel=2,
-        )
+        warn(f"non-positive pair distance for entry ({i}, {j}); gain set to 0")
     # a failing key is located at its first entry
     values = _exact_gains(beam, rx.pd, links,
                           lambda k: f"entry {divmod(int(np.argmax(slot == k)), tx.n_elements)}")

@@ -16,10 +16,11 @@ All angles are radians. Degrees appear only at the CLI boundary.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._warn import warn
 
 __all__ = [
     "MisalignmentState",
@@ -58,11 +59,7 @@ class MisalignmentState:
         if not all(map(math.isfinite, (self.x_de, self.y_de, *angles))):
             raise ValueError(f"misalignment values must be finite, got {self}")
         if any(abs(a) >= _HALF_PI for a in angles):
-            warnings.warn(
-                "orientation angle at or beyond 90 deg; link geometry is "
-                "degenerate there",
-                stacklevel=3,
-            )
+            warn("orientation angle at or beyond 90 deg; link geometry is degenerate there")
 
     @property
     def is_aligned(self) -> bool:

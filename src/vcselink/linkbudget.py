@@ -9,11 +9,12 @@ normalized mean square error).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from ._warn import warn
 
 __all__ = [
     "BOLTZMANN",
@@ -178,27 +179,19 @@ def sinr_gap(target_ber: float) -> float:
     return -math.log(5.0 * target_ber) / 1.5
 
 
-def _qam_bits(gamma, target_ber: float, stacklevel: int) -> np.ndarray:
-    """Array form of :func:`bits_per_symbol`; the fit warning names the frame ``stacklevel`` up."""
-    gamma = np.asarray(gamma, dtype=float)
-    if (gamma < 0).any():
-        raise ValueError("gamma must be >= 0")
-    if (gamma > _SINR_VALIDITY_LINEAR).any():
-        warnings.warn(
-            "SINR above 30 dB is outside the adaptive-QAM fit validity",
-            stacklevel=stacklevel,
-        )
-    return np.log2(1.0 + gamma / sinr_gap(target_ber))
-
-
 def bits_per_symbol(gamma, target_ber: float):
     """Adaptive-QAM spectral efficiency log2(1 + gamma/Gap), bits/symbol,
     of one SINR or element-wise over an array of them.
 
     The fit is validated for SINR up to 30 dB; larger values are accepted
-    with a warning.
+    with one warning per call.
     """
-    bits = _qam_bits(gamma, target_ber, stacklevel=3)
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma < 0).any():
+        raise ValueError("gamma must be >= 0")
+    if (gamma > _SINR_VALIDITY_LINEAR).any():
+        warn("SINR above 30 dB is outside the adaptive-QAM fit validity")
+    bits = np.log2(1.0 + gamma / sinr_gap(target_ber))
     return float(bits) if bits.ndim == 0 else bits
 
 
@@ -226,16 +219,15 @@ def aggregate_rate(h, params: LinkParams, mode: Mode | str = Mode.DIRECT) -> Rat
     gains = _as_gains(h, square=Mode(mode) is Mode.DIRECT)
     if gains.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    return _rate_reports(gains[None], params, mode, stacklevel=4)[0]
+    return _rate_reports(gains[None], params, mode)[0]
 
 
-def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str,
-                  stacklevel: int = 3) -> list[RateReport]:
+def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str) -> list[RateReport]:
     """:func:`aggregate_rate` of each matrix of a (P, N_r, N_t) gain stack
     that shares ``params``, computed once for the whole stack (one stacked
     SVD, one noise, SINR and bits expression). Each report equals the
     matrix's own ``aggregate_rate`` bit for bit; the 30 dB QAM-fit warning
-    fires once per stack and names the frame ``stacklevel`` up."""
+    fires once per stack."""
     mode = Mode(mode)
     n_t = stack.shape[-1]
     if mode is Mode.DIRECT:
@@ -246,7 +238,7 @@ def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str,
         # with U, as svd_thin: the values-only LAPACK route rounds differently
         _, s, _ = np.linalg.svd(stack, full_matrices=False)
         sinrs = sinr_svd(s, noise_variance(stack[:, :n_t], params), params)
-    bits = _qam_bits(sinrs, params.target_ber, stacklevel)
+    bits = bits_per_symbol(sinrs, params.target_ber)
     rates = params.subcarrier_efficiency * params.bandwidth * bits
     return [
         RateReport(sinr, bit, rate, float(total), mode)

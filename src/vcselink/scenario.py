@@ -83,6 +83,10 @@ _INTEGER_FIELDS = {"link.n_fft", "tx_array.k", "rx_array.k"}
 # budget are evaluated as one stack, so this bounds their scratch memory
 _CHUNK_ENTRIES = 1 << 15
 
+# points of one sweep, checked before any is allocated: more than 500 times
+# the largest sweep of any preset or benchmark workload (121 points)
+_MAX_SWEEP_STEPS = 1 << 16
+
 # gain entries N_r * N_t of one matrix: 8 MiB of float64, 500 times the
 # largest matrix of any preset (81 x 25); it also keeps the noise check's
 # row of (2 cells - 1)^2 gains below 4.2e6 entries (cells <= 1024)
@@ -271,8 +275,8 @@ def _validate(cfg: dict) -> dict:
             raise ConfigError("sweep.parameter", f"{param!r} is not a sweepable real-valued field")
         start = _require_number(cfg, "sweep.start")
         stop = _require_number(cfg, "sweep.stop")
-        if not isinstance(sweep["steps"], int) or sweep["steps"] < 2:
-            raise ConfigError("sweep.steps", "must be an integer >= 2")
+        if not isinstance(sweep["steps"], int) or not 2 <= sweep["steps"] <= _MAX_SWEEP_STEPS:
+            raise ConfigError("sweep.steps", f"must be an integer in [2, {_MAX_SWEEP_STEPS}]")
         scale = sweep.get("scale", "linear")
         if scale not in ("linear", "log"):
             raise ConfigError("sweep.scale", f"must be 'linear' or 'log', got {scale!r}")

@@ -89,6 +89,12 @@ class TestConfigValidation:
         [
             ({"parameter": "no.such", "start": 0, "stop": 1, "steps": 3}, "sweep.parameter"),
             ({"parameter": "misalignment.x_de", "start": 0, "stop": 1, "steps": 1}, "sweep.steps"),
+            # bounded before any value is allocated: 1e10 steps asked numpy
+            # for 74.5 GiB, and 1e20 failed naming no field
+            ({"parameter": "misalignment.x_de", "start": 0, "stop": 1, "steps": (1 << 16) + 1},
+             "sweep.steps"),
+            ({"parameter": "misalignment.x_de", "start": 0, "stop": 1, "steps": 10**20},
+             "sweep.steps"),
             (
                 {"parameter": "misalignment.x_de", "start": 0, "stop": 1, "steps": 3,
                  "scale": "cubic"},
@@ -432,6 +438,19 @@ class TestCliEntry:
         assert len(cells) == 16 and all(float(c) >= 0.0 and c[0] != "-" for c in cells)
         footer = (tmp_path / "out" / "rates.csv").read_text().strip().splitlines()[-1]
         assert footer == "aggregate,,,0.00000000000e+00"
+
+    def test_a_transmitter_turned_back_writes_no_negative_zero_gain(self, tmp_path):
+        # both angles beyond 90 deg make both erf factors <= 0, and a zero
+        # factor times a negative one was -0.0 in 8 of the 16 entries
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "beam": {"w0": 100e-6}, "distance": 0.001, "method": "approx-tx-tilt",
+            "tx_array": {"kind": "square", "k": 2}, "rx_array": {"kind": "square", "k": 2},
+            "misalignment": {"phi_a_deg": 135.0, "phi_e_deg": 135.0}}))
+        with pytest.warns(UserWarning, match="beyond 90 deg"):
+            assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+        gains = (tmp_path / "out" / "gains.csv").read_text()
+        assert "-0.00000000000e+00" not in gains and "0.00000000000e+00" in gains
 
     def test_unknown_preset_lists_available(self, tmp_path, capsys):
         assert main(["preset", "nope", "--out", str(tmp_path)]) == 2

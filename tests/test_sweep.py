@@ -352,3 +352,41 @@ def test_simulate_evaluates_its_base_point_once_when_the_sweep_starts_there(
 def test_waist_thresholds_are_pinned_to_the_grid():
     # criterion c04 allows 3 um either way; an off-by-one on the grid shows here
     assert {k: waist_threshold_um(k) for k in (2, 3, 4, 5)} == {2: None, 3: 98, 4: 60, 5: 50}
+
+
+# -- warnings ------------------------------------------------------------------
+
+
+def _tilt_ignoring_displacement(out):
+    path = out / "c.json"
+    path.write_text(json.dumps({"beam": {"w0": 100e-6}, "method": "approx-tx-tilt",
+                                "misalignment": {"x_de": 1e-3}}))
+    run_scenario(path, out / "run")
+
+
+_WARNING_CASES = {
+    "sweep-ignored-field": (
+        lambda out: sweep([reference_config(method="approx-displacement")],
+                          [{"misalignment.phi_a_deg": 1.0}]),
+        "ignores orientation angles"),
+    # 10 mW per laser lifts every aligned stream above the 30 dB fit limit
+    "sweep-qam-fit": (
+        lambda out: sweep([reference_config(method="aligned-closed-form", **_square(2))],
+                          [{"link.p_t": 1e-2}]),
+        "30 dB"),
+    "build-scenario": (
+        lambda out: build_scenario(reference_config(misalignment={"phi_a_deg": 95.0})),
+        "beyond 90 deg"),
+    "run-scenario": (_tilt_ignoring_displacement, "ignores displacement"),
+    "preset": (lambda out: preset_rate_vs_rx_tilt(out, step_deg=45.0), "90 deg"),
+}
+
+
+@pytest.mark.parametrize("case", _WARNING_CASES)
+def test_a_warning_names_the_line_that_called_into_the_package(tmp_path, case):
+    call, match = _WARNING_CASES[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(tmp_path)
+    assert caught and all(match in str(w.message) for w in caught)
+    assert {w.filename for w in caught} == {__file__}
