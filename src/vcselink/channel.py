@@ -212,14 +212,16 @@ def _link_integrand(beam: BeamParams, links):
     *frame, cos_theta = _link_constants(L, *angles)
     live = np.flatnonzero(cos_theta > 0.0)
     # a term every link shares stays a float, so the integrand computes
-    # what depends only on it once per call rather than once per link
-    table = [
-        float(v[0]) if len(v) and (v == v[0]).all() else v
-        for v in (t[live] for t in (L, x_de, y_de, *frame, cos_theta))
-    ]
+    # what depends only on it once per call rather than once per link; the
+    # other terms are rows of one table, gathered by one index per call
+    terms = [t[live] for t in (L, x_de, y_de, *frame, cos_theta)]
+    shared = [float(v[0]) if len(v) and (v == v[0]).all() else None for v in terms]
+    table = np.array([v for v, s in zip(terms, shared) if s is None])
+    table = table.reshape(shared.count(None), len(live))
 
     def integrand(x, y, k=0):
-        *link, cos_k = [v if isinstance(v, float) else v[k] for v in table]
+        rows = iter(table[:, k])
+        *link, cos_k = [next(rows) if s is None else s for s in shared]
         z, rho_sq = gmm_point_frame(x, y, *link)
         return _intensity(beam, z, rho_sq, cos_k)
 
@@ -228,10 +230,22 @@ def _link_integrand(beam: BeamParams, links):
 
 def _intensity(beam: BeamParams, z, rho_sq, cos_theta):
     """Beam intensity on the tilted detector at beam-frame (z, rho^2),
-    weighted by the alignment cosine; zero behind the waist."""
-    w2 = beam.waist_radius**2 * (1.0 + z * z * (1.0 / beam.rayleigh_range**2))
-    vals = 2.0 / (np.pi * w2) * np.exp(-2.0 * rho_sq / w2) * cos_theta
-    return np.where(z > 0.0, vals, 0.0)
+    weighted by the alignment cosine; zero behind the waist. Like
+    :func:`gmm_point_frame` it reuses its own buffers and equals its textbook
+    form bit for bit; the zeroing runs only where some z fails z > 0, as a
+    NaN does."""
+    w2 = z * z
+    w2 *= 1.0 / beam.rayleigh_range**2
+    w2 += 1.0
+    w2 *= beam.waist_radius**2
+    vals = rho_sq * -2.0
+    vals /= w2
+    vals = np.exp(vals)
+    w2 *= np.pi
+    vals *= 2.0 / w2
+    vals = vals * cos_theta  # a per-link cosine can widen the shape
+    ahead = np.greater(z, 0.0)
+    return vals if ahead.all() else np.where(ahead, vals, 0.0)
 
 
 def gain_approx_displacement(beam: BeamParams, L: float, pd: PdGeometry, x_off, y_off):

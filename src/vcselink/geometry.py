@@ -145,22 +145,35 @@ def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
     The point is projected to the reference frame, shifted against the
     transmitter displacement, and decomposed along / across the tilted beam
     axis: z is the distance from the waist to the transverse disk whose rim
-    passes through the point, rho^2 the squared disk radius, clamped at zero.
-    Points with z <= 0 lie behind the waist and must contribute zero
-    intensity (caller's duty).
+    passes through the point, rho^2 the squared disk radius, a sum of three
+    squares. Points with z <= 0 lie behind the waist and must contribute
+    zero intensity (caller's duty).
+
+    From z on, which broadcasts every term but L, the kernel writes into
+    buffers it made itself, never into its arguments. Each step equals the
+    textbook expression bit for bit (IEEE round-to-nearest): x + (-y) is
+    x - y, (-p) - q is -(p + q) and squaring drops the sign, and + and *
+    commute.
     """
     u, v, w = _rotate_rx(x, y, ca, sa, ce, se)
     up = u - x_de
     vp = v - y_de
-    ell = -(a * up + b * vp + c * w)
-    z = on_axis + ell
+    z = on_axis - (a * up + b * vp + c * w)
     # rho^2 = d^2 - z^2 with d the waist-to-point distance; evaluated as the
     # squared rejection of the waist-to-point vector from the beam axis,
-    # which is the same quantity without the catastrophic cancellation
-    rx_ = -up - z * a
-    ry_ = -vp - z * b
-    rz_ = (L - w) - z * c
-    return z, np.maximum(rx_ * rx_ + ry_ * ry_ + rz_ * rz_, 0.0)
+    # which is the same quantity without the catastrophic cancellation; its
+    # x and y components are negated here
+    rho_sq = z * a
+    rho_sq += up
+    rho_sq *= rho_sq
+    ry = z * b
+    ry += vp
+    ry *= ry
+    rho_sq += ry
+    rz = (L - w) - z * c  # a per-link L can widen the shape
+    rz *= rz
+    rz += rho_sq
+    return z, rz
 
 
 def array_element_xy(i, k: int, d_pd: float):

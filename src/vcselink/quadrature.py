@@ -30,10 +30,12 @@ _REL_TOL = 1e-9
 _ABS_TOL = 1e-14
 _MAX_SUBDIVISIONS = 8
 _ANGULAR_FACTOR = 2  # angular order per radial order; trapezoid is spectral here
-# most points per integrand call, which bounds the size of its temporaries;
-# at 1 << 14 (128 KB arrays) glibc trims and re-faults the heap top on
-# every call, which made matrix assembly about 1.5x slower (x86-64, glibc)
-_CHUNK_POINTS = 1 << 13
+# most points per integrand call, which bounds the size of its temporaries
+# (128 KiB arrays); with the 16 MiB mmap threshold that __init__.py sets they
+# stay on the heap. Against 1 << 13 the exact-tilt benchmark ran 13-20%
+# faster (two sets of 4 interleaved pairs) for 0.6 MB more peak RSS; 1 << 15
+# and 1 << 16 added 2.2 and 3.9 MB (2-core x86-64 VM, glibc)
+_CHUNK_POINTS = 1 << 14
 
 
 class DiskQuadratureError(RuntimeError):
@@ -60,7 +62,10 @@ def _polar_nodes(n_radial: int):
     t, wt = np.polynomial.legendre.leggauss(n_radial)
     n_ang = _ANGULAR_FACTOR * n_radial
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    return t, wt, np.cos(theta), np.sin(theta)
+    nodes = t, wt, np.cos(theta), np.sin(theta)
+    for a in nodes:
+        a.flags.writeable = False  # cached: a write would corrupt every later integral
+    return nodes
 
 
 def _fixed_order(f, radius: float, n_radial: int, active: np.ndarray) -> np.ndarray:

@@ -39,15 +39,16 @@ FACING_AWAY = MisalignmentState(phi_a=rad(70.0), psi_a=rad(-70.0))
 
 @pytest.fixture
 def integrand_points(monkeypatch):
-    """Points per integrand call and angular orders seen by the batched
-    quadrature of ``mimo_matrix``."""
-    record = {"sizes": [], "n_ang": set()}
+    """Points and angular order (the points of one radial row) of each
+    integrand call of the batched quadrature of ``mimo_matrix`` and of a
+    ``gain_gmm`` batch."""
+    record = {"sizes": [], "n_ang": []}
     batched = channel._integrate_disks
 
     def spy(f, *args):
         def counted(x, y, k):
             record["sizes"].append(np.broadcast(k, x).size)
-            record["n_ang"].add(x.shape[-1])
+            record["n_ang"].append(x.shape[-1])
             return f(x, y, k)
 
         return batched(counted, *args)
@@ -210,6 +211,26 @@ def test_integrand_calls_stay_within_the_chunk(integrand_points):
     assert max(sizes) <= quadrature._CHUNK_POINTS
 
 
+def test_the_chunk_size_cannot_change_a_gain(monkeypatch, integrand_points):
+    # at 1 << 8 points an order-16 integral (512 points) spans two calls
+    beam = BeamParams(850e-9, 100e-6)
+    state = MisalignmentState(phi_a=rad(0.3), psi_e=rad(8.0))
+    batch = [MisalignmentState(x_de=1e-3 * k, phi_e=rad(0.1 * k), psi_a=rad(5.0 * k))
+             for k in range(4)]
+    results = set()
+    for chunk in (1 << 8, 1 << 13, 1 << 14):
+        monkeypatch.setattr(quadrature, "_CHUNK_POINTS", chunk)
+        integrand_points["sizes"].clear()
+        integrand_points["n_ang"].clear()
+        h = mimo_matrix(beam, L, TX, CONFIG_III, state)
+        gains = gain_gmm(beam, L, PD, batch)
+        calls = list(zip(integrand_points["sizes"], integrand_points["n_ang"]))
+        assert len(calls) > 10
+        assert all(size <= max(chunk, row) for size, row in calls), chunk
+        results.add((h.tobytes(), gains.tobytes()))
+    assert len(results) == 1
+
+
 _STATE_FIELDS = {
     "x_de": st.floats(-10e-3, 10e-3),
     "y_de": st.floats(-10e-3, 10e-3),
@@ -293,6 +314,97 @@ def test_lone_gain_runs_through_integrate_disk_and_the_point_kernel(monkeypatch)
     assert seen["integrals"] == ["integrand"] and seen["kernel_points"] > 0
     monkeypatch.undo()
     assert gain == gain_gmm(BeamParams(850e-9, 80e-6), L, PD, state)
+
+
+# The point kernel computes in place, by rewrites that are exact in IEEE
+# arithmetic; these are its textbook expressions, one temporary per
+# operation, which it must equal bit for bit.
+
+
+def reference_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
+    u, v, w = x * ca + y * sa * se, y * ce, x * sa - y * ca * se
+    up = u - x_de
+    vp = v - y_de
+    ell = -(a * up + b * vp + c * w)
+    z = on_axis + ell
+    rx_ = -up - z * a
+    ry_ = -vp - z * b
+    rz_ = (L - w) - z * c
+    return z, np.maximum(rx_ * rx_ + ry_ * ry_ + rz_ * rz_, 0.0)
+
+
+def reference_intensity(beam, z, rho_sq, cos_theta):
+    w2 = beam.waist_radius**2 * (1.0 + z * z * (1.0 / beam.rayleigh_range**2))
+    vals = 2.0 / (np.pi * w2) * np.exp(-2.0 * rho_sq / w2) * cos_theta
+    return np.where(z > 0.0, vals, 0.0)
+
+
+def _same_bits(a, b):
+    """Equal shapes and bit-equal values, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+# L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se and the alignment cosine;
+# a small or negative on_axis puts points behind the waist (z <= 0)
+_LINK_TERMS = [st.floats(1e-3, 3.0), *[st.floats(-1e-2, 1e-2)] * 2, *[st.floats(-1.0, 1.0)] * 3,
+               st.floats(-1e-2, 3.0), *[st.floats(-1.0, 1.0)] * 4, st.floats(0.0, 1.0)]
+_ALIGNED = [2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 0.0, 1.0]  # aligned link at 2 m
+_COORD = st.floats(-5e-3, 5e-3) | st.just(0.0)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Points as a (1, rows, angles) grid, a 0-d array or a float, and
+    link terms each shared (a float) or per link ((m, 1, 1) arrays), with
+    now and then one term NaN or infinite."""
+    m = draw(st.integers(1, 3))
+    terms = [
+        draw(values) if draw(st.booleans())
+        else np.array(draw(st.lists(values, min_size=m, max_size=m))).reshape(m, 1, 1)
+        for values in _LINK_TERMS
+    ]
+    if draw(st.integers(0, 4)) == 0:
+        terms[draw(st.integers(0, len(terms) - 1))] = draw(st.sampled_from([math.nan, math.inf]))
+    form = draw(st.sampled_from(["grid", "0-d", "float"]))
+    if form == "grid":
+        shape = (1, draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+        x, y = (np.array(draw(st.lists(_COORD, min_size=math.prod(shape),
+                                       max_size=math.prod(shape)))).reshape(shape)
+                for _ in range(2))
+    else:
+        x, y = draw(_COORD), draw(_COORD)
+        if form == "0-d":
+            x, y = np.asarray(x), np.asarray(y)
+    return x, y, terms
+
+
+@settings(max_examples=300)
+@given(inputs=kernel_inputs(), w0=st.floats(20e-6, 200e-6))
+@example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), _ALIGNED), w0=80e-6)  # on the axis
+@example(inputs=(0.0, 0.0, _ALIGNED[:6] + [0.0] + _ALIGNED[7:]), w0=80e-6)  # in the waist plane
+@example(inputs=(np.asarray(1e-3), np.asarray(0.0), _ALIGNED[:6] + [-1e-3] + _ALIGNED[7:]),
+         w0=80e-6)  # behind the waist
+@example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
+                 [np.array([1.0, 2.0]).reshape(2, 1, 1)] + _ALIGNED[1:]), w0=80e-6)  # per-link L
+@example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
+                 _ALIGNED[:-1] + [np.array([0.5, 1.0]).reshape(2, 1, 1)]), w0=80e-6)  # per-link cos
+def test_point_kernel_equals_its_textbook_form_bit_for_bit(inputs, w0):
+    x, y, terms = inputs
+    *link, cos_theta = terms
+    beam = BeamParams(850e-9, w0)
+    before = [np.array(v, copy=True) for v in (x, y, *terms)]
+    with np.errstate(all="ignore"):
+        z_ref, rho_ref = reference_point_frame(x, y, *link)
+        expected = reference_intensity(beam, z_ref, rho_ref, cos_theta)
+        z, rho_sq = geometry.gmm_point_frame(x, y, *link)
+        assert _same_bits(z, z_ref) and _same_bits(rho_sq, rho_ref)
+        assert _same_bits(channel._intensity(beam, z, rho_sq, cos_theta), expected)
+    assert _same_bits(rho_sq, rho_ref)
+    for old, new in zip(before, (x, y, *terms)):
+        assert _same_bits(new, old)
 
 
 # The pair keys of a geometry are collected once (channel._pair_keys) and

@@ -90,6 +90,14 @@ def test_batch_matches_lone_integrals_whatever_the_chunk(monkeypatch):
         assert lone == pytest.approx(math.pi / a * (1.0 - math.exp(-a)), rel=1e-9)
 
 
+def test_cached_nodes_are_read_only():
+    # the cache hands the same arrays to every integral in the process
+    for nodes in quadrature._polar_nodes(8):
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+
+
 def test_batch_failure_names_the_lowest_unconverged_integral(starve_quadrature):
     starve_quadrature(rel_tol=1e-13, abs_tol=0.0)
     sharpness = np.array([1.0, 1e4, 2e4])
