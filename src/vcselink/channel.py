@@ -98,6 +98,10 @@ class ArrayLayout:
     pitch: float
     side: float
 
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.elements).all():  # a NaN element would gain 0 or NaN
+            raise ValueError("array element coordinates must be finite")
+
     @property
     def n_elements(self) -> int:
         return len(self.elements)
@@ -383,8 +387,7 @@ def _closed_form_stack(
     Each gain is 0.25 fx fy, so erf runs per point only on the distinct
     (x_i, x_j) pairs, and likewise in y, then gathers: every matrix equals
     the full elementwise broadcast bit for bit. A warning about ignored state
-    fields fires once per stack."""
-    _check_link_distance(L)
+    fields fires once per stack; the caller checks ``L``."""
     x_de = y_de = phi_a = phi_e = 0.0  # the state fields the method feeds the kernel
     if method is GainMethod.APPROX_TX_TILT:
         if any(s.x_de != 0.0 or s.y_de != 0.0 or s.psi_a != 0.0 or s.psi_e != 0.0
@@ -464,6 +467,7 @@ def mimo_matrix(
     and cached (:func:`_pair_keys`), so a beam sweep reuses them.
     """
     method = GainMethod(method)
+    _check_link_distance(L)
     if rx.pd is None:
         raise ValueError("receiver layout must carry PD geometry")
 

@@ -126,6 +126,8 @@ def _as_gains(h, square: bool = False) -> np.ndarray:
     gains = np.asarray(h, dtype=float)
     if square and (gains.ndim != 2 or gains.shape[0] != gains.shape[1]):
         raise ValueError("direct mode requires a square channel matrix")
+    if gains.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
     return gains
 
 
@@ -156,13 +158,16 @@ def svd_thin(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orthonormal U columns and orthogonal V such that U @ diag(s) @ V.T
     reconstructs the input.
     """
-    gains = _as_gains(h)
-    if gains.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if gains.shape[0] < gains.shape[1]:
-        raise ValueError("svd_thin requires N_r >= N_t")
-    u, s, vh = np.linalg.svd(gains, full_matrices=False)
+    u, s, vh = _svd(_as_gains(h))
     return u, s, vh.T
+
+
+def _svd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (U, s, V^T) of a matrix or a stack of them with N_r >= N_t;
+    U even where only s is used: LAPACK's values-only route rounds differently."""
+    if stack.shape[-2] < stack.shape[-1]:
+        raise ValueError("svd_thin requires N_r >= N_t")
+    return np.linalg.svd(stack, full_matrices=False)
 
 
 def sinr_svd(singular_value, sigma_sq, params: LinkParams):
@@ -217,8 +222,6 @@ def aggregate_rate(h, params: LinkParams, mode: Mode | str = Mode.DIRECT) -> Rat
     case of the stacked link budget that sweeps run.
     """
     gains = _as_gains(h, square=Mode(mode) is Mode.DIRECT)
-    if gains.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
     return _rate_reports(gains[None], params, mode)[0]
 
 
@@ -233,10 +236,7 @@ def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str) -> li
     if mode is Mode.DIRECT:
         sinrs = _served_sinr(stack, np.arange(n_t), params)
     else:
-        if stack.shape[-2] < n_t:
-            raise ValueError("svd_thin requires N_r >= N_t")
-        # with U, as svd_thin: the values-only LAPACK route rounds differently
-        _, s, _ = np.linalg.svd(stack, full_matrices=False)
+        _, s, _ = _svd(stack)
         sinrs = sinr_svd(s, noise_variance(stack[:, :n_t], params), params)
     bits = bits_per_symbol(sinrs, params.target_ber)
     rates = params.subcarrier_efficiency * params.bandwidth * bits

@@ -328,7 +328,7 @@ def preset_rate_vs_tx_tilt(
 
 
 def preset_rate_vs_rx_tilt(
-    out_dir: Path, seed: int = 0, step_deg: float = 2.5, stop_deg: float = 90.0
+    out_dir: Path, seed: int = 0, step_deg: float = 2.5, stop_deg: float = 87.5
 ) -> list[Path]:
     psis = np.arange(0.0, stop_deg + step_deg / 2, step_deg)
     return _tilt_tables(out_dir, "rx", psis, _receiver_columns())

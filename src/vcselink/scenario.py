@@ -163,7 +163,7 @@ def _check_fields(cfg: dict) -> None:
     for path in ("link.rin_db_hz", "link.noise_figure_db"):
         level = _require_number(cfg, path)
         try:
-            linear = 10 ** (level / 10.0)  # the value build_scenario uses
+            linear = _from_db(level)
         except OverflowError:
             linear = math.inf
         if not 0.0 < linear < math.inf:
@@ -347,6 +347,11 @@ class Scenario:
 _SECTIONS = frozenset({"beam", "link", "distance", "misalignment", "pd", "tx_array", "rx_array"})
 
 
+def _from_db(level: float) -> float:
+    """Linear value of a dB level; OverflowError beyond the float range."""
+    return 10 ** (level / 10.0)
+
+
 def _parts(cfg: dict, sections) -> dict:
     """The Scenario fields built from the top-level ``sections`` of ``cfg``."""
     parts = {}
@@ -354,30 +359,15 @@ def _parts(cfg: dict, sections) -> dict:
         parts["beam"] = BeamParams(wavelength=cfg["beam"]["wavelength"],
                                    waist_radius=cfg["beam"]["w0"])
     if "link" in sections:
-        link = cfg["link"]
-        parts["params"] = LinkParams(
-            p_t=link["p_t"],
-            bandwidth=link["bandwidth"],
-            responsivity=link["responsivity"],
-            rin=10 ** (link["rin_db_hz"] / 10.0),
-            load_resistance=link["load_resistance"],
-            noise_figure=10 ** (link["noise_figure_db"] / 10.0),
-            temperature=link["temperature"],
-            target_ber=link["target_ber"],
-            n_fft=link["n_fft"],
-        )
+        link = dict(cfg["link"])
+        rin, noise_figure = (_from_db(link.pop(f)) for f in ("rin_db_hz", "noise_figure_db"))
+        parts["params"] = LinkParams(**link, rin=rin, noise_figure=noise_figure)
     if "distance" in sections:
         parts["distance"] = cfg["distance"]
     if "misalignment" in sections:
-        mis = cfg["misalignment"]
-        parts["state"] = MisalignmentState(
-            x_de=mis["x_de"],
-            y_de=mis["y_de"],
-            phi_a=math.radians(mis["phi_a_deg"]),
-            phi_e=math.radians(mis["phi_e_deg"]),
-            psi_a=math.radians(mis["psi_a_deg"]),
-            psi_e=math.radians(mis["psi_e_deg"]),
-        )
+        parts["state"] = MisalignmentState(**{
+            key.removesuffix("_deg"): math.radians(value) if key.endswith("_deg") else value
+            for key, value in cfg["misalignment"].items()})
     if not sections.isdisjoint({"pd", "tx_array", "rx_array"}):
         pd = cfg["pd"]
         parts["tx"], parts["rx"] = (

@@ -10,6 +10,7 @@ from scipy.special import erf as scipy_erf
 
 from vcselink.beam import BeamParams, beam_radius, waist_for_spot
 from vcselink.channel import (
+    ArrayLayout,
     GainMethod,
     LayoutKind,
     PdGeometry,
@@ -48,11 +49,16 @@ def test_pd_radius_must_be_finite_and_positive(radius):
         PdGeometry(radius)
 
 
-@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf, 0.0, -2.0])
 def test_link_distance_must_be_finite_and_positive(beam100, distance):
-    # NaN and inf used to give a gain of 0, NaN or a quadrature failure
+    # NaN and inf used to give a gain of 0, NaN or a quadrature failure; the
+    # exact matrix would read 0 and negative distances as zero gains too
     state = MisalignmentState(x_de=1e-3)
+    tx = build_layout(LayoutKind.SQUARE, k=2, transmitter=True)
+    rx = build_layout(LayoutKind.SQUARE, k=2)
     for gain in (
+        *(lambda m=m: mimo_matrix(beam100, distance, tx, rx, MisalignmentState(), m)
+          for m in GainMethod),
         lambda: gain_aligned(beam100, distance, PD),
         lambda: gain_gmm(beam100, distance, PD, state),
         lambda: gain_gmm(beam100, distance, PD, [state, state]),
@@ -237,6 +243,13 @@ class TestLayouts:
         for bad in ({"r_pd": math.nan}, {"r_pd": math.inf}, {"delta": math.nan}):
             with pytest.raises(ValueError):
                 build_layout(LayoutKind.SQUARE, k=3, transmitter=True, **bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_element_coordinates_must_be_finite(self, bad):
+        # a NaN transmitter element would give exact gains of 0, closed-form NaN
+        elements = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ValueError, match="element coordinates must be finite"):
+            ArrayLayout(LayoutKind.SQUARE, elements, None, 12e-3, 12e-3)
 
 
 def _closed_form_points(method, rng, count):
@@ -617,8 +630,6 @@ class TestMimoMatrix:
             mimo_matrix(beam100, L, tx, tx, MisalignmentState())
 
     def test_nonpositive_pair_distance_zeroes_entry(self, beam100):
-        from vcselink.channel import ArrayLayout
-
         # a receiver element rotated past the transmitter plane
         tx = ArrayLayout(LayoutKind.SQUARE, np.array([[0.0, 0.0]]), None, 12e-3, 12e-3)
         rx = ArrayLayout(LayoutKind.SQUARE, np.array([[3.0, 0.0]]), PD, 12e-3, 12e-3)

@@ -521,7 +521,7 @@ class TestPresets:
         paths = preset_rate_vs_tx_tilt(tmp_path, step_deg=1.0)
         assert all(p.exists() for p in paths)
         with pytest.warns(UserWarning, match="90 deg"):  # the 90 deg row
-            paths = preset_rate_vs_rx_tilt(tmp_path, step_deg=45.0)
+            paths = preset_rate_vs_rx_tilt(tmp_path, step_deg=45.0, stop_deg=90.0)
         assert all(p.exists() for p in paths)
 
     def test_tx_tilt_cell_matches_simulate(self, tmp_path):

@@ -203,6 +203,20 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd_thin(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape,svd,direct", [
+        ((3,), "expected a 2-D matrix", "direct mode requires a square channel matrix"),
+        ((1, 3, 3), "expected a 2-D matrix", "direct mode requires a square channel matrix"),
+        ((2, 3), "svd_thin requires N_r >= N_t", "direct mode requires a square channel matrix"),
+    ])
+    def test_every_entry_point_names_the_same_shape_rule(self, shape, svd, direct):
+        h, params = np.ones(shape), LinkParams()
+        for call, message in ((lambda: svd_thin(h), svd),
+                              (lambda: aggregate_rate(h, params, Mode.SVD), svd),
+                              (lambda: aggregate_rate(h, params, Mode.DIRECT), direct),
+                              (lambda: sinr_direct(h, 0, params), direct)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
 
 class TestSinrSvd:
     def test_single_link_equals_direct(self):

@@ -378,7 +378,8 @@ _WARNING_CASES = {
         lambda out: build_scenario(reference_config(misalignment={"phi_a_deg": 95.0})),
         "beyond 90 deg"),
     "run-scenario": (_tilt_ignoring_displacement, "ignores displacement"),
-    "preset": (lambda out: preset_rate_vs_rx_tilt(out, step_deg=45.0), "90 deg"),
+    "preset": (lambda out: preset_rate_vs_rx_tilt(out, step_deg=45.0, stop_deg=90.0),
+               "90 deg"),
 }
 
 
