@@ -329,7 +329,8 @@ def gain_approx_tx_tilt(
     Valid in the small-angle regime where the tilt acts like a beam-spot
     displacement of (L sin(phi_a), L sin(phi_e) cos(phi_a)); the spot radius
     is evaluated at the foreshortened distance L cos(phi_e) cos(phi_a). A
-    transmitter facing away (cos(phi_a) cos(phi_e) <= 0) gains 0. Accepts
+    transmitter facing away (cos(phi_a) <= 0 or cos(phi_e) <= 0) gains 0,
+    since the form holds only at small angles. Accepts
     arrays for the positions and the angles and broadcasts.
     """
     _check_link_distance(L)
@@ -346,8 +347,8 @@ def _erf_factors(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, x_de, y_de, phi_a, phi_e)
     At zero tilt it is the displacement form bit for bit (cos 0 = 1, sin 0 =
     0). fx reads only the x coordinates and fy only the y ones; the beam
     (``w0_sq``, ``z_r``) broadcasts like the angles. Both factors are +0
-    where the transmitter faces away, cos(phi_a) cos(phi_e) <= 0, since the
-    foreshortened side would flip their sign; a NaN angle stays NaN."""
+    where the transmitter faces away, cos(phi_a) <= 0 or cos(phi_e) <= 0,
+    since a foreshortened side would flip a sign; a NaN angle stays NaN."""
     ca, sa = np.cos(phi_a), np.sin(phi_a)
     ce, se = np.cos(phi_e), np.sin(phi_e)
     zn = L * ce * ca / z_r
@@ -355,7 +356,7 @@ def _erf_factors(w0_sq, z_r, L, a, x_i, y_i, x_j, y_j, x_de, y_de, phi_a, phi_e)
     x_i, y_i, x_j, y_j = (np.asarray(v, dtype=float) for v in (x_i, y_i, x_j, y_j))
     x_term = x_i * ca - x_j - (L * sa + x_de)
     y_term = y_i * ce - y_j - (L * se * ca + y_de)
-    away = ca * ce <= 0.0
+    away = np.minimum(ca, ce) <= 0.0  # either cosine <= 0; np.minimum keeps a NaN
     return (np.where(away, 0.0, _erf_sum(a * ca, c, x_term)),
             np.where(away, 0.0, _erf_sum(a * ce, c, y_term)))
 
@@ -406,7 +407,7 @@ def _closed_form_stack(
     w0_sq, z_r = _per_point([(beam.waist_radius**2, beam.rayleigh_range) for beam in beams])
     fx, fy = _erf_factors(w0_sq, z_r, L, rx.pd.equivalent_square_side, ux_i[:, None],
                           uy_i[:, None], ux_j, uy_j, x_de, y_de, phi_a, phi_e)
-    # + 0.0: a zero gain is +0, also where both factors are <= 0
+    # + 0.0: a zero gain is +0, not -0
     gains = 0.25 * fx[:, ix_i[:, None], ix_j] * fy[:, iy_i[:, None], iy_j] + 0.0
     if method is GainMethod.ALIGNED_CLOSED_FORM:
         on_axis = (rx_x[:, None] == tx_x) & (rx_y[:, None] == tx_y)

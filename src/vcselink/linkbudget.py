@@ -156,18 +156,22 @@ def svd_thin(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (U, singular_values, V) with descending singular values,
     orthonormal U columns and orthogonal V such that U @ diag(s) @ V.T
-    reconstructs the input.
+    reconstructs the input to rounding. The singular values are those of
+    the link budget, bit for bit; U and V come from LAPACK's full route,
+    whose own singular values may differ from them by a few ulps.
     """
-    u, s, vh = _svd(_as_gains(h))
+    gains = _as_gains(h)
+    s = _singular_values(gains)
+    u, _, vh = np.linalg.svd(gains, full_matrices=False)
     return u, s, vh.T
 
 
-def _svd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (U, s, V^T) of a matrix or a stack of them with N_r >= N_t;
-    U even where only s is used: LAPACK's values-only route rounds differently."""
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    """Descending singular values of a matrix or a stack of them with
+    N_r >= N_t, from LAPACK's values-only route."""
     if stack.shape[-2] < stack.shape[-1]:
         raise ValueError("svd_thin requires N_r >= N_t")
-    return np.linalg.svd(stack, full_matrices=False)
+    return np.linalg.svd(stack, compute_uv=False)
 
 
 def sinr_svd(singular_value, sigma_sq, params: LinkParams):
@@ -228,16 +232,15 @@ def aggregate_rate(h, params: LinkParams, mode: Mode | str = Mode.DIRECT) -> Rat
 def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str) -> list[RateReport]:
     """:func:`aggregate_rate` of each matrix of a (P, N_r, N_t) gain stack
     that shares ``params``, computed once for the whole stack (one stacked
-    SVD, one noise, SINR and bits expression). Each report equals the
-    matrix's own ``aggregate_rate`` bit for bit; the 30 dB QAM-fit warning
-    fires once per stack."""
+    values-only SVD, one noise, SINR and bits expression). Each report
+    equals the matrix's own ``aggregate_rate`` bit for bit; the 30 dB
+    QAM-fit warning fires once per stack."""
     mode = Mode(mode)
     n_t = stack.shape[-1]
     if mode is Mode.DIRECT:
         sinrs = _served_sinr(stack, np.arange(n_t), params)
     else:
-        _, s, _ = _svd(stack)
-        sinrs = sinr_svd(s, noise_variance(stack[:, :n_t], params), params)
+        sinrs = sinr_svd(_singular_values(stack), noise_variance(stack[:, :n_t], params), params)
     bits = bits_per_symbol(sinrs, params.target_ber)
     rates = params.subcarrier_efficiency * params.bandwidth * bits
     return [

@@ -169,6 +169,13 @@ def sinr_map(w0: float, grid_step: float = 1e-3) -> tuple[np.ndarray, np.ndarray
 # CSV-writing presets
 
 
+def _grid(start, stop, step) -> np.ndarray:
+    """Sweep values start + k step for k = 0, 1, ... up to ``stop``, never
+    past it; a step that divides the span keeps ``stop`` despite rounding
+    in the quotient."""
+    return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
+
+
 def _write_rate_table(path: Path, axis: str, fields, values, columns) -> Path:
     """One row per (axis value, field value) of ``values``: the axis value,
     then the aggregate rate of each column, a (header, config sections) pair
@@ -213,7 +220,7 @@ def preset_rate_vs_waist(out_dir: Path, seed: int = 0, step_um: int = 2) -> list
         for k in (2, 3, 4, 5)
         for mode in ("direct", "svd")
     ]
-    values = ((float(w_um), w_um * 1e-6) for w_um in np.arange(10, 100 + step_um, step_um))
+    values = ((float(w_um), w_um * 1e-6) for w_um in _grid(10, 100, step_um))
     path = out_dir / "rate_vs_waist.csv"
     return [_write_rate_table(path, "w0_um", ["beam.w0"], values, columns)]
 
@@ -288,7 +295,7 @@ def preset_gmm_verify(
 def preset_rate_vs_displacement(
     out_dir: Path, seed: int = 0, step: float = 0.5e-3, stop: float = 42e-3
 ) -> list[Path]:
-    r_values = [float(r) for r in np.arange(0.0, stop + step / 2, step)]
+    r_values = [float(r) for r in _grid(0.0, stop, step)]
     directions = {"horizontal": ["x_de"], "diagonal": ["x_de", "y_de"]}
     columns = _receiver_columns("approx-displacement")
     return [
@@ -323,14 +330,14 @@ def _tilt_tables(out_dir: Path, end: str, degrees, columns) -> list[Path]:
 def preset_rate_vs_tx_tilt(
     out_dir: Path, seed: int = 0, step_deg: float = 0.05, stop_deg: float = 2.0
 ) -> list[Path]:
-    phis = np.arange(0.0, stop_deg + step_deg / 2, step_deg)
+    phis = _grid(0.0, stop_deg, step_deg)
     return _tilt_tables(out_dir, "tx", phis, _receiver_columns("approx-tx-tilt"))
 
 
 def preset_rate_vs_rx_tilt(
     out_dir: Path, seed: int = 0, step_deg: float = 2.5, stop_deg: float = 87.5
 ) -> list[Path]:
-    psis = np.arange(0.0, stop_deg + step_deg / 2, step_deg)
+    psis = _grid(0.0, stop_deg, step_deg)
     return _tilt_tables(out_dir, "rx", psis, _receiver_columns())
 
 

@@ -432,10 +432,12 @@ _ANY_OFFSET = st.floats(-1.0, 1.0)
 _FACING_AWAY = (100e-6, 1e-3, 0.0, 0.0, math.radians(135.0), 0.0)
 # both angles beyond 90 deg: two negative erf factors, whose zeros were -0.0
 _TURNED_BACK = (100e-6, 1e-3, 0.05, 0.0, math.radians(135.0), math.radians(135.0))
+# both angles beyond 90 deg on axis: the product rule let two negative factors read as 1
+_BOTH_BEYOND = (100e-6, 1e-3, 0.0, 0.0, math.radians(135.0), math.radians(135.0))
 
 
 def _faces_away(phi_a, phi_e):
-    return np.cos(phi_a) * np.cos(phi_e) <= 0.0
+    return (np.cos(phi_a) <= 0.0) | (np.cos(phi_e) <= 0.0)
 
 
 def _tilted_state(phi_a, phi_e):
@@ -449,12 +451,13 @@ def _tilted_state(phi_a, phi_e):
 @settings(max_examples=150)
 @example(*_FACING_AWAY)  # its tilt gain was -1: the side a cos(phi_a) flipped the erf sum
 @example(*_TURNED_BACK)
+@example(*_BOTH_BEYOND)
 @given(w0=st.floats(5e-6, 300e-6), distance=st.floats(1e-4, 10.0), x=_ANY_OFFSET,
        y=_ANY_OFFSET, phi_a=_ANY_ANGLE, phi_e=_ANY_ANGLE)
 def test_single_link_closed_form_gains_lie_in_0_1(w0, distance, x, y, phi_a, phi_e):
     """Both erf-product gains lie in [0, 1] and a zero gain is +0; the tilt
-    gain is +0 where the transmitter faces away, cos(phi_a) cos(phi_e) <= 0,
-    and that rule does not turn a NaN angle into a gain of 0."""
+    gain is +0 where the transmitter faces away, cos(phi_a) <= 0 or
+    cos(phi_e) <= 0, and that rule does not turn a NaN angle into a gain of 0."""
     beam = BeamParams(850e-9, w0)
     disp = gain_approx_displacement(beam, distance, PD, x, y)
     tilt = gain_approx_tx_tilt(beam, distance, PD, x, y, 0.0, 0.0, phi_a, phi_e)
@@ -470,6 +473,8 @@ def test_single_link_closed_form_gains_lie_in_0_1(w0, distance, x, y, phi_a, phi
 @example(points=[_FACING_AWAY[:1] + _FACING_AWAY[2:]], distance=_FACING_AWAY[1],
          receiver=("square", 2), k_tx=2)
 @example(points=[_TURNED_BACK[:1] + _TURNED_BACK[2:]], distance=_TURNED_BACK[1],
+         receiver=("square", 2), k_tx=2)
+@example(points=[_BOTH_BEYOND[:1] + _BOTH_BEYOND[2:]], distance=_BOTH_BEYOND[1],
          receiver=("square", 2), k_tx=2)
 @given(points=st.lists(st.tuples(st.floats(5e-6, 300e-6), _ANY_OFFSET, _ANY_OFFSET,
                                  _ANY_ANGLE, _ANY_ANGLE), min_size=1, max_size=4),

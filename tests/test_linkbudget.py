@@ -437,6 +437,36 @@ def test_a_stacked_link_budget_is_aggregate_rate_per_matrix(shape, past_chunk, s
         assert report.aggregate == single.aggregate and report.mode is single.mode
 
 
+@settings(max_examples=30)
+@given(
+    shape=st.one_of(
+        st.sampled_from([(16, 81, 25), (31, 41, 25), (52, 25, 25)]),  # sweep chunks
+        st.tuples(st.integers(1, 8), st.integers(1, 30), st.integers(1, 30)).map(
+            lambda s: (s[0], max(s[1:]), min(s[1:]))),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_singular_values_are_the_values_only_route_everywhere(shape, seed):
+    """Every singular value of the link budget is LAPACK's values-only one:
+    each stacked SVD report is the matrix's own aggregate_rate bit for bit,
+    svd_thin returns those values, and its U and V, from the full route,
+    still reconstruct the matrix to within 16 max(N_r, N_t) eps relative in
+    the Frobenius norm (a backward-stable SVD's error is a few n eps)."""
+    rng = np.random.default_rng(seed)
+    stack = rng.random(shape) ** rng.uniform(1.0, 30.0, (shape[0], 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        reports = _rate_reports(stack, LinkParams(), Mode.SVD)
+        alone = [aggregate_rate(h, LinkParams(), Mode.SVD) for h in stack]
+    tolerance = 16 * max(shape[1:]) * np.finfo(float).eps
+    for h, report, single in zip(stack, reports, alone):
+        assert report.per_link_sinr.tolist() == single.per_link_sinr.tolist()
+        assert report.aggregate == single.aggregate
+        u, s, v = svd_thin(h)
+        assert s.tolist() == np.linalg.svd(h, compute_uv=False).tolist()
+        assert np.linalg.norm(u @ np.diag(s) @ v.T - h) <= tolerance * np.linalg.norm(h)
+
+
 def test_qam_fit_warning_once_per_stack():
     stack = np.stack([np.diag([0.9, 0.8, 0.7])] * 4)
     with warnings.catch_warnings(record=True) as caught:

@@ -249,6 +249,16 @@ def test_rate_tables_are_byte_identical_to_per_cell_resolution(tmp_path, case):
         assert path.read_bytes() == reference.read_bytes(), path.name
 
 
+def test_a_step_that_does_not_divide_the_span_stops_before_stop(tmp_path):
+    # 45 deg steps to the default 87.5 deg stop: 0 and 45, never the degenerate 90
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        written = preset_rate_vs_rx_tilt(tmp_path, step_deg=45.0)
+    for path in written:
+        rows = path.read_text().strip().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 45.0], path.name
+
+
 # -- the engine itself ---------------------------------------------------------
 
 
