@@ -5,8 +5,8 @@ parameter sweep); ``vcselink preset <name>`` reproduces one of the canned
 reference experiments. Output goes to --out, the VCSELINK_OUT environment
 variable, or the current directory, in that order.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical
-convergence failure, 1 unexpected error.
+Exit codes: 0 success, 2 usage or ConfigError (array sizes too; before any file
+is written), 3 numerical convergence failure, 1 any other error (a ValueError too).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from .presets import PRESETS, run_preset
 from .quadrature import DiskQuadratureError
-from .scenario import run_scenario
+from .scenario import ConfigError, run_scenario
 
 __all__ = ["main"]
 
@@ -67,12 +67,11 @@ def main(argv=None) -> int:
     except DiskQuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # domain errors raised while building from a configuration
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"unexpected error: {exc!r}", file=sys.stderr)
         return 1
     for path in written:
         print(path)

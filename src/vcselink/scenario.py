@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -191,7 +191,12 @@ def _check_fields(cfg: dict) -> None:
         if value != 0 and method == GainMethod.ALIGNED_CLOSED_FORM.value:
             raise ConfigError(f"misalignment.{field}",
                               f"{method} requires zero misalignment, got {value}")
-    _require_choice(cfg, "mode", _MODES)
+    mode = _require_choice(cfg, "mode", _MODES)
+    # the MIMO schemes fix the shape: direct pairs each laser with one detector
+    if mode == Mode.DIRECT.value and sizes["rx_array.k"] != sizes["tx_array.k"]:
+        raise ConfigError("mode", "direct mode requires equally sized arrays")
+    if sizes["rx_array.k"] < sizes["tx_array.k"]:
+        raise ConfigError("rx_array", "receiver array must not be smaller than transmitter")
     _check_derived(cfg)
 
 
@@ -378,19 +383,9 @@ def _parts(cfg: dict, sections) -> dict:
     return parts
 
 
-def _check_sizes(tx: ArrayLayout, rx: ArrayLayout, mode: Mode) -> None:
-    if mode is Mode.DIRECT and tx.n_elements != rx.n_elements:
-        raise ConfigError("mode", "direct mode requires equally sized arrays")
-    if rx.n_elements < tx.n_elements:
-        raise ConfigError("rx_array", "receiver array must not be smaller than transmitter")
-
-
 def build_scenario(cfg: dict) -> Scenario:
-    """Instantiate domain objects from a validated configuration; its
-    ``mode`` must fit the array sizes."""
-    scenario = Scenario(**_parts(cfg, _SECTIONS), method=GainMethod(cfg["method"]))
-    _check_sizes(scenario.tx, scenario.rx, Mode(cfg["mode"]))
-    return scenario
+    """Domain objects of a config that :func:`resolve_config` accepted; its sizes fit its mode."""
+    return Scenario(**_parts(cfg, _SECTIONS), method=GainMethod(cfg["method"]))
 
 
 def _sweep_values(sweep: dict) -> np.ndarray:
@@ -435,6 +430,14 @@ def _reports(matrices: np.ndarray, cells: list[Scenario], mode: Mode) -> list[Ra
     return reports
 
 
+def _mode_groups(configs: list[dict]) -> list[tuple[dict, list[int]]]:
+    """(first configuration, columns) of each group equal in all but ``mode``."""
+    groups: dict = {}  # configuration without its mode -> its columns
+    for column, cfg in enumerate(configs):
+        groups.setdefault(json.dumps({**cfg, "mode": None}, sort_keys=True), []).append(column)
+    return [(configs[columns[0]], columns) for columns in groups.values()]
+
+
 def _evaluate(configs: list[dict], points: list[dict]):
     """Evaluate each resolved configuration (column) at each point, a chunk
     of points at a time, and yield ``(column, number, matrix, report)`` for
@@ -444,9 +447,6 @@ def _evaluate(configs: list[dict], points: list[dict]):
     columns that differ only in ``mode`` share their matrices. A column's
     layouts, link parameters, beam, state and distance are built once, and
     a point rebuilds only the parts built from the sections it sets."""
-    for field in {field for point in points for field in point}:
-        if not all(_sweepable(cfg, field) for cfg in configs):
-            raise ConfigError(field, "not a real-valued field of every configuration")
     if not points:
         return
     distinct: dict = {}  # point items -> numbers of the points
@@ -455,14 +455,8 @@ def _evaluate(configs: list[dict], points: list[dict]):
     numbers = list(distinct.values())
     points = [points[first] for first, *_ in numbers]
     sections = {field.partition(".")[0] for point in points for field in point}
-    groups: dict = {}  # configuration without its mode -> its columns
-    for column, cfg in enumerate(configs):
-        groups.setdefault(json.dumps({**cfg, "mode": None}, sort_keys=True), []).append(column)
-    for columns in groups.values():
-        cfg = configs[columns[0]]
+    for cfg, columns in _mode_groups(configs):
         first = build_scenario(_at(cfg, points[0]))
-        for column in columns[1:]:
-            _check_sizes(first.tx, first.rx, Mode(configs[column]["mode"]))
         size = max(1, _CHUNK_ENTRIES // (first.tx.n_elements * first.rx.n_elements))
         for start in range(0, len(points), size):
             cells = [
@@ -480,9 +474,15 @@ def _evaluate(configs: list[dict], points: list[dict]):
 def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
     """Rate report of each resolved configuration (column) at each point
     (row). A point maps dotted field names to values, ``{"beam.w0": 50e-6}``,
-    and replaces them in a copy of every configuration. Configurations that
-    differ only in ``mode`` share the point's channel matrix, and equal
-    points share their reports."""
+    replaces them in a copy of every configuration and must pass the rules
+    of :func:`resolve_config`. Configurations that differ only in ``mode``
+    share the point's check and matrix, and equal points their reports."""
+    for field in {field for point in points for field in point}:
+        if not all(_sweepable(cfg, field) for cfg in configs):
+            raise ConfigError(field, "not a real-valued field of every configuration")
+    distinct = {frozenset(point.items()): point for point in points}.values()
+    for (cfg, _), point in product(_mode_groups(configs), distinct):
+        _check_fields(_at(cfg, point))
     rows = [[None] * len(configs) for _ in points]
     for column, number, _, report in _evaluate(configs, points):
         rows[number][column] = report

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import vcselink
+from vcselink.channel import build_layout
 from vcselink.cli import main
+from vcselink.linkbudget import LinkParams, aggregate_rate
 from vcselink.presets import (
     nmse_table_rows,
     preset_rate_vs_tx_tilt,
@@ -33,6 +35,12 @@ def run_cli_process(argv, preamble=""):
     return subprocess.run([sys.executable, "-W", "error", "-c", script, *argv],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=120)
+
+
+# every array kind, (kind, k): the square ones at k = 1..6 and the three
+# config kinds, which ignore k
+_ARRAYS = [("square", k) for k in range(1, 7)] + [
+    (kind, 5) for kind in ("config-i", "config-ii", "config-iii")]
 
 
 def write_config(path, overrides=None):
@@ -187,6 +195,9 @@ class TestConfigValidation:
             ({"rx_array": {"kind": "config-iii", "k": -3}}, "rx_array.k"),
             ({"rx_array": {"kind": "config-iii", "k": None}}, "rx_array.k"),
             ({"tx_array": {"kind": "square", "k": 0}}, "tx_array.k"),
+            # the channel shapes of the two MIMO schemes
+            ({"rx_array": {"kind": "config-ii"}}, "mode"),
+            ({"tx_array": {"kind": "config-iii"}, "mode": "svd"}, "rx_array"),
         ],
     )
     def test_out_of_domain_values_rejected_before_output(self, tmp_path, capsys, overrides,
@@ -256,10 +267,29 @@ class TestConfigValidation:
         assert point["beam"] is cfg["beam"]  # only the swept section is copied
         assert _set_path(cfg, "distance", 3.0)["distance"] == 3.0 and cfg["distance"] == 2.0
 
-    def test_direct_mode_needs_square_system(self, tmp_path):
-        path = write_config(tmp_path / "c.json", {"rx_array": {"kind": "config-ii"}})
-        with pytest.raises(ConfigError):
-            build_scenario(load_config(path))
+    @pytest.mark.parametrize("mode", ["direct", "svd"])
+    @pytest.mark.parametrize("rx", _ARRAYS, ids=str)
+    @pytest.mark.parametrize("tx", _ARRAYS, ids=str)
+    def test_a_shape_is_rejected_exactly_where_the_link_budget_rejects_it(self, tx, rx, mode):
+        # every array kind on each side in either mode: resolve_config and
+        # aggregate_rate agree on which channel shapes exist, and every
+        # accepted configuration builds
+        n_t, n_r = (build_layout(kind, k=k).n_elements for kind, k in (tx, rx))
+        try:
+            aggregate_rate(np.zeros((n_r, n_t)), LinkParams(), mode)
+        except ValueError:
+            budget_rejects = True
+        else:
+            budget_rejects = False
+        cfg = {"beam": {"w0": 100e-6}, "tx_array": {"kind": tx[0], "k": tx[1]},
+               "rx_array": {"kind": rx[0], "k": rx[1]}, "mode": mode}
+        if budget_rejects:
+            with pytest.raises(ConfigError) as excinfo:
+                resolve_config(cfg)
+            assert excinfo.value.field in ("mode", "rx_array")
+        else:
+            built = build_scenario(resolve_config(cfg))
+            assert (built.tx.n_elements, built.rx.n_elements) == (n_t, n_r)
 
     def test_degrees_cross_the_boundary(self, tmp_path):
         path = write_config(
@@ -401,10 +431,12 @@ class TestCliEntry:
     @pytest.mark.parametrize("tx, rx", [
         ({"kind": "square", "k": 32}, {"kind": "square", "k": 32}),  # 1024 x 1024
         ({"kind": "config-iii"}, {"kind": "square", "k": 113}),  # 12769 x 81
-        ({"kind": "square", "k": 1024}, {"kind": "square", "k": 1}),
+        ({"kind": "square", "k": 1}, {"kind": "square", "k": 1024}),
     ])
     def test_the_largest_arrays_inside_the_budget_resolve(self, tx, rx):
-        cfg = resolve_config({"beam": {"w0": 100e-6}, "tx_array": tx, "rx_array": rx})
+        # SVD mode, the receiver the larger side: the shapes that can be built
+        cfg = resolve_config({"beam": {"w0": 100e-6}, "tx_array": tx, "rx_array": rx,
+                              "mode": "svd"})
         assert cfg["tx_array"]["kind"] == tx["kind"]
 
     def test_simulate_runs_without_scipy(self, tmp_path):
@@ -473,6 +505,16 @@ class TestCliEntry:
         cfg = write_config(tmp_path / "c.json")
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 3
         assert "entry (3, 4)" in capsys.readouterr().err
+
+    def test_an_engine_value_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        # only a ConfigError names a field; any other ValueError is a fault
+        def boom(*args, **kwargs):
+            raise ValueError("svd_thin requires N_r >= N_t")
+
+        monkeypatch.setattr("vcselink.cli.run_scenario", boom)
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "unexpected error: ValueError" in capsys.readouterr().err
 
     def test_csv_outputs_reserialize_byte_identical(self, tmp_path):
         cfg = write_config(

@@ -299,6 +299,24 @@ def test_a_point_names_a_real_valued_field(field):
     assert excinfo.value.field == field
 
 
+@pytest.mark.parametrize("methods, point, field", [
+    # each of these used to return an aggregate of 0.0, a NaN rate, a bare
+    # ValueError or an OverflowError
+    (["approx-displacement"], {"distance": 1e300}, "distance"),
+    (["approx-displacement"], {"link.p_t": 1e200}, "link.p_t"),
+    (["approx-displacement"], {"beam.w0": -1.0}, "beam.w0"),
+    (["approx-displacement"], {"link.rin_db_hz": 4000.0}, "link.rin_db_hz"),
+    # valid for the first column, not for the second
+    (["approx-displacement", "aligned-closed-form"], {"misalignment.x_de": 1e-3},
+     "misalignment.x_de"),
+])
+def test_a_point_is_held_to_the_config_rules(methods, point, field):
+    configs = [reference_config(method=method) for method in methods]
+    with pytest.raises(ConfigError) as excinfo:
+        sweep(configs, [{}, point])
+    assert excinfo.value.field == field
+
+
 def test_a_point_cannot_set_the_sweep_itself():
     cfg = reference_config(
         sweep={"parameter": "beam.w0", "start": 50e-6, "stop": 100e-6, "steps": 3}
