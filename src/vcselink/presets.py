@@ -90,7 +90,13 @@ def waist_threshold_um(k: int) -> int | None:
 def first_crossing_below(fn, start: float, stop: float, step: float, threshold: float,
                          refine: int = 25) -> float | None:
     """First x in [start, stop] where ``fn`` drops below ``threshold``,
-    located by a forward scan plus bisection of the bracketing interval."""
+    located by a forward scan plus bisection of the bracketing interval.
+    The scan ends only for finite ``start`` and ``stop`` and a finite ``step`` > 0."""
+    for name, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
     x = start
     prev_x = None
     while x <= stop + 1e-12 * max(abs(stop), 1.0):

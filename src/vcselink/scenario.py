@@ -24,7 +24,7 @@ from .channel import ArrayLayout, GainMethod, LayoutKind, build_layout, mimo_mat
 from .channel import _closed_form_stack, _write_csv, write_gains_csv
 from .geometry import MisalignmentState
 from .linkbudget import LinkParams, Mode, RateReport, _rate_reports, noise_variance
-from .linkbudget import write_rates_csv
+from .linkbudget import _sinr_db, write_rates_csv
 
 __all__ = [
     "ConfigError",
@@ -76,8 +76,8 @@ DEFAULT_CONFIG: dict = {
     "sweep": None,
 }
 
-# integer-valued fields; a sweep would hand them floats
-_INTEGER_FIELDS = {"link.n_fft", "tx_array.k", "rx_array.k"}
+# the fields of the optional sweep section; None marks a required one
+_SWEEP = {"parameter": None, "start": None, "stop": None, "steps": None, "scale": "linear"}
 
 # gain entries per chunk of a sweep column; the chunk's matrices and link
 # budget are evaluated as one stack, so this bounds their scratch memory
@@ -108,7 +108,9 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
     for key, default in defaults.items():
         path = f"{prefix}{key}"
         value = user.get(key, default)
-        if isinstance(default, dict) and default:
+        if path == "sweep" and value is not None:
+            default = _SWEEP
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(path, f"expected an object, got {_type_name(value)}")
             value = _merge(default, value, prefix=path + ".")
@@ -263,48 +265,15 @@ def _check_derived(cfg: dict) -> None:
                           "at gain 1) overflows: every SINR would be 0")
 
 
-def _validate(cfg: dict) -> dict:
-    _check_fields(cfg)
-    sweep = cfg["sweep"]
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep", f"expected an object, got {_type_name(sweep)}")
-        for key in ("parameter", "start", "stop", "steps"):
-            if key not in sweep:
-                raise ConfigError(f"sweep.{key}", "missing required field")
-        unknown = set(sweep) - {"parameter", "start", "stop", "steps", "scale"}
-        if unknown:
-            raise ConfigError(f"sweep.{sorted(unknown)[0]}", "unknown field")
-        param = sweep["parameter"]
-        if not isinstance(param, str) or not _sweepable(cfg, param):
-            raise ConfigError("sweep.parameter", f"{param!r} is not a sweepable real-valued field")
-        start = _require_number(cfg, "sweep.start")
-        stop = _require_number(cfg, "sweep.stop")
-        if not isinstance(sweep["steps"], int) or not 2 <= sweep["steps"] <= _MAX_SWEEP_STEPS:
-            raise ConfigError("sweep.steps", f"must be an integer in [2, {_MAX_SWEEP_STEPS}]")
-        scale = sweep.get("scale", "linear")
-        if scale not in ("linear", "log"):
-            raise ConfigError("sweep.scale", f"must be 'linear' or 'log', got {scale!r}")
-        if scale == "log" and (start <= 0 or stop <= 0):
-            raise ConfigError("sweep.scale", "log scale needs positive start/stop")
-        # every field check is an interval, so valid end points make every point valid
-        for end in (start, stop):
-            _check_fields(_set_path(cfg, param, end))
-        cfg["sweep"] = {**sweep, "scale": scale}
-    return cfg
-
-
 def _sweepable(cfg: dict, dotted: str) -> bool:
-    """Whether a sweep may vary field ``dotted`` of ``cfg``: a real number,
-    neither an integer field nor part of the sweep itself."""
-    if dotted in _INTEGER_FIELDS or dotted.partition(".")[0] == "sweep":
+    """Whether a sweep may vary field ``dotted`` of ``cfg``: a real number whose
+    DEFAULT_CONFIG value is not an integer (``sweep.*`` has no such value)."""
+    try:
+        value, reference = _get_path(cfg, dotted), _get_path(DEFAULT_CONFIG, dotted)
+    except (KeyError, TypeError):  # no such field, or a path through a leaf
         return False
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return False
-        node = node[part]
-    return isinstance(node, (int, float)) and not isinstance(node, bool)
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and not isinstance(reference, int))
 
 
 def _set_path(cfg: dict, dotted: str, value: float) -> dict:
@@ -318,7 +287,27 @@ def resolve_config(obj: dict) -> dict:
     modified."""
     if not isinstance(obj, dict):
         raise ConfigError("<file>", "top level must be a JSON object")
-    return _validate(_merge(DEFAULT_CONFIG, obj))
+    cfg = _merge(DEFAULT_CONFIG, obj)
+    _check_fields(cfg)
+    sweep = cfg["sweep"]
+    if sweep is not None:
+        for key, default in _SWEEP.items():
+            if default is None and sweep[key] is None:
+                raise ConfigError(f"sweep.{key}", "missing required field")
+        param = sweep["parameter"]
+        if not isinstance(param, str) or not _sweepable(cfg, param):
+            raise ConfigError("sweep.parameter", f"{param!r} is not a sweepable real-valued field")
+        start = _require_number(cfg, "sweep.start")
+        stop = _require_number(cfg, "sweep.stop")
+        if not isinstance(sweep["steps"], int) or not 2 <= sweep["steps"] <= _MAX_SWEEP_STEPS:
+            raise ConfigError("sweep.steps", f"must be an integer in [2, {_MAX_SWEEP_STEPS}]")
+        if sweep["scale"] not in ("linear", "log"):
+            raise ConfigError("sweep.scale", f"must be 'linear' or 'log', got {sweep['scale']!r}")
+        if sweep["scale"] == "log" and (start <= 0 or stop <= 0):
+            raise ConfigError("sweep.scale", "log scale needs positive start/stop")
+        # every field check is an interval, so valid end points make every point valid
+        _check_points([cfg], [{param: start}, {param: stop}])
+    return cfg
 
 
 def load_config(path) -> dict:
@@ -438,6 +427,17 @@ def _mode_groups(configs: list[dict]) -> list[tuple[dict, list[int]]]:
     return [(configs[columns[0]], columns) for columns in groups.values()]
 
 
+def _check_points(configs: list[dict], points: list[dict]) -> None:
+    """Hold each distinct point to the rules of :func:`resolve_config`, once
+    per group of resolved configurations equal in all but ``mode``."""
+    for field in {field for point in points for field in point}:
+        if not all(_sweepable(cfg, field) for cfg in configs):
+            raise ConfigError(field, "not a real-valued field of every configuration")
+    distinct = {frozenset(point.items()): point for point in points}.values()
+    for (cfg, _), point in product(_mode_groups(configs), distinct):
+        _check_fields(_at(cfg, point))
+
+
 def _evaluate(configs: list[dict], points: list[dict]):
     """Evaluate each resolved configuration (column) at each point, a chunk
     of points at a time, and yield ``(column, number, matrix, report)`` for
@@ -477,12 +477,7 @@ def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
     replaces them in a copy of every configuration and must pass the rules
     of :func:`resolve_config`. Configurations that differ only in ``mode``
     share the point's check and matrix, and equal points their reports."""
-    for field in {field for point in points for field in point}:
-        if not all(_sweepable(cfg, field) for cfg in configs):
-            raise ConfigError(field, "not a real-valued field of every configuration")
-    distinct = {frozenset(point.items()): point for point in points}.values()
-    for (cfg, _), point in product(_mode_groups(configs), distinct):
-        _check_fields(_at(cfg, point))
+    _check_points(configs, points)
     rows = [[None] * len(configs) for _ in points]
     for column, number, _, report in _evaluate(configs, points):
         rows[number][column] = report
@@ -490,10 +485,8 @@ def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
 
 
 def _sweep_row(value: float, report: RateReport) -> tuple[float, float, float, float]:
-    finite = report.per_link_sinr[report.per_link_sinr > 0]
-    lo = 10 * math.log10(finite.min()) if finite.size else float("-inf")
-    hi = 10 * math.log10(finite.max()) if finite.size else float("-inf")
-    return value, report.aggregate, lo, hi
+    finite = report.per_link_sinr[report.per_link_sinr > 0].tolist() or [0.0]
+    return value, report.aggregate, _sinr_db(min(finite)), _sinr_db(max(finite))
 
 
 def _output_dir(out_dir) -> Path:

@@ -79,13 +79,15 @@ class TestConfigValidation:
             load_config(path)
         assert "line" in str(excinfo.value)
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "not-an-object"])
     def test_unreadable_path_names_the_file(self, tmp_path, capsys, kind):
         path = tmp_path / "c.json"
         if kind == "directory":
             path.mkdir()
         elif kind == "not-utf8":
             path.write_bytes(b"\xff\xfe{\x00}\x00")
+        elif kind == "not-an-object":
+            path.write_text("[]")
         with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         assert excinfo.value.field == "<file>"
@@ -110,6 +112,15 @@ class TestConfigValidation:
             ),
             ({"parameter": "beam.w0", "start": 0, "stop": 1, "steps": 3, "scale": "log"},
              "sweep.scale"),
+            (3, "sweep"),
+            # each required key missing
+            ({"start": 0, "stop": 1e-3, "steps": 3}, "sweep.parameter"),
+            ({"parameter": "misalignment.x_de", "stop": 1e-3, "steps": 3}, "sweep.start"),
+            ({"parameter": "misalignment.x_de", "start": 0, "steps": 3}, "sweep.stop"),
+            ({"parameter": "misalignment.x_de", "start": 0, "stop": 1e-3}, "sweep.steps"),
+            # unknown keys are named in file order, as in every other section
+            ({"parameter": "misalignment.x_de", "start": 0, "stop": 1e-3, "steps": 3,
+              "zeta": 1, "alpha": 2}, "sweep.zeta"),
         ],
     )
     def test_sweep_validation(self, tmp_path, sweep, field):
@@ -117,6 +128,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("key", ["parameter", "start", "stop", "steps"])
+    @pytest.mark.parametrize("given", ["absent", "null"])
+    def test_a_required_sweep_key_absent_or_null_is_missing(self, tmp_path, capsys, key,
+                                                            given):
+        sweep = {"parameter": "misalignment.x_de", "start": 0.0, "stop": 1e-3, "steps": 3}
+        if given == "absent":
+            del sweep[key]
+        else:
+            sweep[key] = None
+        path = write_config(tmp_path / "c.json", {"sweep": sweep})
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config field 'sweep.{key}': missing required field" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides,field",
@@ -198,6 +222,12 @@ class TestConfigValidation:
             # the channel shapes of the two MIMO schemes
             ({"rx_array": {"kind": "config-ii"}}, "mode"),
             ({"tx_array": {"kind": "config-iii"}, "mode": "svd"}, "rx_array"),
+            ({"beam": 3}, "beam"),
+            ({"tx_array": {"kind": "hexagonal"}}, "tx_array.kind"),
+            ({"rx_array": {"kind": "hexagonal"}}, "rx_array.kind"),
+            ({"method": "ray-trace"}, "method"),
+            ({"mode": "zero-forcing"}, "mode"),
+            ({"link": {"n_fft": 64.0}}, "link.n_fft"),
         ],
     )
     def test_out_of_domain_values_rejected_before_output(self, tmp_path, capsys, overrides,

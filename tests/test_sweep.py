@@ -16,6 +16,7 @@ from vcselink import scenario
 from vcselink.channel import mimo_matrix
 from vcselink.linkbudget import aggregate_rate
 from vcselink.presets import (
+    first_crossing_below,
     preset_rate_vs_displacement,
     preset_rate_vs_rx_tilt,
     preset_rate_vs_tx_tilt,
@@ -317,6 +318,10 @@ def test_a_point_is_held_to_the_config_rules(methods, point, field):
     assert excinfo.value.field == field
 
 
+def test_no_points_give_no_rows():
+    assert sweep([reference_config()], []) == []
+
+
 def test_a_point_cannot_set_the_sweep_itself():
     cfg = reference_config(
         sweep={"parameter": "beam.w0", "start": 50e-6, "stop": 100e-6, "steps": 3}
@@ -375,6 +380,28 @@ def test_simulate_evaluates_its_base_point_once_when_the_sweep_starts_there(
     alone = _matrix(build_scenario(load_config(path)))
     gains = np.loadtxt(tmp_path / "out" / "gains.csv", delimiter=",", skiprows=1)
     assert np.allclose(gains, alone, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("start, stop, step, name", [
+    (0.0, 1.0, 0.0, "step"),
+    (0.0, 1.0, -0.1, "step"),
+    (0.0, 1.0, math.nan, "step"),
+    (0.0, 1.0, math.inf, "step"),
+    (0.0, math.inf, 0.1, "stop"),
+    (0.0, math.nan, 0.1, "stop"),
+    (-math.inf, 1.0, 0.1, "start"),
+])
+def test_a_crossing_scan_that_cannot_end_is_rejected(start, stop, step, name):
+    calls = []
+
+    def never_below(x):  # bounds the scan of a version that accepts the arguments
+        calls.append(x)
+        assert len(calls) < 1000, "the scan did not end"
+        return 1.0
+
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        first_crossing_below(never_below, start, stop, step, 0.5)
+    assert calls == []
 
 
 def test_waist_thresholds_are_pinned_to_the_grid():
