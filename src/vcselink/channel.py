@@ -187,10 +187,10 @@ def gain_gmm(
     """
     _check_link_distance(L)
     if isinstance(state, MisalignmentState):
-        integrand, live = _link_integrand(beam, [_link_row(L, state)])
+        integrand, live = _link_integrand([beam], [_link_row(L, state)])
         return integrate_disk(integrand, pd.radius) if len(live) else 0.0
     links = [_link_row(L, s) for s in state]
-    return _exact_gains(beam, pd, links, lambda k: f"state {k}")
+    return _exact_gains([beam], pd, links, lambda k: f"state {k}")[0]
 
 
 def _link_row(L: float, s: MisalignmentState) -> tuple:
@@ -198,52 +198,58 @@ def _link_row(L: float, s: MisalignmentState) -> tuple:
     return (L, s.x_de, s.y_de, s.phi_a, s.phi_e, s.psi_a, s.psi_e)
 
 
-def _exact_gains(beam: BeamParams, pd: PdGeometry, links, where) -> np.ndarray:
-    """Exact gains of link rows (see :func:`_link_integrand`) in one batched
-    quadrature; ``where(k)`` locates a failure of row k."""
-    integrand, live = _link_integrand(beam, links)
-    gains = np.zeros(len(links))
-    gains[live] = _integrate_disks(integrand, pd.radius, len(live), lambda k: where(live[k]))
+def _exact_gains(beams: Sequence[BeamParams], pd: PdGeometry, links, where) -> np.ndarray:
+    """Exact gains of link rows (see :func:`_link_integrand`) under each of
+    P beams, a (P, K) array, in one batched quadrature; ``where(k)`` locates
+    a failure of row k."""
+    integrand, live = _link_integrand(beams, links)
+    gains = np.zeros((len(beams), len(links)))
+    gains[:, live] = _integrate_disks(integrand, pd.radius, len(beams) * len(live),
+                                      lambda k: where(live[k % len(live)])).reshape(len(beams), -1)
     return gains
 
 
-def _link_integrand(beam: BeamParams, links):
+def _link_integrand(beams: Sequence[BeamParams], links):
     """Integrand of the exact gains of link rows (L, x_de, y_de, phi_a,
-    phi_e, psi_a, psi_e) and the numbers of the rows it covers, those facing
-    the beam (the others gain 0): ``integrand(x, y, k=0)`` is the intensity
-    of covered row k weighted by its alignment cosine."""
+    phi_e, psi_a, psi_e) under each of P beams and the numbers of the rows it
+    covers, those facing the beam (the others gain 0): ``integrand(x, y,
+    k=0)`` is the intensity of integral k, covered row ``k % K`` of the K
+    covered rows under beam ``k // K``, weighted by its alignment cosine.
+    A beam's 1/z_R^2 and w0^2 are computed once and are terms of its
+    integrals like the link terms."""
     L, x_de, y_de, *angles = np.array(links, dtype=float).reshape(-1, 7).T
     *frame, cos_theta = _link_constants(L, *angles)
     live = np.flatnonzero(cos_theta > 0.0)
-    # a term every link shares stays a float, so the integrand computes
-    # what depends only on it once per call rather than once per link; the
-    # other terms are rows of one table, gathered by one index per call
-    terms = [t[live] for t in (L, x_de, y_de, *frame, cos_theta)]
+    beam_terms = np.array([(1.0 / b.rayleigh_range**2, b.waist_radius**2) for b in beams]).T
+    # a term every integral shares stays a float, so the integrand computes
+    # what depends only on it once per call rather than once per integral;
+    # the other terms are rows of one table, gathered by one index per call
+    terms = [*(np.tile(t[live], len(beams)) for t in (L, x_de, y_de, *frame, cos_theta)),
+             *(np.repeat(t, len(live)) for t in beam_terms)]
     shared = [float(v[0]) if len(v) and (v == v[0]).all() else None for v in terms]
     table = np.array([v for v, s in zip(terms, shared) if s is None])
-    table = table.reshape(shared.count(None), len(live))
+    table = table.reshape(shared.count(None), len(terms[0]))
 
     def integrand(x, y, k=0):
         rows = iter(table[:, k])
-        *link, cos_k = [next(rows) if s is None else s for s in shared]
+        *link, cos_k, inv_zr_sq, w0_sq = [next(rows) if s is None else s for s in shared]
         z, rho_sq = gmm_point_frame(x, y, *link)
-        return _intensity(beam, z, rho_sq, cos_k)
+        return _intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_k)
 
     return integrand, live
 
 
-def _intensity(beam: BeamParams, z, rho_sq, cos_theta):
-    """Beam intensity on the tilted detector at beam-frame (z, rho^2),
-    weighted by the alignment cosine; zero behind the waist. Like
-    :func:`gmm_point_frame` it reuses its own buffers and equals its textbook
-    form bit for bit; the zeroing runs only where some z fails z > 0, as a
-    NaN does."""
+def _intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_theta):
+    """Intensity of a beam of 1/z_R^2 ``inv_zr_sq`` and w0^2 ``w0_sq`` on the
+    tilted detector at beam-frame (z, rho^2), weighted by the alignment
+    cosine; zero behind the waist. It equals its textbook form bit for bit;
+    the zeroing runs only where some z fails z > 0, as a NaN does."""
     w2 = z * z
-    w2 *= 1.0 / beam.rayleigh_range**2
+    w2 = w2 * inv_zr_sq  # a per-beam term can widen the shape, so out of place
     w2 += 1.0
-    w2 *= beam.waist_radius**2
+    w2 = w2 * w0_sq
     vals = rho_sq * -2.0
-    vals /= w2
+    vals = vals / w2
     vals = np.exp(vals)
     w2 *= np.pi
     vals *= 2.0 / w2
@@ -448,7 +454,7 @@ def _pair_keys(L: float, tx: ArrayLayout, rx: ArrayLayout, state: MisalignmentSt
 
 
 def mimo_matrix(
-    beam: BeamParams,
+    beam: BeamParams | Sequence[BeamParams],
     L: float,
     tx: ArrayLayout,
     rx: ArrayLayout,
@@ -456,36 +462,41 @@ def mimo_matrix(
     method: GainMethod | str = GainMethod.EXACT_GMM,
 ) -> np.ndarray:
     """Assemble the N_r x N_t array-to-array gain matrix (rows: receiver
-    elements, columns: transmitter elements) as a float array.
+    elements, columns: transmitter elements) as a float array; a sequence of
+    P beams gives a (P, N_r, N_t) stack, one matrix per beam.
 
     Each entry treats its transmitter/receiver element pair as a single
     link: element positions are rotated and displaced with their array,
     then the single-link gain is evaluated with the pair's own distance
     and center offsets while keeping the array orientation angles. The
-    closed forms are the one-point case of :func:`_closed_form_stack`
-    (erf on distinct coordinate pairs only). The exact route integrates each
-    unique element pair once, with the pairs of a geometry collected once
-    and cached (:func:`_pair_keys`), so a beam sweep reuses them.
+    closed forms run through :func:`_closed_form_stack` (erf on distinct
+    coordinate pairs only). The exact route integrates each unique element
+    pair once per beam in one batched quadrature, with the pairs of a
+    geometry collected once and cached (:func:`_pair_keys`). Each matrix of
+    a stack is its beam's own matrix bit for bit; a non-positive pair
+    distance warns once per call.
     """
     method = GainMethod(method)
     _check_link_distance(L)
     if rx.pd is None:
         raise ValueError("receiver layout must carry PD geometry")
+    beams = [beam] if isinstance(beam, BeamParams) else list(beam)
+    if not beams:
+        raise ValueError("need at least one beam")
 
     if method is not GainMethod.EXACT_GMM:
-        return _closed_form_stack([beam], L, tx, rx, [state], method)[0]
-
-    # exact route: one batched quadrature over the unique element pairs
-    links, slot = _pair_keys(L, tx, rx, state)
-    for i, j in np.argwhere(slot < 0).tolist():
-        warn(f"non-positive pair distance for entry ({i}, {j}); gain set to 0")
-    # a failing key is located at its first entry
-    values = _exact_gains(beam, rx.pd, links,
-                          lambda k: f"entry {divmod(int(np.argmax(slot == k)), tx.n_elements)}")
-    found = slot >= 0
-    gains = np.zeros(slot.shape)
-    gains[found] = values[slot[found]]
-    return gains
+        gains = _closed_form_stack(beams, L, tx, rx, [state] * len(beams), method)
+    else:  # exact route: one batched quadrature over the beams and unique element pairs
+        links, slot = _pair_keys(L, tx, rx, state)
+        for i, j in np.argwhere(slot < 0).tolist():
+            warn(f"non-positive pair distance for entry ({i}, {j}); gain set to 0")
+        # a failing key is located at its first entry
+        values = _exact_gains(beams, rx.pd, links, lambda k: "entry "
+                              f"{divmod(int(np.argmax(slot == k)), tx.n_elements)}")
+        found = slot >= 0
+        gains = np.zeros((len(beams), *slot.shape))
+        gains[:, found] = values[:, slot[found]]
+    return gains[0] if isinstance(beam, BeamParams) else gains
 
 
 def write_gains_csv(gains: np.ndarray, path) -> None:

@@ -91,7 +91,8 @@ def first_crossing_below(fn, start: float, stop: float, step: float, threshold: 
                          refine: int = 25) -> float | None:
     """First x in [start, stop] where ``fn`` drops below ``threshold``,
     located by a forward scan plus bisection of the bracketing interval.
-    The scan ends only for finite ``start`` and ``stop`` and a finite ``step`` > 0."""
+    The scan ends only for finite ``start`` and ``stop`` and a finite ``step`` > 0
+    that advances x: one below half an ulp of x is rejected where it stalls."""
     for name, value in (("start", start), ("stop", stop)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -113,6 +114,8 @@ def first_crossing_below(fn, start: float, stop: float, step: float, threshold: 
             return 0.5 * (lo + hi)
         prev_x = x
         x += step
+        if x == prev_x:
+            raise ValueError(f"step {step!r} does not advance the scan at x = {x!r}")
     return None
 
 

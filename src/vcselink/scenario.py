@@ -266,8 +266,11 @@ def _check_derived(cfg: dict) -> None:
 
 
 def _sweepable(cfg: dict, dotted: str) -> bool:
-    """Whether a sweep may vary field ``dotted`` of ``cfg``: a real number whose
-    DEFAULT_CONFIG value is not an integer (``sweep.*`` has no such value)."""
+    """Whether a sweep may vary field ``dotted`` of ``cfg``: a dotted string
+    naming a real number whose DEFAULT_CONFIG value is not an integer
+    (``sweep.*`` has no such value)."""
+    if not isinstance(dotted, str):
+        return False
     try:
         value, reference = _get_path(cfg, dotted), _get_path(DEFAULT_CONFIG, dotted)
     except (KeyError, TypeError):  # no such field, or a path through a leaf
@@ -295,7 +298,7 @@ def resolve_config(obj: dict) -> dict:
             if default is None and sweep[key] is None:
                 raise ConfigError(f"sweep.{key}", "missing required field")
         param = sweep["parameter"]
-        if not isinstance(param, str) or not _sweepable(cfg, param):
+        if not _sweepable(cfg, param):
             raise ConfigError("sweep.parameter", f"{param!r} is not a sweepable real-valued field")
         start = _require_number(cfg, "sweep.start")
         stop = _require_number(cfg, "sweep.stop")
@@ -392,20 +395,22 @@ def _at(cfg: dict, point: dict) -> dict:
 
 def _matrices(cells: list[Scenario]) -> np.ndarray:
     """Channel matrices of scenarios that differ only in what a sweep
-    point sets, as a (P, N_r, N_t) stack. The exact route runs point by
-    point through :func:`mimo_matrix`, which collects the pair keys of a
-    geometry once: the cells of a beam sweep share their layout and state
-    objects, so they share the keys. A closed form runs one stack per run
-    of points that share their layouts and distance, with erf only on the
-    distinct coordinates."""
-    if cells[0].method is GainMethod.EXACT_GMM:
-        return np.stack([mimo_matrix(cell.beam, cell.distance, cell.tx, cell.rx, cell.state,
-                                     cell.method) for cell in cells])
+    point sets, as a (P, N_r, N_t) stack. A closed form runs one stack per
+    run of points that share their layouts and distance, with erf only on
+    the distinct coordinates. The exact route runs one :func:`mimo_matrix`
+    beam stack per run of points that also share their state (every chunk
+    of a beam sweep): its unique element pairs are collected once per
+    geometry, and their integrals under every beam of the run form one
+    batched quadrature. Points with different states never share a call,
+    since per-link angles would defeat the integrand's shared terms."""
+    method = cells[0].method
+    exact = method is GainMethod.EXACT_GMM
     stacks = []
-    for (tx, rx, distance), run in groupby(cells, key=lambda c: (c.tx, c.rx, c.distance)):
-        run = list(run)
-        stacks.append(_closed_form_stack([cell.beam for cell in run], distance, tx, rx,
-                                         [cell.state for cell in run], cells[0].method))
+    for (tx, rx, distance, state), run in groupby(
+            cells, key=lambda c: (c.tx, c.rx, c.distance, c.state if exact else None)):
+        beams, states = zip(*((cell.beam, cell.state) for cell in run))
+        stacks.append(mimo_matrix(beams, distance, tx, rx, state) if exact else
+                      _closed_form_stack(beams, distance, tx, rx, states, method))
     return np.concatenate(stacks)
 
 

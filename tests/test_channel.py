@@ -634,6 +634,12 @@ class TestMimoMatrix:
         with pytest.raises(ValueError):
             mimo_matrix(beam100, L, tx, tx, MisalignmentState())
 
+    @pytest.mark.parametrize("method", list(GainMethod))
+    def test_a_beam_stack_needs_a_beam(self, system, method):
+        tx, rx = system
+        with pytest.raises(ValueError, match="at least one beam"):
+            mimo_matrix([], L, tx, rx, MisalignmentState(), method)
+
     def test_nonpositive_pair_distance_zeroes_entry(self, beam100):
         # a receiver element rotated past the transmitter plane
         tx = ArrayLayout(LayoutKind.SQUARE, np.array([[0.0, 0.0]]), None, 12e-3, 12e-3)

@@ -333,8 +333,8 @@ def reference_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se)
     return z, np.maximum(rx_ * rx_ + ry_ * ry_ + rz_ * rz_, 0.0)
 
 
-def reference_intensity(beam, z, rho_sq, cos_theta):
-    w2 = beam.waist_radius**2 * (1.0 + z * z * (1.0 / beam.rayleigh_range**2))
+def reference_intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_theta):
+    w2 = w0_sq * (1.0 + z * z * inv_zr_sq)
     vals = 2.0 / (np.pi * w2) * np.exp(-2.0 * rho_sq / w2) * cos_theta
     return np.where(z > 0.0, vals, 0.0)
 
@@ -353,13 +353,26 @@ _LINK_TERMS = [st.floats(1e-3, 3.0), *[st.floats(-1e-2, 1e-2)] * 2, *[st.floats(
                st.floats(-1e-2, 3.0), *[st.floats(-1.0, 1.0)] * 4, st.floats(0.0, 1.0)]
 _ALIGNED = [2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 0.0, 1.0]  # aligned link at 2 m
 _COORD = st.floats(-5e-3, 5e-3) | st.just(0.0)
+# the beam constants 1/z_R^2 and w0^2 of a waist
+_BEAM_TERMS = (lambda beam: 1.0 / beam.rayleigh_range**2, lambda beam: beam.waist_radius**2)
+
+
+def _beam_terms(*waists):
+    """The beam constants of one waist as floats, of several as (m, 1, 1) rows."""
+    beams = [BeamParams(850e-9, w0) for w0 in waists]
+    rows = [np.array([term(beam) for beam in beams]).reshape(-1, 1, 1) for term in _BEAM_TERMS]
+    return [float(v[0, 0, 0]) for v in rows] if len(beams) == 1 else rows
+
+
+_BEAM_80 = _beam_terms(80e-6)
 
 
 @st.composite
 def kernel_inputs(draw):
-    """Points as a (1, rows, angles) grid, a 0-d array or a float, and
-    link terms each shared (a float) or per link ((m, 1, 1) arrays), with
-    now and then one term NaN or infinite."""
+    """Points as a (1, rows, angles) grid, a 0-d array or a float; link
+    terms each shared (a float) or per integral ((m, 1, 1) arrays), with now
+    and then one term NaN or infinite; and the beam constants of waists of
+    20-200 um, each shared or per integral."""
     m = draw(st.integers(1, 3))
     terms = [
         draw(values) if draw(st.booleans())
@@ -368,6 +381,8 @@ def kernel_inputs(draw):
     ]
     if draw(st.integers(0, 4)) == 0:
         terms[draw(st.integers(0, len(terms) - 1))] = draw(st.sampled_from([math.nan, math.inf]))
+    rows = _beam_terms(*draw(st.lists(st.floats(20e-6, 200e-6), min_size=m, max_size=m)))
+    terms += [v if m == 1 or draw(st.booleans()) else float(v[0, 0, 0]) for v in rows]
     form = draw(st.sampled_from(["grid", "0-d", "float"]))
     if form == "grid":
         shape = (1, draw(st.integers(1, 3)), draw(st.integers(1, 4)))
@@ -382,26 +397,30 @@ def kernel_inputs(draw):
 
 
 @settings(max_examples=300)
-@given(inputs=kernel_inputs(), w0=st.floats(20e-6, 200e-6))
-@example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), _ALIGNED), w0=80e-6)  # on the axis
-@example(inputs=(0.0, 0.0, _ALIGNED[:6] + [0.0] + _ALIGNED[7:]), w0=80e-6)  # in the waist plane
-@example(inputs=(np.asarray(1e-3), np.asarray(0.0), _ALIGNED[:6] + [-1e-3] + _ALIGNED[7:]),
-         w0=80e-6)  # behind the waist
+@given(inputs=kernel_inputs())
+@example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), _ALIGNED + _BEAM_80))  # on the axis
+@example(inputs=(0.0, 0.0, _ALIGNED[:6] + [0.0] + _ALIGNED[7:] + _BEAM_80))  # in the waist plane
+@example(inputs=(np.asarray(1e-3), np.asarray(0.0),
+                 _ALIGNED[:6] + [-1e-3] + _ALIGNED[7:] + _BEAM_80))  # behind the waist
 @example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
-                 [np.array([1.0, 2.0]).reshape(2, 1, 1)] + _ALIGNED[1:]), w0=80e-6)  # per-link L
+                 [np.array([1.0, 2.0]).reshape(2, 1, 1)] + _ALIGNED[1:] + _BEAM_80))  # per-link L
+@example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),  # per-link cos
+                 _ALIGNED[:-1] + [np.array([0.5, 1.0]).reshape(2, 1, 1)] + _BEAM_80))
+# per-beam rows widen a kernel whose link terms are all shared (one element pair)
 @example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
-                 _ALIGNED[:-1] + [np.array([0.5, 1.0]).reshape(2, 1, 1)]), w0=80e-6)  # per-link cos
-def test_point_kernel_equals_its_textbook_form_bit_for_bit(inputs, w0):
+                 _ALIGNED + _beam_terms(50e-6, 100e-6)))
+@example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
+                 _ALIGNED + [_BEAM_80[0], _beam_terms(50e-6, 100e-6)[1]]))
+def test_point_kernel_equals_its_textbook_form_bit_for_bit(inputs):
     x, y, terms = inputs
-    *link, cos_theta = terms
-    beam = BeamParams(850e-9, w0)
+    *link, cos_theta, inv_zr_sq, w0_sq = terms
     before = [np.array(v, copy=True) for v in (x, y, *terms)]
     with np.errstate(all="ignore"):
         z_ref, rho_ref = reference_point_frame(x, y, *link)
-        expected = reference_intensity(beam, z_ref, rho_ref, cos_theta)
+        expected = reference_intensity(inv_zr_sq, w0_sq, z_ref, rho_ref, cos_theta)
         z, rho_sq = geometry.gmm_point_frame(x, y, *link)
         assert _same_bits(z, z_ref) and _same_bits(rho_sq, rho_ref)
-        assert _same_bits(channel._intensity(beam, z, rho_sq, cos_theta), expected)
+        assert _same_bits(channel._intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_theta), expected)
     assert _same_bits(rho_sq, rho_ref)
     for old, new in zip(before, (x, y, *terms)):
         assert _same_bits(new, old)
@@ -519,3 +538,64 @@ def test_quadrature_failure_names_the_entry_on_a_cache_hit(starve_quadrature):
         mimo_matrix(beam, L, TX, rx, state)
     assert channel._pair_keys.cache_info().hits == 1
     assert excinfo.value.context == "entry (1, 0)"
+
+
+# A sequence of beams gives one matrix per beam from one batched quadrature
+# over every (beam, unique pair) integral.
+
+_STACK_TX = [build_layout(LayoutKind.SQUARE, k=k, transmitter=True) for k in (1, 2, 3)]
+_STACK_RX = [build_layout(LayoutKind.SQUARE, k=k) for k in (1, 2, 3)] + [CONFIG_I, CONFIG_III]
+_STACK_STATES = st.one_of(
+    st.just(MisalignmentState()),
+    st.builds(MisalignmentState, x_de=st.floats(-5e-3, 5e-3), y_de=st.floats(-5e-3, 5e-3)),
+    st.builds(lambda pa, pe, sa, se: MisalignmentState(phi_a=rad(pa), phi_e=rad(pe),
+                                                       psi_a=rad(sa), psi_e=rad(se)),
+              *[st.floats(-1.0, 1.0)] * 2, *[st.floats(-30.0, 30.0)] * 2),
+)
+# repeated waists make equal beam terms, which the stack shares as one float
+_STACK_WAISTS = st.lists(st.sampled_from([30e-6, 64e-6, 100e-6]) | st.floats(20e-6, 200e-6),
+                         min_size=1, max_size=4)
+
+
+@settings(max_examples=15)
+@given(tx=st.sampled_from(_STACK_TX), rx=st.sampled_from(_STACK_RX), state=_STACK_STATES,
+       waists=_STACK_WAISTS)
+@example(  # one receiver element behind the transmitter plane: its entries warn and gain 0
+    tx=ArrayLayout(LayoutKind.SQUARE, np.array([[0.0, 0.0], [1e-3, 0.0]]), None, 12e-3, 12e-3),
+    rx=ArrayLayout(LayoutKind.SQUARE, np.array([[0.0, 0.0], [3.0, 0.0], [1e-3, 0.0]]), PD,
+                   12e-3, 12e-3),
+    state=MisalignmentState(psi_a=rad(60.0)), waists=[64e-6, 100e-6, 64e-6])
+def test_a_beam_stack_is_the_per_beam_matrices_bit_for_bit(tx, rx, state, waists):
+    beams = [BeamParams(850e-9, w0) for w0 in waists]
+    with warnings.catch_warnings(record=True) as alone_caught:
+        warnings.simplefilter("always")
+        alone = [mimo_matrix(beam, L, tx, rx, state) for beam in beams]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stack = mimo_matrix(beams, L, tx, rx, state)
+    assert _same_bits(stack, np.array(alone))
+    # the stack warns once per call, as the first per-beam call does
+    messages = [str(w.message) for w in alone_caught]
+    assert [str(w.message) for w in caught] == messages[:len(messages) // len(beams)]
+    assert all(w.filename == __file__ for w in caught)
+
+
+@pytest.mark.parametrize("waists", [(50e-6, 100e-6, 200e-6), (50e-6, 200e-6, 100e-6)])
+def test_a_failing_beam_of_a_stack_raises_the_per_beam_error(waists):
+    # a detector tilted by 80 deg 1 mm from the waist straddles the waist
+    # plane: the 50 um beam converges, the wider ones do not; the two wider
+    # beams fail with different estimates, so the order tells them apart
+    tx, rx = _STACK_TX[0], _STACK_RX[0]
+    state = MisalignmentState(psi_a=rad(80.0))
+    beams = [BeamParams(850e-9, w0) for w0 in waists]
+    errors = []  # of each beam alone; a per-beam loop raises the first
+    for beam in beams:
+        try:
+            mimo_matrix(beam, 1e-3, tx, rx, state)
+        except DiskQuadratureError as exc:
+            errors.append(exc)
+    assert len(errors) == 2 and str(errors[0]) != str(errors[1])
+    with pytest.raises(DiskQuadratureError) as excinfo:
+        mimo_matrix(beams, 1e-3, tx, rx, state)
+    assert str(excinfo.value) == str(errors[0])
+    assert excinfo.value.context == "entry (0, 0)"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from vcselink import scenario
+from vcselink.beam import BeamParams
 from vcselink.channel import mimo_matrix
 from vcselink.linkbudget import aggregate_rate
 from vcselink.presets import (
@@ -293,7 +294,8 @@ def test_a_point_leaves_its_base_config_unchanged():
     assert report.aggregate == _rates(moved).aggregate
 
 
-@pytest.mark.parametrize("field", ["beam.w00", "no.such", "tx_array.k", "mode"])
+@pytest.mark.parametrize("field", ["beam.w00", "no.such", "tx_array.k", "mode", 3,
+                                   ("beam", "w0")])
 def test_a_point_names_a_real_valued_field(field):
     with pytest.raises(ConfigError) as excinfo:
         sweep([reference_config()], [{field: 1.0}])
@@ -343,6 +345,11 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _evaluated(calls):
+    """Matrices that recorded ``mimo_matrix`` calls evaluated: one per beam."""
+    return sum(1 if isinstance(args[0], BeamParams) else len(args[0]) for args in calls)
+
+
 def test_a_column_builds_its_layouts_once_for_a_misalignment_sweep(monkeypatch):
     calls = _counting(monkeypatch, "build_layout")
     configs = [reference_config(rx_array={"kind": kind}, method="approx-displacement",
@@ -363,7 +370,7 @@ def test_equal_points_share_their_matrix_and_report(monkeypatch):
     calls = _counting(monkeypatch, "mimo_matrix")
     points = [{"beam.w0": w} for w in (60e-6, 80e-6, 60e-6)]
     rows = sweep([reference_config(**_square(2))], points)
-    assert len(calls) == 2
+    assert _evaluated(calls) == 2
     assert rows[2][0] is rows[0][0] and rows[1][0] is not rows[0][0]
 
 
@@ -376,22 +383,24 @@ def test_simulate_evaluates_its_base_point_once_when_the_sweep_starts_there(
         "sweep": {"parameter": "beam.w0", "start": 60e-6, "stop": 90e-6, "steps": 3},
     }))
     run_scenario(path, tmp_path / "out")
-    assert len(calls) == 3
+    assert _evaluated(calls) == 3
     alone = _matrix(build_scenario(load_config(path)))
     gains = np.loadtxt(tmp_path / "out" / "gains.csv", delimiter=",", skiprows=1)
     assert np.allclose(gains, alone, rtol=1e-11, atol=0.0)
 
 
-@pytest.mark.parametrize("start, stop, step, name", [
-    (0.0, 1.0, 0.0, "step"),
-    (0.0, 1.0, -0.1, "step"),
-    (0.0, 1.0, math.nan, "step"),
-    (0.0, 1.0, math.inf, "step"),
-    (0.0, math.inf, 0.1, "stop"),
-    (0.0, math.nan, 0.1, "stop"),
-    (-math.inf, 1.0, 0.1, "start"),
+@pytest.mark.parametrize("start, stop, step, message, scanned", [
+    (0.0, 1.0, 0.0, "step must be finite", []),
+    (0.0, 1.0, -0.1, "step must be finite", []),
+    (0.0, 1.0, math.nan, "step must be finite", []),
+    (0.0, 1.0, math.inf, "step must be finite", []),
+    (0.0, math.inf, 0.1, "stop must be finite", []),
+    (0.0, math.nan, 0.1, "stop must be finite", []),
+    (-math.inf, 1.0, 0.1, "start must be finite", []),
+    # 1.0 is half an ulp of 1e16, so x + step rounds back to x
+    (1e16, 2e16, 1.0, "step 1.0 does not advance", [1e16]),
 ])
-def test_a_crossing_scan_that_cannot_end_is_rejected(start, stop, step, name):
+def test_a_crossing_scan_that_cannot_end_is_rejected(start, stop, step, message, scanned):
     calls = []
 
     def never_below(x):  # bounds the scan of a version that accepts the arguments
@@ -399,9 +408,9 @@ def test_a_crossing_scan_that_cannot_end_is_rejected(start, stop, step, name):
         assert len(calls) < 1000, "the scan did not end"
         return 1.0
 
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{message}"):
         first_crossing_below(never_below, start, stop, step, 0.5)
-    assert calls == []
+    assert calls == scanned
 
 
 def test_waist_thresholds_are_pinned_to_the_grid():
