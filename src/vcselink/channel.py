@@ -430,25 +430,35 @@ def _pair_keys(L: float, tx: ArrayLayout, rx: ArrayLayout, state: MisalignmentSt
     sweep column, which keeps its layouts and state, collects its keys once."""
     tx_pos = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)
     rx_pos = rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)
-    offsets = tx_pos[None, :, :] - rx_pos[:, None, :]  # (dx, dy, pair distance)
-    keys: dict = {}  # pair key -> its number
-    links = []  # link row of each key, from its first entry
-    slot = []  # key number of each entry; -1 for a non-positive distance
-    axial = state.is_axial
-    angles = (state.phi_a, state.phi_e, state.psi_a, state.psi_e)
-    for row in offsets.tolist():
-        for dx, dy, l_pair in row:
-            if l_pair <= 0:
-                slot.append(-1)
-                continue
-            # gains for rotation-free states depend only on the radial offset
-            key = (l_pair, math.hypot(dx, dy)) if axial else (l_pair, dx, dy)
-            number = keys.setdefault(key, len(keys))
-            if number == len(links):
-                links.append((l_pair, dx, dy, *angles))
-            slot.append(number)
-    links = np.array(links, dtype=float).reshape(-1, 7)
-    slot = np.array(slot, dtype=int).reshape(rx.n_elements, tx.n_elements)
+    dx, dy, l_pair = (tx_pos[None, :, :] - rx_pos[:, None, :]).reshape(-1, 3).T
+    entries = np.flatnonzero(~(l_pair <= 0))  # row-major, as the keys are numbered
+    dx_e, dy_e, l_e = dx[entries], dy[entries], l_pair[entries]
+    if state.is_axial:  # gains for rotation-free states depend only on the radial offset
+        # math.hypot, since np.hypot is another libm routine and may round differently
+        radial = [math.hypot(a, b) for a, b in zip(dx_e.tolist(), dy_e.tolist())]
+        columns = (l_e, np.array(radial, dtype=float))
+    else:
+        columns = (l_e, dx_e + 0.0, dy_e + 0.0)  # + 0.0 merges signed zeros
+    # a stable sort puts equal keys in runs that start at their first entry
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    heads = order[starts]  # the first entry of each key
+    is_head = np.zeros(len(order), dtype=bool)
+    is_head[heads] = True
+    # keys are numbered by their first entry's row-major position
+    number = np.cumsum(is_head) - 1
+    slot = np.full(l_pair.size, -1, dtype=int)
+    slot[entries[order]] = number[heads][np.cumsum(starts) - 1]
+    heads = np.flatnonzero(is_head)  # in key order
+    # each link row takes its first entry's dx and dy, signed zeros included
+    links = np.empty((len(heads), 7))
+    links[:, 0], links[:, 1], links[:, 2] = l_e[heads], dx_e[heads], dy_e[heads]
+    links[:, 3:] = (state.phi_a, state.phi_e, state.psi_a, state.psi_e)
+    slot = slot.reshape(rx.n_elements, tx.n_elements)
     links.flags.writeable = slot.flags.writeable = False
     return links, slot
 

@@ -488,6 +488,88 @@ def test_non_positive_distance_warns_on_a_cache_hit():
     assert channel._pair_keys.cache_info().hits == 1
 
 
+def reference_pair_keys(L, tx, rx, state):
+    """The pair keys as a dict loop over the entries in row-major order: a
+    key's number is its order of first appearance, its link row that first
+    entry's, and an entry with a non-positive distance gets -1."""
+    tx_pos = channel.tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)
+    rx_pos = channel.rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)
+    keys, links, slot = {}, [], []
+    angles = (state.phi_a, state.phi_e, state.psi_a, state.psi_e)
+    for row in (tx_pos[None, :, :] - rx_pos[:, None, :]).tolist():
+        for dx, dy, l_pair in row:
+            if l_pair <= 0:
+                slot.append(-1)
+                continue
+            key = (l_pair, math.hypot(dx, dy)) if state.is_axial else (l_pair, dx, dy)
+            number = keys.setdefault(key, len(keys))
+            if number == len(links):
+                links.append((l_pair, dx, dy, *angles))
+            slot.append(number)
+    return (np.array(links, dtype=float).reshape(-1, 7),
+            np.array(slot, dtype=int).reshape(rx.n_elements, tx.n_elements))
+
+
+_KEY_TX = [build_layout(LayoutKind.SQUARE, k=k, transmitter=True) for k in (1, 3, 5)]
+_KEY_RX = [build_layout(LayoutKind.SQUARE, k=3), build_layout(LayoutKind.SQUARE, k=5),
+           CONFIG_I, build_layout(LayoutKind.CONFIG_II), CONFIG_III]
+
+
+def _key_states(rng, n):
+    """n states cycling through aligned, displaced (signed zeros among the
+    offsets), tilted transmitter, tilted receiver and all fields mixed."""
+    def offset():
+        return float(rng.choice([0.0, -0.0])) if rng.random() < 0.4 else rng.uniform(-6e-3, 6e-3)
+
+    def angle(limit):
+        return float(rng.choice([0.0, -0.0])) if rng.random() < 0.3 else rng.uniform(-limit, limit)
+
+    kinds = [
+        lambda: MisalignmentState(),
+        lambda: MisalignmentState(x_de=offset(), y_de=offset()),
+        lambda: MisalignmentState(phi_a=angle(0.02), phi_e=angle(0.02)),
+        lambda: MisalignmentState(psi_a=angle(1.2), psi_e=angle(1.2)),
+        lambda: MisalignmentState(offset(), offset(), angle(0.02), angle(0.02),
+                                  angle(1.2), angle(1.2)),
+    ]
+    return [kinds[k % len(kinds)]() for k in range(n)]
+
+
+@pytest.mark.parametrize("tx", _KEY_TX, ids=["tx-1", "tx-3", "tx-5"])
+@pytest.mark.parametrize("rx", _KEY_RX, ids=["square-3", "square-5", "config-i", "config-ii",
+                                             "config-iii"])
+def test_pair_keys_equal_the_dict_loop(tx, rx):
+    # 30 geometries for each of the 15 array pairs: 450 in all
+    rng = np.random.default_rng(_KEY_RX.index(rx) * len(_KEY_TX) + _KEY_TX.index(tx))
+    for state in _key_states(rng, 30):
+        distance = rng.uniform(0.5, 3.0)
+        channel._pair_keys.cache_clear()
+        links, slot = channel._pair_keys(distance, tx, rx, state)
+        expected = reference_pair_keys(distance, tx, rx, state)
+        assert _same_bits(links, expected[0]) and np.array_equal(slot, expected[1]), state
+        assert slot.dtype == expected[1].dtype
+        assert not (links.flags.writeable or slot.flags.writeable)
+
+
+@pytest.mark.parametrize("state", [MisalignmentState(phi_a=1e-3), MisalignmentState()],
+                         ids=["tilted", "axial"])
+def test_pair_keys_keep_a_first_negative_zero(monkeypatch, state):
+    # the poses never place an element at -0.0, so they are given here: the
+    # first entry's -0.0 offsets stay in its link row, a later +0.0 entry
+    # shares its key, and entries behind the transmitter get -1
+    tx_pos = np.array([[-0.0, -0.0, L], [0.0, 0.0, L], [2e-3, -0.0, L]])
+    rx_pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0 * L]])
+    monkeypatch.setattr(channel, "tx_element_pose", lambda *args: tx_pos)
+    monkeypatch.setattr(channel, "rx_element_pose", lambda *args: rx_pos)
+    tx = ArrayLayout(LayoutKind.SQUARE, np.zeros((3, 2)), None, 12e-3, 12e-3)
+    rx = ArrayLayout(LayoutKind.SQUARE, np.zeros((2, 2)), PD, 12e-3, 12e-3)
+    links, slot = channel._pair_keys(L, tx, rx, state)
+    expected = reference_pair_keys(L, tx, rx, state)
+    assert _same_bits(links, expected[0]) and np.array_equal(slot, expected[1])
+    assert slot.tolist() == [[0, 0, 1], [-1, -1, -1]]
+    assert np.signbit(links[:, 1:3]).tolist() == [[True, True], [False, True]]
+
+
 _XY = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))  # metres
 
 
@@ -599,3 +681,98 @@ def test_a_failing_beam_of_a_stack_raises_the_per_beam_error(waists):
         mimo_matrix(beams, 1e-3, tx, rx, state)
     assert str(excinfo.value) == str(errors[0])
     assert excinfo.value.context == "entry (0, 0)"
+
+
+# One accuracy contract for the exact route: every gain lies within
+# max(_REL_TOL*|I|, _ABS_TOL) = max(1e-9*|I|, 1e-14) of its integral I,
+# whatever order the adaptive quadrature accepts. The reference for I is a
+# separate fixed-order evaluation at radial order 64 (128 angles, 8192
+# nodes). Its own accuracy: on this domain the order-32 estimate lies
+# within 1e-3 of the tolerance of the order-64 one (the test holds this;
+# measured at most 1.1e-5 of it over 1000 draws at 0.2-3 m), and
+# Gauss-Legendre errors fall geometrically with the order, so order 64 is
+# accurate to far less than the tolerance. Closer than about 0.1 m, a
+# 50 um spot is so narrow against the detector that order 32 can be
+# thousands of tolerances from order 64, and the reference would certify
+# nothing there.
+
+_CONTRACT_ORDER = 64
+
+
+def _contract_tol(reference):
+    return np.maximum(quadrature._REL_TOL * np.abs(reference), quadrature._ABS_TOL)
+
+
+def _reference_gains(beams, radius, links):
+    """The (P, K) gains of link rows under P beams at radial order 64,
+    after checking the reference against order 32."""
+    integrand, live = channel._link_integrand(beams, links)
+    integrals = np.arange(len(beams) * len(live))
+    reference, coarse = (
+        quadrature._fixed_order(integrand, radius, order, integrals).reshape(len(beams), -1)
+        for order in (_CONTRACT_ORDER, _CONTRACT_ORDER // 2))
+    assert np.all(np.abs(coarse - reference) <= 1e-3 * _contract_tol(reference))
+    gains = np.zeros((len(beams), len(links)))
+    gains[:, live] = reference
+    return gains
+
+
+def _straddles(row, radius):
+    """Whether the detector disk of a link row reaches the waist plane:
+    its beam-frame z is affine over the disk, so its least value is the
+    centre's minus the slope times the radius."""
+    consts = geometry._link_constants(*np.array(row)[[0, 3, 4, 5, 6]])[:-1]
+
+    def z(x, y):
+        return float(geometry.gmm_point_frame(np.array(x), np.array(y), *row[:3], *consts)[0])
+
+    centre = z(0.0, 0.0)
+    return centre - math.hypot(z(radius, 0.0) - centre, z(0.0, radius) - centre) <= 0.0
+
+
+# distances of 0.25-3 m, displacements to 20 mm and every angle below 90 deg;
+# a transmitter angle is drawn either across that range or within 1 deg, where
+# the spot can still reach the detector
+_RX_ANGLE = st.floats(-rad(89.9), rad(89.9))
+_TX_ANGLE = _RX_ANGLE | st.floats(-rad(1.0), rad(1.0))
+_ANGLES = [_TX_ANGLE, _TX_ANGLE, _RX_ANGLE, _RX_ANGLE]
+_CONTRACT_WAISTS = st.lists(st.floats(50e-6, 100e-6), min_size=1, max_size=3)
+
+
+@st.composite
+def contract_rows(draw):
+    """1-4 link rows (L, x_de, y_de, phi_a, phi_e, psi_a, psi_e) whose
+    detector does not straddle the waist plane; some may face away."""
+    rows = draw(st.lists(st.tuples(st.floats(0.25, 3.0), *[st.floats(-20e-3, 20e-3)] * 2,
+                                   *_ANGLES), min_size=1, max_size=4))
+    assume(not any(_straddles(row, PD.radius) for row in rows))
+    return rows
+
+
+@settings(max_examples=60)
+@given(rows=contract_rows(), waists=_CONTRACT_WAISTS)
+@example(rows=[(L, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (L, 4e-3, -2e-3, rad(0.3), 0.0, rad(60.0), 0.0)],
+         waists=[50e-6, 100e-6])
+def test_exact_gains_keep_the_accuracy_contract(rows, waists):
+    beams = [BeamParams(850e-9, w0) for w0 in waists]
+    gains = channel._exact_gains(beams, PD, rows, lambda k: f"row {k}")
+    reference = _reference_gains(beams, PD.radius, rows)
+    assert np.all(np.abs(gains - reference) <= _contract_tol(reference))
+
+
+_CONTRACT_STATES = st.builds(
+    MisalignmentState, *[st.floats(-20e-3, 20e-3)] * 2, *_ANGLES)
+
+
+@settings(max_examples=15)
+@given(tx=st.sampled_from(_STACK_TX), rx=st.sampled_from(_STACK_RX[:3] + [CONFIG_I]),
+       state=_CONTRACT_STATES, distance=st.floats(0.25, 3.0), waists=_CONTRACT_WAISTS)
+@example(tx=TX, rx=CONFIG_I, state=MisalignmentState(phi_a=rad(0.2), psi_e=rad(30.0)),
+         distance=L, waists=[50e-6, 100e-6])
+def test_a_beam_stack_keeps_the_accuracy_contract(tx, rx, state, distance, waists):
+    beams = [BeamParams(850e-9, w0) for w0 in waists]
+    links, slot = channel._pair_keys(distance, tx, rx, state)
+    assume((slot >= 0).all() and not any(_straddles(row, PD.radius) for row in links))
+    stack = mimo_matrix(beams, distance, tx, rx, state)
+    reference = _reference_gains(beams, PD.radius, links)[:, slot]
+    assert np.all(np.abs(stack - reference) <= _contract_tol(reference))

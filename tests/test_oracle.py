@@ -149,19 +149,27 @@ def reference_ray_gain_mc(beam, L, pd, state, spec):
     steps for all of them, (N, 3) points rotated into the receiver frame."""
     if alignment_cosine(state) <= 0.0:
         return 0.0, 0.0
+    rng = np.random.default_rng(spec.seed)
+    nu = rng.normal(0.0, 0.5, size=(spec.ray_count, 2))
+    hits = reference_hits(beam, L, pd, state, nu)
+    p_hat = float(hits.sum()) / spec.ray_count
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.ray_count)
+
+
+def reference_hits(beam, L, pd, state, nu):
+    """Whether each ray of the (N, 2) offsets ``nu`` scores a hit in the
+    whole-array pass of :func:`reference_ray_gain_mc`."""
     n_t = tx_normal(state.phi_a, state.phi_e)
     n_r = rx_normal(state.psi_a, state.psi_e)
     waist = np.array([state.x_de, state.y_de, L])
     direction = -n_t
     e1, e2 = _transverse_basis(n_t)
-    rng = np.random.default_rng(spec.seed)
-    nu = rng.normal(0.0, 0.5, size=(spec.ray_count, 2))
     base = float(waist @ n_r)
     slope = float(direction @ n_r)
     w0 = beam.waist_radius
     zr = beam.rayleigh_range
     proj = nu[:, 0] * float(e1 @ n_r) + nu[:, 1] * float(e2 @ n_r)
-    zeta = np.full(spec.ray_count, -base / slope)
+    zeta = np.full(len(nu), -base / slope)
     with np.errstate(all="ignore"):
         for _ in range(8):
             w_z = w0 * np.sqrt(1.0 + (zeta / zr) ** 2)
@@ -179,9 +187,7 @@ def reference_ray_gain_mc(beam, L, pd, state, spec):
     )
     m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
     local = points @ m_r
-    hits = ok & (local[:, 0] ** 2 + local[:, 1] ** 2 <= pd.radius**2)
-    p_hat = float(hits.sum()) / spec.ray_count
-    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.ray_count)
+    return ok & (local[:, 0] ** 2 + local[:, 1] ** 2 <= pd.radius**2)
 
 
 BEAM50 = BeamParams(850e-9, 50e-6)
@@ -258,11 +264,13 @@ def drawn_links(draw):
 
 
 # (link, rays, seed) at which the certain-miss disk keeps no ray in any
-# block, keeps rays in some blocks only, and straddles the detector plane
+# block, keeps rays in some blocks only, and straddles the detector plane,
+# and at which the certain-hit disk holds every kept ray
 KEPT_SET_CASES = {
     "beyond": ((BEAM50, L, PD, MisalignmentState(x_de=1.0)), 3 * CHUNK, 0),
     "sparse": ((BEAM50, L, PD, MisalignmentState(x_de=22e-3)), 3 * CHUNK, 2),
     "straddling": ((BEAM50, 1e-6, PD, MisalignmentState(psi_a=math.radians(85.0))), 10_000, 1),
+    "certain": ((BEAM50, 0.05, PD, MisalignmentState()), CHUNK + 1, 3),
 }
 
 
@@ -309,7 +317,59 @@ def test_keep_disk_holds_the_whole_detector(link):
         assert np.all((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
 
 
+@settings(max_examples=150)
+@given(link=drawn_links())
+@example(link=KEPT_SET_CASES["certain"][0])
+@example(link=(BEAM50, L, PD, BIT_STATES["psi80"]))
+@example(link=(BEAM50, L, PD, BIT_STATES["mixed80"]))
+def test_hit_disk_rays_are_hits_of_the_whole_array_pass(link):
+    # rays on the certain-hit disk's rim and inside it, probed without
+    # draws, are kept by the certain-miss disk and each scores a hit when
+    # the whole-array pass solves and scores it
+    beam, distance, pd, state = link
+    frame = oracle._frame(state, distance)
+    disk = None if frame is None else oracle._hit_disk(frame, beam, pd.radius)
+    if disk is None:
+        return
+    h1, h2, limit = disk
+    angle = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
+    rho = math.sqrt(limit) * np.array([0.0, 0.5, 0.9, 1.0])[None, :]
+    nu = np.stack([(h1 + rho * np.cos(angle)).ravel(), (h2 + rho * np.sin(angle)).ravel()], 1)
+    # the sampler's test decides which probes are certified; the rim's
+    # rounding may leave some of its probes out
+    certain = (nu[:, 0] - h1) ** 2 + (nu[:, 1] - h2) ** 2 <= limit
+    assert certain.sum() >= 3 * 64
+    m1, m2, keep_limit = oracle._keep_disk(
+        frame[3], beam, pd.radius + oracle._residual_tol(frame, pd.radius))
+    nu = nu[certain]
+    assert np.all((nu[:, 0] - m1) ** 2 + (nu[:, 1] - m2) ** 2 <= keep_limit)
+    assert reference_hits(beam, distance, pd, state, nu).all()
+
+
+def kept_and_certain(link, rays, seed):
+    """``(kept, certain)`` per block of the sampler's draws: the rays that
+    the link's certain-miss disk keeps, and those of them in its
+    certain-hit disk."""
+    beam, distance, pd, state = link
+    frame = oracle._frame(state, distance)
+    tol = oracle._residual_tol(frame, pd.radius)
+    nu1, nu2 = np.random.default_rng(seed).normal(0.0, 0.5, size=(rays, 2)).T
+
+    def inside(disk):
+        if disk is None:
+            return np.zeros(rays, dtype=bool)
+        c1, c2, limit = disk
+        return (nu1 - c1) ** 2 + (nu2 - c2) ** 2 <= limit
+
+    kept = inside(oracle._keep_disk(frame[3], beam, pd.radius + tol))
+    certain = kept & inside(oracle._hit_disk(frame, beam, pd.radius))
+    return [(np.count_nonzero(kept[lo : lo + CHUNK]), np.count_nonzero(certain[lo : lo + CHUNK]))
+            for lo in range(0, rays, CHUNK)]
+
+
 def test_kept_set_cases_are_what_they_say(monkeypatch):
+    # a block decides the rays its certain-miss disk keeps: it certifies
+    # those in the certain-hit disk and solves the rest, if any
     solved = []
     crossing = oracle._crossing
 
@@ -322,11 +382,19 @@ def test_kept_set_cases_are_what_they_say(monkeypatch):
     for name, (link, rays, seed) in KEPT_SET_CASES.items():
         solved.clear()
         gains[name], _ = ray_gain_mc(*link, RayBundleSpec(rays, seed))
+        blocks = kept_and_certain(link, rays, seed)
+        assert solved == [kept - certain for kept, certain in blocks if kept > certain]
+        decided = [kept for kept, _ in blocks if kept]
         if name == "beyond":
-            assert solved == [] and gains[name] == 0.0
+            assert decided == [] and gains[name] == 0.0
         elif name == "sparse":
-            assert 0 < len(solved) < 3 and gains[name] > 0.0
+            assert 0 < len(decided) < 3 and gains[name] > 0.0
+        elif name == "certain":
+            assert solved == [] and decided and gains[name] > 0.0
     assert 0.3 < gains["straddling"] < 0.7
+    link, rays, seed = KEPT_SET_CASES["certain"]
+    assert ray_gain_mc(*link, RayBundleSpec(rays, seed)) == reference_ray_gain_mc(
+        *link, RayBundleSpec(rays, seed))
 
 
 @pytest.mark.parametrize("distance", [1e200, 1e300])
@@ -399,6 +467,27 @@ def test_gmm_verify_samples_each_link_as_the_one_link_sampler(tmp_path):
             ]
             for name, values in zip(("gain_mc", "mc_std_error"), zip(*sampled)):
                 assert columns[f"{name}_{tag}"] == tuple(f"{v:.11e}" for v in values)
+
+
+def test_gmm_verify_scores_the_same_without_the_hit_disk(tmp_path, monkeypatch):
+    # the certain hits are counted unsolved; solving them instead changes no byte
+    hit_disk = oracle._hit_disk
+    disks = []
+
+    def recording(*args):
+        disks.append(hit_disk(*args))
+        return disks[-1]
+
+    for seed in (0, 1):
+        outputs = {}
+        for name, patch in (("with", recording), ("without", lambda *args: None)):
+            monkeypatch.setattr(oracle, "_hit_disk", patch)
+            out = tmp_path / f"{seed}-{name}"
+            out.mkdir()
+            paths = presets.preset_gmm_verify(out, seed=seed, points=3, rays=CHUNK + 1)
+            outputs[name] = [(path.name, path.read_bytes()) for path in paths]
+        assert outputs["with"] == outputs["without"]
+    assert any(disk is not None for disk in disks)
 
 
 def test_newton_early_exit_keeps_the_full_solve():
