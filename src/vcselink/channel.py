@@ -13,7 +13,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,9 +86,8 @@ class ArrayLayout:
 
     ``elements`` is an (N, 2) array of x/y centers, ``pitch`` the base
     lattice pitch 2*r_pd + delta and ``side`` the hosting aperture side.
-    ``pd`` is None for transmitter arrays. A layout hashes by identity;
-    :func:`build_layout` makes ``elements`` read-only, so a cache keyed on
-    the layout cannot go stale.
+    ``pd`` is None for transmitter arrays. A layout compares by identity,
+    since ``elements`` is an array: a sweep groups its points by layout.
     """
 
     kind: LayoutKind
@@ -152,7 +150,7 @@ def build_layout(
             elements = np.vstack([base, inter])
         else:  # CONFIG_III
             elements = _square_lattice(9, pitch / 2.0)
-    elements.flags.writeable = False  # layouts hash by identity: their elements never change
+    elements.flags.writeable = False  # keeps the finiteness check of __post_init__ true
     return ArrayLayout(kind=kind, elements=elements, pd=pd, pitch=pitch, side=side)
 
 
@@ -421,13 +419,11 @@ def _closed_form_stack(
     return gains
 
 
-@lru_cache(maxsize=32)
 def _pair_keys(L: float, tx: ArrayLayout, rx: ArrayLayout, state: MisalignmentState):
     """Unique element pairs of the exact route for one geometry: the (K, 7)
     link rows of the K pair keys, each from its key's first row-major entry,
     and the (N_r, N_t) key number of each entry, -1 for a non-positive
-    distance; both read-only. Layouts hash by identity, so a ``beam.w0``
-    sweep column, which keeps its layouts and state, collects its keys once."""
+    distance."""
     tx_pos = tx_element_pose(tx.elements[:, 0], tx.elements[:, 1], state, L)
     rx_pos = rx_element_pose(rx.elements[:, 0], rx.elements[:, 1], state)
     dx, dy, l_pair = (tx_pos[None, :, :] - rx_pos[:, None, :]).reshape(-1, 3).T
@@ -458,9 +454,7 @@ def _pair_keys(L: float, tx: ArrayLayout, rx: ArrayLayout, state: MisalignmentSt
     links = np.empty((len(heads), 7))
     links[:, 0], links[:, 1], links[:, 2] = l_e[heads], dx_e[heads], dy_e[heads]
     links[:, 3:] = (state.phi_a, state.phi_e, state.psi_a, state.psi_e)
-    slot = slot.reshape(rx.n_elements, tx.n_elements)
-    links.flags.writeable = slot.flags.writeable = False
-    return links, slot
+    return links, slot.reshape(rx.n_elements, tx.n_elements)
 
 
 def mimo_matrix(
@@ -481,10 +475,10 @@ def mimo_matrix(
     and center offsets while keeping the array orientation angles. The
     closed forms run through :func:`_closed_form_stack` (erf on distinct
     coordinate pairs only). The exact route integrates each unique element
-    pair once per beam in one batched quadrature, with the pairs of a
-    geometry collected once and cached (:func:`_pair_keys`). Each matrix of
-    a stack is its beam's own matrix bit for bit; a non-positive pair
-    distance warns once per call.
+    pair once per beam in one batched quadrature, with the pairs collected
+    once per call (:func:`_pair_keys`). Each matrix of a stack is its
+    beam's own matrix bit for bit; a non-positive pair distance warns once
+    per call.
     """
     method = GainMethod(method)
     _check_link_distance(L)

@@ -274,7 +274,10 @@ def nmse(exact, approx) -> float:
 
 
 def _sinr_db(gamma: float) -> float:
-    return 10.0 * math.log10(gamma) if gamma > 0 else float("-inf")
+    """SINR in dB: -inf for an SINR of 0, NaN for NaN."""
+    if gamma == 0:
+        return -math.inf
+    return 10.0 * math.log10(gamma) if gamma > 0 else math.nan
 
 
 def write_rates_csv(report: RateReport, path) -> None:

@@ -400,7 +400,7 @@ def _matrices(cells: list[Scenario]) -> np.ndarray:
     the distinct coordinates. The exact route runs one :func:`mimo_matrix`
     beam stack per run of points that also share their state (every chunk
     of a beam sweep): its unique element pairs are collected once per
-    geometry, and their integrals under every beam of the run form one
+    call, and their integrals under every beam of the run form one
     batched quadrature. Points with different states never share a call,
     since per-link angles would defeat the integrand's shared terms."""
     method = cells[0].method
@@ -490,8 +490,9 @@ def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
 
 
 def _sweep_row(value: float, report: RateReport) -> tuple[float, float, float, float]:
-    finite = report.per_link_sinr[report.per_link_sinr > 0].tolist() or [0.0]
-    return value, report.aggregate, _sinr_db(min(finite)), _sinr_db(max(finite))
+    lit = report.per_link_sinr[~(report.per_link_sinr <= 0)]  # SINR > 0 or NaN
+    lo, hi = (lit.min(), lit.max()) if lit.size else (0.0, 0.0)  # a NaN gives NaN
+    return value, report.aggregate, _sinr_db(lo), _sinr_db(hi)
 
 
 def _output_dir(out_dir) -> Path:

@@ -551,7 +551,7 @@ def test_sinr_map_matches_the_full_raster_reference(w0, grid_step):
                                      ("config-iii", None)])
 @pytest.mark.parametrize("transmitter", [False, True])
 def test_layout_elements_are_read_only(kind, k, transmitter):
-    # layouts hash by identity, so caches keyed on them rely on fixed elements
+    # __post_init__ checks the elements are finite once; fixed elements keep that true
     layout = build_layout(kind, k=k, transmitter=transmitter)
     with pytest.raises(ValueError):
         layout.elements[0, 0] = 1.0

@@ -426,13 +426,9 @@ def test_point_kernel_equals_its_textbook_form_bit_for_bit(inputs):
         assert _same_bits(new, old)
 
 
-# The pair keys of a geometry are collected once (channel._pair_keys) and
-# reused by every later call with the same layouts, distance and state.
-
-
-def _cold(beam, rx, state, **kwargs):
-    channel._pair_keys.cache_clear()
-    return mimo_matrix(beam, L, TX, rx, state, **kwargs)
+# The pair keys are collected once per exact call (channel._pair_keys), in
+# fresh arrays: a repeated call with the same layouts, distance and state
+# gives the same matrix, warnings and failure context bit for bit.
 
 
 @pytest.mark.parametrize(
@@ -444,38 +440,36 @@ def _cold(beam, rx, state, **kwargs):
     ],
     ids=["aligned", "displaced", "tilted"],
 )
-def test_warm_pair_keys_give_the_cold_matrix_across_beams(rx, state):
+def test_repeated_calls_give_the_same_matrix_across_beams(rx, state):
     beams = [BeamParams(850e-9, w0) for w0 in (30e-6, 64e-6, 100e-6)]
-    cold = [_cold(beam, rx, state) for beam in beams]
-    channel._pair_keys.cache_clear()
-    warm = [mimo_matrix(beam, L, TX, rx, state) for beam in beams]
-    info = channel._pair_keys.cache_info()
-    assert (info.misses, info.hits) == (1, len(beams) - 1)
-    for w, c in zip(warm, cold):
-        assert np.array_equal(w, c) and np.array_equal(np.signbit(w), np.signbit(c))
+    first = [mimo_matrix(beam, L, TX, rx, state) for beam in beams]
+    again = [mimo_matrix(beam, L, TX, rx, state) for beam in beams]
+    for a, f in zip(again, first):
+        assert np.array_equal(a, f) and np.array_equal(np.signbit(a), np.signbit(f))
     links, slot = channel._pair_keys(L, TX, rx, state)
-    assert not (links.flags.writeable or slot.flags.writeable)
+    links_again, slot_again = channel._pair_keys(L, TX, rx, state)
+    assert _same_bits(links_again, links) and np.array_equal(slot_again, slot)
+    assert not (np.shares_memory(links, links_again) or np.shares_memory(slot, slot_again))
 
 
 def test_signed_zero_states_share_their_pair_keys():
-    # -0.0 == 0.0, so both states hit one cache entry; the gains agree bit for bit
+    # -0.0 == 0.0, so both states number their keys alike; the gains agree bit for bit
     beam, rx = BeamParams(850e-9, 64e-6), CONFIG_I
     signed = MisalignmentState(x_de=-0.0, phi_a=-0.0, psi_e=-0.0)
-    cold = _cold(beam, rx, signed)
-    channel._pair_keys.cache_clear()
-    mimo_matrix(beam, L, TX, rx, MisalignmentState())
-    warm = mimo_matrix(beam, L, TX, rx, signed)
-    assert channel._pair_keys.cache_info().hits == 1
-    assert np.array_equal(warm, cold) and np.array_equal(np.signbit(warm), np.signbit(cold))
+    links, slot = channel._pair_keys(L, TX, rx, signed)
+    links_unsigned, slot_unsigned = channel._pair_keys(L, TX, rx, MisalignmentState())
+    assert np.array_equal(links, links_unsigned) and np.array_equal(slot, slot_unsigned)
+    unsigned = mimo_matrix(beam, L, TX, rx, MisalignmentState())
+    h = mimo_matrix(beam, L, TX, rx, signed)
+    assert np.array_equal(h, unsigned) and np.array_equal(np.signbit(h), np.signbit(unsigned))
 
 
-def test_non_positive_distance_warns_on_a_cache_hit():
+def test_non_positive_distance_warns_on_every_call():
     beam = BeamParams(850e-9, 100e-6)
     tx = ArrayLayout(LayoutKind.SQUARE, np.array([[0.0, 0.0], [1e-3, 0.0]]), None, 12e-3, 12e-3)
     rx_xy = np.array([[0.0, 0.0], [3.0, 0.0], [1e-3, 0.0]])
     rx = ArrayLayout(LayoutKind.SQUARE, rx_xy, PD, 12e-3, 12e-3)
     state = MisalignmentState(psi_a=rad(60.0))
-    channel._pair_keys.cache_clear()
     for call in range(2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -485,7 +479,6 @@ def test_non_positive_distance_warns_on_a_cache_hit():
         ]
         assert all(w.filename == __file__ for w in caught)
         assert not h[1].any() and np.all(h[[0, 2]] > 0.0)
-    assert channel._pair_keys.cache_info().hits == 1
 
 
 def reference_pair_keys(L, tx, rx, state):
@@ -543,12 +536,10 @@ def test_pair_keys_equal_the_dict_loop(tx, rx):
     rng = np.random.default_rng(_KEY_RX.index(rx) * len(_KEY_TX) + _KEY_TX.index(tx))
     for state in _key_states(rng, 30):
         distance = rng.uniform(0.5, 3.0)
-        channel._pair_keys.cache_clear()
         links, slot = channel._pair_keys(distance, tx, rx, state)
         expected = reference_pair_keys(distance, tx, rx, state)
         assert _same_bits(links, expected[0]) and np.array_equal(slot, expected[1]), state
         assert slot.dtype == expected[1].dtype
-        assert not (links.flags.writeable or slot.flags.writeable)
 
 
 @pytest.mark.parametrize("state", [MisalignmentState(phi_a=1e-3), MisalignmentState()],
@@ -599,26 +590,22 @@ def test_pair_table_zeroes_and_warns_for_exactly_the_non_positive_distances(
         f"non-positive pair distance for entry ({i}, {j}); gain set to 0"
         for i in range(len(rx_xy)) for j in range(len(tx_xy)) if distance[i, j] <= 0.0
     ]
-    hits = channel._pair_keys.cache_info().hits
-    for call in range(2):  # the second call reads the cached pair table
+    for call in range(2):  # a repeated call warns again
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             h = mimo_matrix(beam, L, tx, rx, state)
         assert [str(w.message) for w in caught] == expected
         assert np.all(h[distance <= 0.0] == 0.0) and np.all(h[distance > 0.0] > 0.0)
-    assert channel._pair_keys.cache_info().hits == hits + 1
 
 
-def test_quadrature_failure_names_the_entry_on_a_cache_hit(starve_quadrature):
+def test_quadrature_failure_names_the_entry_after_a_converged_call(starve_quadrature):
     beam = BeamParams(850e-9, 100e-6)
     rx = build_layout(LayoutKind.SQUARE, k=5)
     state = MisalignmentState(x_de=24e-3)
-    channel._pair_keys.cache_clear()
-    mimo_matrix(beam, L, TX, rx, state)  # converges and fills the cache
+    mimo_matrix(beam, L, TX, rx, state)  # converges
     starve_quadrature(rel_tol=1e-15, abs_tol=1e-14)
     with pytest.raises(DiskQuadratureError) as excinfo:
         mimo_matrix(beam, L, TX, rx, state)
-    assert channel._pair_keys.cache_info().hits == 1
     assert excinfo.value.context == "entry (1, 0)"
 
 
@@ -687,14 +674,15 @@ def test_a_failing_beam_of_a_stack_raises_the_per_beam_error(waists):
 # max(_REL_TOL*|I|, _ABS_TOL) = max(1e-9*|I|, 1e-14) of its integral I,
 # whatever order the adaptive quadrature accepts. The reference for I is a
 # separate fixed-order evaluation at radial order 64 (128 angles, 8192
-# nodes). Its own accuracy: on this domain the order-32 estimate lies
+# nodes). Its own accuracy: on this domain the order-128 estimate lies
 # within 1e-3 of the tolerance of the order-64 one (the test holds this;
-# measured at most 1.1e-5 of it over 1000 draws at 0.2-3 m), and
+# measured at most 1.2e-4 of it over 2000 draws at 0.25-0.5 m and waists
+# of 70-100 um, where order 32 was up to 2.6 tolerances off), and
 # Gauss-Legendre errors fall geometrically with the order, so order 64 is
-# accurate to far less than the tolerance. Closer than about 0.1 m, a
-# 50 um spot is so narrow against the detector that order 32 can be
-# thousands of tolerances from order 64, and the reference would certify
-# nothing there.
+# accurate to far less than the tolerance. Below 0.25 m the spot grows
+# narrow against the detector: order 128 was up to 1.8 tolerances from
+# order 64 over 600 draws at 0.1-0.25 m, and up to 1.4e7 at 3-10 cm, so
+# the reference would certify nothing there.
 
 _CONTRACT_ORDER = 64
 
@@ -705,13 +693,13 @@ def _contract_tol(reference):
 
 def _reference_gains(beams, radius, links):
     """The (P, K) gains of link rows under P beams at radial order 64,
-    after checking the reference against order 32."""
+    after checking the reference against order 128."""
     integrand, live = channel._link_integrand(beams, links)
     integrals = np.arange(len(beams) * len(live))
-    reference, coarse = (
+    reference, fine = (
         quadrature._fixed_order(integrand, radius, order, integrals).reshape(len(beams), -1)
-        for order in (_CONTRACT_ORDER, _CONTRACT_ORDER // 2))
-    assert np.all(np.abs(coarse - reference) <= 1e-3 * _contract_tol(reference))
+        for order in (_CONTRACT_ORDER, 2 * _CONTRACT_ORDER))
+    assert np.all(np.abs(fine - reference) <= 1e-3 * _contract_tol(reference))
     gains = np.zeros((len(beams), len(links)))
     gains[:, live] = reference
     return gains
@@ -753,11 +741,28 @@ def contract_rows(draw):
 @given(rows=contract_rows(), waists=_CONTRACT_WAISTS)
 @example(rows=[(L, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (L, 4e-3, -2e-3, rad(0.3), 0.0, rad(60.0), 0.0)],
          waists=[50e-6, 100e-6])
+# order 32 is 0.018 tolerances from order 64 on the second row
+@example(rows=[(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.25, 0.0, 0.0, 0.0, 0.015625, 0.0, 0.0)],
+         waists=[8.869486463686631e-05])
 def test_exact_gains_keep_the_accuracy_contract(rows, waists):
     beams = [BeamParams(850e-9, w0) for w0 in waists]
     gains = channel._exact_gains(beams, PD, rows, lambda k: f"row {k}")
     reference = _reference_gains(beams, PD.radius, rows)
     assert np.all(np.abs(gains - reference) <= _contract_tol(reference))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the adaptive quadrature accepts orders 8 and 16, which "
+                   "agree within the absolute tolerance but both miss the narrow spot")
+def test_a_short_link_keeps_the_accuracy_contract():
+    # at 3 cm a 50 um spot is narrow against the detector: the quadrature
+    # returns 6.41e-15 for an integral of 6.13e-13, about 60 tolerances off
+    row = (0.031336, 0.0020818, -0.0012187, 0.0015305, 0.0057381, 0.73906, 0.75655)
+    beams = [BeamParams(850e-9, 50e-6)]
+    gains = channel._exact_gains(beams, PD, [row], lambda k: f"row {k}")
+    integrand, live = channel._link_integrand(beams, [row])
+    reference = quadrature._fixed_order(integrand, PD.radius, 4 * _CONTRACT_ORDER, live)
+    assert np.all(np.abs(gains[0] - reference) <= _contract_tol(reference))
 
 
 _CONTRACT_STATES = st.builds(
@@ -769,6 +774,9 @@ _CONTRACT_STATES = st.builds(
        state=_CONTRACT_STATES, distance=st.floats(0.25, 3.0), waists=_CONTRACT_WAISTS)
 @example(tx=TX, rx=CONFIG_I, state=MisalignmentState(phi_a=rad(0.2), psi_e=rad(30.0)),
          distance=L, waists=[50e-6, 100e-6])
+# order 32 is 0.68 tolerances from order 64, order 256 within 2e-5 of it
+@example(tx=_STACK_TX[1], rx=_STACK_RX[1], state=MisalignmentState(psi_e=1.0), distance=0.25,
+         waists=[95.94e-6])
 def test_a_beam_stack_keeps_the_accuracy_contract(tx, rx, state, distance, waists):
     beams = [BeamParams(850e-9, w0) for w0 in waists]
     links, slot = channel._pair_keys(distance, tx, rx, state)

@@ -589,3 +589,15 @@ def test_rates_csv_round_trip_with_a_dark_stream(tmp_path_factory, h, dark):
     assert np.allclose(bits, report.per_link_bits, rtol=1e-11, atol=0.0)
     assert np.allclose(rates, report.per_link_rate, rtol=1e-11, atol=0.0)
     assert aggregate == pytest.approx(report.aggregate, rel=1e-11, abs=0.0)
+
+
+def test_a_nan_stream_writes_nan_not_minus_infinity(tmp_path):
+    h = np.eye(3) * 1e-3
+    h[0, 0] = 0.0  # a dark stream: SINR 0, written as -inf dB
+    h[1, 1] = np.nan
+    report = aggregate_rate(h, LinkParams(), Mode.DIRECT)
+    assert report.per_link_sinr[0] == 0.0 and np.isnan(report.per_link_sinr[1])
+    write_rates_csv(report, tmp_path / "rates.csv")
+    sinr_db, bits, rates, aggregate = read_rates(tmp_path / "rates.csv")
+    assert sinr_db[0] == -np.inf and np.isnan(sinr_db[1]) and np.isfinite(sinr_db[2])
+    assert np.isnan(bits[1]) and np.isnan(rates[1]) and np.isnan(aggregate)

@@ -15,7 +15,7 @@ import pytest
 from vcselink import scenario
 from vcselink.beam import BeamParams
 from vcselink.channel import mimo_matrix
-from vcselink.linkbudget import aggregate_rate
+from vcselink.linkbudget import Mode, RateReport, aggregate_rate
 from vcselink.presets import (
     first_crossing_below,
     preset_rate_vs_displacement,
@@ -28,6 +28,7 @@ from vcselink.presets import (
 from vcselink.scenario import (
     ConfigError,
     _set_path,
+    _sweep_row,
     _sweep_values,
     build_scenario,
     load_config,
@@ -455,3 +456,17 @@ def test_a_warning_names_the_line_that_called_into_the_package(tmp_path, case):
         call(tmp_path)
     assert caught and all(match in str(w.message) for w in caught)
     assert {w.filename for w in caught} == {__file__}
+
+
+@pytest.mark.parametrize("sinr, expected", [
+    ([0.0, 10.0, 1000.0], (10.0, 30.0)),  # a dark stream is left out
+    ([0.0, 0.0], (-math.inf, -math.inf)),
+    ([10.0, math.nan, 1000.0], (math.nan, math.nan)),
+    ([math.nan, 0.0, 10.0], (math.nan, math.nan)),
+], ids=["dark", "all-dark", "nan", "nan-first"])
+def test_a_sweep_row_keeps_a_nan_sinr(sinr, expected):
+    sinr = np.array(sinr)
+    report = RateReport(sinr, sinr, sinr, 1e12, Mode.DIRECT)
+    value, aggregate, lo, hi = _sweep_row(0.5, report)
+    assert (value, aggregate) == (0.5, 1e12)
+    assert np.array_equal([lo, hi], expected, equal_nan=True)
