@@ -168,10 +168,16 @@ def svd_thin(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _singular_values(stack: np.ndarray) -> np.ndarray:
     """Descending singular values of a matrix or a stack of them with
-    N_r >= N_t, from LAPACK's values-only route."""
+    N_r >= N_t, from LAPACK's values-only route; NaN for a matrix with a
+    NaN or infinite entry, which LAPACK would reject or turn to NaN."""
     if stack.shape[-2] < stack.shape[-1]:
         raise ValueError("svd_thin requires N_r >= N_t")
-    return np.linalg.svd(stack, compute_uv=False)
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.svd(stack, compute_uv=False)
+    values = np.full(stack.shape[:-2] + stack.shape[-1:], np.nan)
+    values[finite] = np.linalg.svd(stack[finite], compute_uv=False)
+    return values
 
 
 def sinr_svd(singular_value, sigma_sq, params: LinkParams):

@@ -9,27 +9,31 @@ trajectory scores when its crossing of the detector plane falls inside the
 detector disk; the hit fraction estimates the captured power fraction
 independently of the disk quadrature route.
 
-Rays are drawn, solved and scored in blocks. Several links can share one
-seed's draws (``_ray_gains``): each block is drawn once and scored for every
+Rays are drawn and tested in blocks. Several links can share one seed's
+draws (``_ray_gains``): each block is drawn once and tested for every
 link, and each link's estimate is the one ``ray_gain_mc`` gives it alone.
 
-Most rays cannot reach the detector. Before the Newton solve, a link drops
-every ray whose normalized offset nu lies outside a disk in nu-space
-(``_keep_disk``): a ray that scores meets the detector plane within the
-detector radius plus the residual tolerance of the detector centre, which
-bounds its axial distance, hence w, hence nu. The bound carries a relative
-margin of 1e-6 and an absolute one of 1e-12 times the waist's distance from
-the detector, which cover the rounding of the scored quantities, so the
-dropped rays are misses of the full solve as well, and the hit counts are
-those of solving every ray.
-
-Most kept rays cannot miss. Inside a smaller disk (``_hit_disk``) a ray
+Seen along the beam, a detector tilted by theta covers an ellipse with
+semi-axes r and r*cos(theta), so the sampler decides rays with ellipses in
+the space of normalized offsets nu, in the norm of the detector's plane
+map G (``_plane_map``), which takes a crossing's offset across the beam to
+its point on the detector. Most rays cannot reach the detector: a ray
+that scores lies in the certain-miss ellipse (``_miss_ellipse``), which
+bounds its axial distance, hence w, hence nu. A link keeps the rays in the
+ellipse's circumscribed circle, one cheap test per drawn ray. Most kept
+rays cannot miss: inside the certain-hit ellipse (``_hit_ellipse``) a ray
 meets the detector plane at a point of the detector, and the Newton solve
-and scoring provably say so too, so those rays count as hits unsolved; only
-the rest of the kept rays are solved and scored. On the ``gmm-verify``
-preset the certain-miss disk keeps about 16% of the drawn rays, and the
-certain-hit disk certifies about three quarters of those (27.7 M of 36.8 M
-kept rays over seeds 0-2).
+and scoring provably say so too, so those rays count as hits unsolved. Of
+the rest, those outside the certain-miss ellipse are misses; the few left
+are queued per link, and solved and scored once a block's worth is queued
+and once after the last block. Each bound carries relative and absolute
+margins that cover the rounding of the scored quantities, so the hit
+counts are those of solving every ray.
+
+On the ``gmm-verify`` preset (seeds 0-2, 74.4 M drawn rays a round) the
+circles keep 16.5% of the drawn rays, the certain-hit ellipses certify
+83.1% of those, the certain-miss ellipses drop another 16.3%, and about
+64 k rays a round (0.52% of the kept ones) are solved, in about 340 calls.
 """
 
 from __future__ import annotations
@@ -66,17 +70,24 @@ class RayBundleSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-# rays per block: the sampler draws, solves and scores one block at a time,
-# so its arrays stay small and each block ends its Newton solve on its own
+# rays per block: the sampler draws and tests one block at a time, and
+# solves a link's queued rays once they reach a block's worth, so its
+# arrays stay small
 _CHUNK = 1 << 14
 _NEWTON_STEPS = 8
 
 
 def _transverse_basis(n_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ref = np.array([0.0, 1.0, 0.0]) if abs(n_t[1]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(ref, n_t)
+    """Unit vectors e1, e2 across the beam axis ``n_t``. The cross products
+    are np.cross's expressions in its order on Python floats, so they are
+    its bits without its per-call cost; the norm stays numpy's, whose dot
+    may fuse its multiply-adds."""
+    n0, n1, n2 = n_t.tolist()
+    r0, r1, r2 = (0.0, 1.0, 0.0) if abs(n1) < 0.9 else (1.0, 0.0, 0.0)
+    e1 = np.array([r1 * n2 - r2 * n1, r2 * n0 - r0 * n2, r0 * n1 - r1 * n0])
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(n_t, e1)
+    f0, f1, f2 = e1.tolist()
+    return e1, np.array([n1 * f2 - n2 * f1, n2 * f0 - n0 * f2, n0 * f1 - n1 * f0])
 
 
 def _crossing(proj, base, slope, w0, zr):
@@ -128,7 +139,8 @@ def _frame(state: MisalignmentState, L: float):
     # a trajectory meets the detector plane at waist + t*direction + s1*e1
     # + s2*e2 for per-ray scalars (t, s1, s2), so its coordinates along the
     # receiver normal and the two in-plane axes (u, v) need only the
-    # projections of these four vectors
+    # projections of these four vectors; numpy's 3-vector dot may fuse its
+    # multiply-adds, which Python floats cannot, so it stays numpy's
     m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
     rows = [
         [float(x @ axis) for x in (waist, direction, e1, e2)]
@@ -137,93 +149,148 @@ def _frame(state: MisalignmentState, L: float):
     return [*rows, [float(waist @ axis) for axis in (direction, e1, e2)]]
 
 
-def _keep_disk(waist, beam: BeamParams, reach: float):
-    """``(m1, m2, limit)``: a ray ``nu`` can score only if
-    ``(nu1 - m1)**2 + (nu2 - m2)**2 <= limit``; None if no ray can.
-
-    ``waist`` is the waist point W in the beam frame (along d, e1, e2) and
-    ``reach`` is r + tol, the detector radius plus the residual tolerance.
-    The detector centre is the frame's origin, at axial distance
-    t_c = -W.d and transverse offset c = (-W.e1, -W.e2). A scored hit
-    Q = W + t*d + w(t)*(nu1*e1 + nu2*e2) has |Q.n_r| <= tol and
-    u**2 + v**2 <= r**2, so |Q| <= R. Its parts along d and across it give
-    t > 0, |t - t_c| <= R and |w(t)*nu - c| <= R, so w(t) lies in
-    [w_lo, w_hi] = [w(max(t_c - R, 0)), w(t_c + R)]. With s = 1/w,
-    |nu - s*c| <= s*R, and s*c lies within |c|*(s_hi - s_lo)/2 of s_m*c,
-    s_m = (s_lo + s_hi)/2: nu lies in the disk about s_m*c of radius
-    s_hi*R + |c|*(s_hi - s_lo)/2.
-
-    R = reach*(1 + 1e-6) + 1e-12*|W|, and the disk's radius gets another
-    factor 1 + 1e-6. The scored quantities are rounded: terms of size R by
-    a few ulps, which the relative margin covers, and the terms of size up
-    to |W| (the waist, t and w*nu of a hit) by a few ulps of |W|, which
-    the absolute one covers. w is evaluated as w0*hypot(1, t/zr), which
-    cannot overflow in Python floats at any finite t.
-    """
-    w_d, w_1, w_2 = waist
-    t_c, c1, c2 = -w_d, -w_1, -w_2
-    bound = reach * (1.0 + 1e-6) + 1e-12 * math.hypot(*waist)
-    if t_c + bound <= 0.0:
-        return None
-    w0, zr = beam.waist_radius, beam.rayleigh_range
-    s_hi = 1.0 / (w0 * math.hypot(1.0, max(t_c - bound, 0.0) / zr))
-    s_lo = 1.0 / (w0 * math.hypot(1.0, (t_c + bound) / zr))
-    s_m = 0.5 * (s_lo + s_hi)
-    radius = (s_hi * bound + math.hypot(c1, c2) * 0.5 * (s_hi - s_lo)) * (1.0 + 1e-6)
-    return s_m * c1, s_m * c2, radius * radius
-
-
 def _residual_tol(frame, r: float) -> float:
     """Largest plane residual of a scored crossing: 1e-9 times the
     waist's distance from the detector plane plus the detector radius."""
     return 1e-9 * (abs(frame[0][0]) + r)
 
 
-def _hit_disk(frame, beam: BeamParams, r: float):
-    """``(h1, h2, limit)``: a ray ``nu`` with ``(nu1 - h1)**2 + (nu2 -
-    h2)**2 <= limit`` is scored a hit by the full solve; None if the bound
+def _plane_map(frame):
+    """``(g, cos, sin)``: the map G = ((g11, g12), (g21, g22)) from a
+    crossing's transverse offset to its point (u, v) on the detector
+    plane, and the cosine and sine of the angle theta between beam and
+    receiver normal; None for a link within 1e-6 of grazing.
+
+    In the beam frame (waist W, axis d, transverse axes e1, e2) the
+    detector centre lies at axial distance t_c = -W.d and transverse offset
+    c = (-W.e1, -W.e2), and a ray sits at Q(t) = (t - t_c)*d + p.e from it,
+    with transverse offset p = w(t)*nu - c. With (base, slope, a1, a2) the
+    first row of the frame, Q.n_r = (t - t_c)*slope + p.a; on the plane t -
+    t_c = -p.a/slope, so (u, v) = (t - t_c)*(u_d, v_d) + (p.(u_1, u_2),
+    p.(v_1, v_2)) = G*p with g = (u_1 - u_d*a1/slope, u_2 - u_d*a2/slope, v_1
+    - v_d*a1/slope, v_2 - v_d*a2/slope). G undoes the projection of the
+    tilted plane onto the beam's cross-section, so its singular values are
+    1 and 1/cos(theta): ||x||_G = |G*x| obeys |x| <= ||x||_G <=
+    |x|/cos(theta), and it is the Euclidean norm at theta = 0.
+
+    Near grazing G amplifies the rounding of the ellipse tests by up to
+    1/cos(theta); below cos(theta) = 1e-6 that could exceed the tests'
+    relative margin of 1e-6, so such a link gets no ellipses.
+    """
+    (_, slope, a1, a2), (_, u_d, u_1, u_2), (_, v_d, v_1, v_2), _ = frame
+    cos = abs(slope)
+    if not cos >= 1e-6:
+        return None
+    k1, k2 = a1 / slope, a2 / slope
+    g = (u_1 - u_d * k1, u_2 - u_d * k2, v_1 - v_d * k1, v_2 - v_d * k2)
+    return g, cos, math.hypot(a1, a2)
+
+
+def _g_norm(g, x1: float, x2: float) -> float:
+    """||x||_G of :func:`_plane_map`."""
+    g11, g12, g21, g22 = g
+    return math.hypot(g11 * x1 + g12 * x2, g21 * x1 + g22 * x2)
+
+
+def _inside(ellipse, n1, n2):
+    """Mask of the rays (n1, n2) in ``ellipse`` = (h1, h2, g, limit):
+    ||nu - h||_G**2 <= limit."""
+    h1, h2, (g11, g12, g21, g22), limit = ellipse
+    x, y = n1 - h1, n2 - h2
+    return (g11 * x + g12 * y) ** 2 + (g21 * x + g22 * y) ** 2 <= limit
+
+
+def _miss_ellipse(frame, beam: BeamParams, r: float):
+    """``(m1, m2, g, limit)``: a ray ``nu`` can score only if ||nu -
+    m||_G**2 <= limit (:func:`_inside`), hence only if |nu - m|**2 <=
+    limit, the ellipse's circumscribed circle; None if the link has no
+    plane map (:func:`_plane_map`), and then every ray is solved.
+
+    In the notation of :func:`_plane_map`, a scored hit has residual delta
+    = Q.n_r with |delta| <= tol (:func:`_residual_tol`) and u**2 + v**2 <=
+    r**2. Then (t - t_c)*slope + p.a = delta, so (u, v) = G*p +
+    delta*(u_d, v_d)/slope, and |(u_d, v_d)| = sin(theta), the part of d in
+    the plane: ||p||_G <= r + tol*tan(theta). Also |Q|**2 = u**2 + v**2 +
+    delta**2, so t > 0 and |t - t_c| <= |Q| <= R: w(t) lies in [w_lo,
+    w_hi] = [w(max(t_c - R, 0)), w(max(t_c + R, 0))] (if t_c + R <= 0 no
+    ray scores, and the ellipse below holds vacuously). With s = 1/w(t),
+    ||nu - s*c||_G = s*||p||_G <= s_hi*R_G, and s*c lies within
+    ||c||_G*(s_hi - s_lo)/2 of s_m*c, s_m = (s_lo + s_hi)/2: nu lies in the
+    ellipse about s_m*c of radius s_hi*R_G + ||c||_G*(s_hi - s_lo)/2.
+
+    R = (r + tol)*(1 + 1e-6) + 1e-12*|W| and R_G = (r +
+    tol*tan(theta))*(1 + 1e-6) + 1e-12*|W|/cos(theta), and the radius gets
+    another factor 1 + 1e-6. The scored quantities are rounded: terms of
+    size R by a few ulps, which the relative margin covers, and the terms
+    of size up to |W| (the waist, t and w*nu of a hit) by a few ulps of
+    |W|, which the absolute one covers; G stretches either by at most
+    1/cos(theta). w is evaluated as w0*hypot(1, t/zr), which cannot
+    overflow in Python floats at any finite t.
+    """
+    plane = _plane_map(frame)
+    if plane is None:
+        return None
+    g, cos, sin = plane
+    waist = frame[3]
+    t_c, c1, c2 = -waist[0], -waist[1], -waist[2]
+    size = math.hypot(*waist)
+    tol = _residual_tol(frame, r)
+    bound = (r + tol) * (1.0 + 1e-6) + 1e-12 * size  # R
+    bound_g = (r + tol * sin / cos) * (1.0 + 1e-6) + 1e-12 * size / cos  # R_G
+    w0, zr = beam.waist_radius, beam.rayleigh_range
+    s_hi = 1.0 / (w0 * math.hypot(1.0, max(t_c - bound, 0.0) / zr))
+    s_lo = 1.0 / (w0 * math.hypot(1.0, max(t_c + bound, 0.0) / zr))
+    s_m = 0.5 * (s_lo + s_hi)
+    radius = (s_hi * bound_g + _g_norm(g, c1, c2) * 0.5 * (s_hi - s_lo)) * (1.0 + 1e-6)
+    return s_m * c1, s_m * c2, g, radius * radius
+
+
+def _hit_ellipse(frame, beam: BeamParams, r: float):
+    """``(h1, h2, g, limit)``: a ray ``nu`` with ||nu - h||_G**2 <= limit
+    (:func:`_inside`) is scored a hit by the full solve; None if the bound
     below certifies no ray of the link.
 
-    *Geometry.* In the beam frame of :func:`_keep_disk` (waist W, detector
-    centre at axial distance t_c = -W.d and offset c = (-W.e1, -W.e2)) a ray
-    sits at Q(t) = (t - t_c, w(t)*nu - c) from the centre. With cos(theta)
-    = |slope| between beam and receiver normal, let rho = r*cos(theta)*(1 -
-    1e-6) - 1e-12*|W| and Delta = rho*tan(theta)*(1 + 1e-6), and require
-    rho > 0 and t_c - Delta > 0. Over I = [t_c - Delta, t_c + Delta], s =
-    1/w(t) lies in [s_lo, s_hi] = [1/w(t_c + Delta), 1/w(t_c - Delta)], so
-    a ray with |nu - s_m*c| <= rho*s_lo - |c|*(s_hi - s_lo)/2, s_m = (s_lo +
-    s_hi)/2, has |w(t)*nu - c| <= rho for every t in I. On the plane, the
-    crossing obeys |t - t_c|*cos(theta) <= |w(t)*nu - c|*sin(theta), and
-    at both ends of I the plane function has opposite signs, so the
-    crossing lies in I. There |Q|**2 = (t - t_c)**2 + |w(t)*nu - c|**2 <=
-    rho**2/cos(theta)**2 < (r*(1 - 1e-6))**2: a hit. The radius carries
-    another factor 1 - 1e-6 and rho the absolute 1e-12*|W|, which cover
-    the rounding of the disk's test and of its centre, as in
-    :func:`_keep_disk`.
+    *Geometry.* In the notation of :func:`_plane_map`, let rho = r*(1 -
+    1e-6) - 1e-12*|W|/cos(theta) and Delta = rho*tan(theta)*(1 + 1e-6),
+    and require rho > 0 and t_c - Delta > 0. Over I = [t_c - Delta, t_c +
+    Delta], s = 1/w(t) lies in [s_lo, s_hi] = [1/w(t_c + Delta), 1/w(t_c -
+    Delta)], so a ray with ||nu - s_m*c||_G <= rho*s_lo - ||c||_G*(s_hi -
+    s_lo)/2, s_m = (s_lo + s_hi)/2, has ||p||_G = w(t)*||nu - s*c||_G <= rho
+    for every t in I. The plane function (t - t_c)*slope + p.a has |p.a| <=
+    |p|*sin(theta) <= ||p||_G*sin(theta) <= rho*sin(theta) < Delta*cos(theta)
+    on I, so it has opposite signs at the ends of I and the crossing lies
+    in I. There (u, v) = G*p, so u**2 + v**2 <= rho**2 < (r*(1 -
+    1e-6))**2: a hit. The radius carries another factor 1 - 1e-6 and rho
+    the absolute 1e-12*|W|/cos(theta), which cover the rounding of the
+    ellipse's test and of its centre, as in :func:`_miss_ellipse`.
 
     *The computed solve.* ``_crossing`` solves F(t) = base + t*slope +
-    w(t)*proj = 0, with |proj| <= P = |nu|max*sin(theta) for the disk's
-    largest |nu|. Since |w'| < w0/z_R, F' lies within (w0/z_R)*P of slope;
-    the link must have m = cos(theta) - (w0/z_R)*P >= cos(theta)/2, so F is
-    monotone with one root t*. F'' = w''*proj keeps its sign, so the Newton
-    iterates from the axis crossing t0 = -base/slope stay between t0, its
-    first step and t*, all within E = w(t0)*P/m of t0. On J = [t0 - E, t0
-    + E], with t0 - E > 0, |F''| <= M = w''(t0 - E)*P; the link must have
-    M*E <= m, so the error e_k of step k obeys e_k <= E*2**(1 - 2**k),
-    below 2e-19*E by step 6 of the 8. Every term of F, and of the scored u
-    and v, is at most S = |W| + (t0 + E) + w(t0 + E)*|nu|max in size, so
-    rounding keeps each computed iterate, and the ray's point on the plane,
-    within about 40*eps*S*g/cos(theta) of the exact ones, with g = 1 +
+    w(t)*proj = 0, with |proj| <= P = |nu|max*sin(theta), where |nu|max =
+    s_m*|c| + the radius bounds the ellipse's |nu| since |x| <= ||x||_G.
+    Since |w'| < w0/z_R, F' lies within (w0/z_R)*P of slope; the link must
+    have m = cos(theta) - (w0/z_R)*P >= cos(theta)/2, so F is monotone with
+    one root t*. F'' = w''*proj keeps its sign, so the Newton iterates from
+    the axis crossing t0 = -base/slope stay between t0, its first step and
+    t*, all within E = w(t0)*P/m of t0. On J = [t0 - E, t0 + E], with t0 -
+    E > 0, |F''| <= M = w''(t0 - E)*P; the link must have M*E <= m, so the
+    error e_k of step k obeys e_k <= E*2**(1 - 2**k), below 2e-19*E by step
+    6 of the 8. Every term of F, and of the scored u and v, is at most S =
+    |W| + (t0 + E) + w(t0 + E)*|nu|max in size, so rounding keeps each
+    computed iterate, and the ray's point on the plane, within about
+    40*eps*S*g/cos(theta) of the exact ones, with g = 1 +
     (w0/z_R)*|nu|max. The link must have t0 - E, tol and r*1e-6 all above
     slack = 1e-13*S*g/cos(theta), twenty times that: then t > 0, the
     residual is at most tol, and u**2 + v**2 <= r**2 as computed. A link
-    that fails any of these conditions gets no disk, and all its kept rays
-    are solved.
+    that fails any of these conditions gets no ellipse, and all its kept
+    rays are solved.
     """
-    (base, slope, a1, a2), _, _, waist = frame
-    cos, sin = abs(slope), math.hypot(a1, a2)
+    plane = _plane_map(frame)
+    if plane is None:
+        return None
+    g, cos, sin = plane
+    (base, slope, _, _), _, _, waist = frame
     size = math.hypot(*waist)
-    rho = r * cos * (1.0 - 1e-6) - 1e-12 * size
+    rho = r * (1.0 - 1e-6) - 1e-12 * size / cos
     if not rho > 0.0:
         return None
     t_c, c1, c2 = -waist[0], -waist[1], -waist[2]
@@ -234,11 +301,10 @@ def _hit_disk(frame, beam: BeamParams, r: float):
     s_hi = 1.0 / (w0 * math.hypot(1.0, (t_c - delta) / zr))
     s_lo = 1.0 / (w0 * math.hypot(1.0, (t_c + delta) / zr))
     s_m = 0.5 * (s_lo + s_hi)
-    c = math.hypot(c1, c2)
-    radius = (rho * s_lo - c * 0.5 * (s_hi - s_lo)) * (1.0 - 1e-6)
+    radius = (rho * s_lo - _g_norm(g, c1, c2) * 0.5 * (s_hi - s_lo)) * (1.0 - 1e-6)
     if not radius > 0.0:
         return None
-    nu_max = s_m * c + radius
+    nu_max = s_m * math.hypot(c1, c2) + radius
     proj_max = nu_max * sin  # P
     m = cos - w0 / zr * proj_max
     if not 2.0 * m >= cos:
@@ -253,34 +319,51 @@ def _hit_disk(frame, beam: BeamParams, r: float):
     if not (lo > slack and curvature * spread <= m
             and slack <= min(_residual_tol(frame, r), 1e-6 * r)):
         return None
-    return s_m * c1, s_m * c2, radius * radius
+    return s_m * c1, s_m * c2, g, radius * radius
+
+
+def _hits(beam: BeamParams, frame, r: float, queue) -> int:
+    """Hits among the queued ``(n1, n2)`` rays of one link, each solved
+    by ``_crossing`` and scored in one call."""
+    n1, n2 = np.concatenate([q[0] for q in queue]), np.concatenate([q[1] for q in queue])
+    (base, slope, a1, a2), (u_w, u_d, u_1, u_2), (v_w, v_d, v_1, v_2), _ = frame
+    w0, zr = beam.waist_radius, beam.rayleigh_range
+    proj = n1 * a1 + n2 * a2
+    t = _crossing(proj, base, slope, w0, zr)
+    w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
+    residual = np.abs(base + t * slope + w_z * proj)
+    # grazing rays that failed to converge (NaN residual) miss
+    ok = (t > 0.0) & (residual <= _residual_tol(frame, r))
+    s1, s2 = w_z * n1, w_z * n2
+    u = u_w + t * u_d + s1 * u_1 + s2 * u_2
+    v = v_w + t * v_d + s1 * v_1 + s2 * v_2
+    return np.count_nonzero(ok & (u**2 + v**2 <= r**2))
 
 
 def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tuple[float, float]]:
     """``(gain, std_error)`` of each ``(beam, state)`` link, every link scored
     on the same ray draws of ``spec``.
 
-    Each block of rays is drawn once for all links. A link keeps only the
-    rays inside its certain-miss disk (``_keep_disk`` derives the bound and
-    its margins), counts the kept rays inside its certain-hit disk
-    (``_hit_disk``) as hits, and solves and scores the rest; a block in
-    which it keeps none costs it one mask, and one whose kept rays are all
-    certain hits solves nothing. Its hits are those of solving every ray:
-    each solved ray goes through the same elementwise arithmetic as in a
-    full-block pass, and ``_crossing`` returns each ray's full Newton solve
-    whatever rays share its block. So each result equals the one-link
-    ``ray_gain_mc`` bit for bit.
+    Each block of rays is drawn once for all links. A link keeps the rays
+    in the circle about its certain-miss ellipse (``_miss_ellipse``),
+    counts the kept rays in its certain-hit ellipse (``_hit_ellipse``) as
+    hits, drops the rest that lie outside the certain-miss ellipse, and
+    queues what is left. It solves and scores its queue once it holds
+    ``_CHUNK`` rays, and once more after the last block. Its hits are those
+    of solving every ray: each solved ray goes through the same elementwise
+    arithmetic as in a full-block pass, and ``_crossing`` returns each ray's
+    full Newton solve whatever rays share its call. So each result equals
+    the one-link ``ray_gain_mc`` bit for bit.
     """
     _check_link_distance(L)
+    r = pd.radius
     plans = []
     for index, (beam, state) in enumerate(links):
         frame = _frame(state, L)
         if frame is None:  # facing away: scores no ray
             continue
-        tol = _residual_tol(frame, pd.radius)
-        disk = _keep_disk(frame[3], beam, pd.radius + tol)
-        if disk is not None:
-            plans.append((index, beam, frame, tol, disk, _hit_disk(frame, beam, pd.radius)))
+        miss, hit = _miss_ellipse(frame, beam, r), _hit_ellipse(frame, beam, r)
+        plans.append((index, beam, frame, miss, hit, []))
     if not plans:
         return [(0.0, 0.0)] * len(links)
 
@@ -292,33 +375,35 @@ def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tup
             size = min(_CHUNK, spec.ray_count - start)
             # contiguous rows: every link masks the block and gathers from it
             nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T.copy()
-            for index, beam, frame, tol, (m1, m2, limit), hit in plans:
-                keep = np.flatnonzero((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
-                if not keep.size:
-                    continue
-                n1, n2 = nu1[keep], nu2[keep]
+            for index, beam, frame, miss, hit, queue in plans:
+                n1, n2 = nu1, nu2
+                if miss is not None:  # the circle first: one cheap test per ray
+                    m1, m2, _, limit = miss
+                    keep = np.flatnonzero((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
+                    if not keep.size:
+                        continue
+                    n1, n2 = nu1[keep], nu2[keep]
                 if hit is not None:  # certain hits count unsolved
-                    h1, h2, hit_limit = hit
-                    certain = (n1 - h1) ** 2 + (n2 - h2) ** 2 <= hit_limit
+                    certain = _inside(hit, n1, n2)
                     count = np.count_nonzero(certain)
                     hits[index] += count
-                    if count == keep.size:
+                    if count == n1.size:
                         continue
                     if count:
                         rest = ~certain
                         n1, n2 = n1[rest], n2[rest]
-                (base, slope, a1, a2), (u_w, u_d, u_1, u_2), (v_w, v_d, v_1, v_2), _ = frame
-                w0, zr = beam.waist_radius, beam.rayleigh_range
-                proj = n1 * a1 + n2 * a2
-                t = _crossing(proj, base, slope, w0, zr)
-                w_z = w0 * np.sqrt(1.0 + (t / zr) ** 2)
-                residual = np.abs(base + t * slope + w_z * proj)
-                # grazing rays that failed to converge (NaN residual) miss
-                ok = (t > 0.0) & (residual <= tol)
-                s1, s2 = w_z * n1, w_z * n2
-                u = u_w + t * u_d + s1 * u_1 + s2 * u_2
-                v = v_w + t * v_d + s1 * v_1 + s2 * v_2
-                hits[index] += np.count_nonzero(ok & (u**2 + v**2 <= pd.radius**2))
+                if miss is not None:  # the ellipse only where it decides
+                    rest = np.flatnonzero(_inside(miss, n1, n2))
+                    if not rest.size:
+                        continue
+                    n1, n2 = n1[rest], n2[rest]
+                queue.append((n1, n2))
+                if sum(q[0].size for q in queue) >= _CHUNK:
+                    hits[index] += _hits(beam, frame, r, queue)
+                    queue.clear()
+        for index, beam, frame, _, _, queue in plans:
+            if queue:
+                hits[index] += _hits(beam, frame, r, queue)
 
     results = []
     for count in hits:

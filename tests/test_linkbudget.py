@@ -33,7 +33,7 @@ from vcselink.linkbudget import (
     svd_thin,
     write_rates_csv,
 )
-from vcselink.linkbudget import _rate_reports
+from vcselink.linkbudget import _rate_reports, _singular_values
 from vcselink.presets import reference_config, sinr_map
 from vcselink.scenario import _CHUNK_ENTRIES, build_scenario
 
@@ -601,3 +601,21 @@ def test_a_nan_stream_writes_nan_not_minus_infinity(tmp_path):
     sinr_db, bits, rates, aggregate = read_rates(tmp_path / "rates.csv")
     assert sinr_db[0] == -np.inf and np.isnan(sinr_db[1]) and np.isfinite(sinr_db[2])
     assert np.isnan(bits[1]) and np.isnan(rates[1]) and np.isnan(aggregate)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_non_finite_gain_gives_a_nan_aggregate_in_both_modes(bad, mode):
+    # LAPACK raised "SVD did not converge" on the NaN matrix; a non-finite
+    # matrix of a stack now gets NaN singular values and leaves the others be
+    h = np.eye(3) * 1e-3
+    h[1, 1] = bad
+    with warnings.catch_warnings():
+        # direct mode subtracts inf from inf, which numpy reports
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = aggregate_rate(h, LinkParams(), mode)
+    assert math.isnan(report.aggregate) and math.isnan(report.per_link_sinr[1])
+    stack = np.stack([np.eye(3) * 1e-3, h, np.eye(3) * 2e-3])
+    values = _singular_values(stack)
+    assert np.isnan(values[1]).all()
+    assert values[[0, 2]].tolist() == np.linalg.svd(stack[[0, 2]], compute_uv=False).tolist()

@@ -16,7 +16,7 @@ from vcselink.geometry import (
     rx_normal,
     tx_normal,
 )
-from vcselink.oracle import RayBundleSpec, _transverse_basis, ray_gain_mc
+from vcselink.oracle import RayBundleSpec, ray_gain_mc
 
 L = 2.0
 PD = PdGeometry(3e-3)
@@ -156,6 +156,31 @@ def reference_ray_gain_mc(beam, L, pd, state, spec):
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.ray_count)
 
 
+def reference_transverse_basis(n_t):
+    """The beam's transverse unit vectors in their np.cross form."""
+    ref = np.array([0.0, 1.0, 0.0]) if abs(n_t[1]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(ref, n_t)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(n_t, e1)
+
+
+def reference_frame(state, L):
+    """``oracle._frame`` built on :func:`reference_transverse_basis`."""
+    if alignment_cosine(state) <= 0.0:
+        return None
+    n_t = tx_normal(state.phi_a, state.phi_e)
+    n_r = rx_normal(state.psi_a, state.psi_e)
+    waist = np.array([state.x_de, state.y_de, L])
+    direction = -n_t
+    e1, e2 = reference_transverse_basis(n_t)
+    m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
+    rows = [
+        [float(x @ axis) for x in (waist, direction, e1, e2)]
+        for axis in (n_r, m_r[:, 0], m_r[:, 1])
+    ]
+    return [*rows, [float(waist @ axis) for axis in (direction, e1, e2)]]
+
+
 def reference_hits(beam, L, pd, state, nu):
     """Whether each ray of the (N, 2) offsets ``nu`` scores a hit in the
     whole-array pass of :func:`reference_ray_gain_mc`."""
@@ -163,7 +188,7 @@ def reference_hits(beam, L, pd, state, nu):
     n_r = rx_normal(state.psi_a, state.psi_e)
     waist = np.array([state.x_de, state.y_de, L])
     direction = -n_t
-    e1, e2 = _transverse_basis(n_t)
+    e1, e2 = reference_transverse_basis(n_t)
     base = float(waist @ n_r)
     slope = float(direction @ n_r)
     w0 = beam.waist_radius
@@ -263,113 +288,148 @@ def drawn_links(draw):
     return beam, L, pd, state
 
 
-# (link, rays, seed) at which the certain-miss disk keeps no ray in any
-# block, keeps rays in some blocks only, and straddles the detector plane,
-# and at which the certain-hit disk holds every kept ray
+# (link, rays, seed) at which the certain-miss circle keeps no ray in any
+# block, keeps rays in some blocks only, and straddles the detector plane
+# (a link with no certain-hit ellipse, at 10k rays and at five blocks), and
+# at which the certain-hit ellipse holds every ray the certain-miss ellipse
+# keeps
+STRADDLING = (BEAM50, 1e-6, PD, MisalignmentState(psi_a=math.radians(85.0)))
 KEPT_SET_CASES = {
     "beyond": ((BEAM50, L, PD, MisalignmentState(x_de=1.0)), 3 * CHUNK, 0),
     "sparse": ((BEAM50, L, PD, MisalignmentState(x_de=22e-3)), 3 * CHUNK, 2),
-    "straddling": ((BEAM50, 1e-6, PD, MisalignmentState(psi_a=math.radians(85.0))), 10_000, 1),
+    "straddling": (STRADDLING, 10_000, 1),
+    "straddling-long": (STRADDLING, 5 * CHUNK, 4),
     "certain": ((BEAM50, 0.05, PD, MisalignmentState()), CHUNK + 1, 3),
 }
+# the last point of gmm-verify panel f: many 1-ulp Newton 2-cycles, and the
+# fewest kept rays that the certain-hit ellipse certifies
+PANEL_F_END = (BEAM50, presets.LINK_DISTANCE, PdGeometry(presets.PD_RADIUS), BIT_STATES["mixed80"])
 
 
 @settings(max_examples=60)
 @given(link=drawn_links(), rays=st.integers(10_000, 3 * CHUNK), seed=st.integers(0, 2**32))
 @example(link=(BEAM50, L, PD, MisalignmentState(psi_a=1.45)), rays=CHUNK + 1, seed=0)
 @example(link=(BEAM50, L, PD, MisalignmentState(x_de=-2e-3, psi_a=1.3)), rays=CHUNK + 1, seed=1)
+@example(link=PANEL_F_END, rays=3 * CHUNK + 7, seed=30)
 @example(*KEPT_SET_CASES["beyond"])
 @example(*KEPT_SET_CASES["sparse"])
 @example(*KEPT_SET_CASES["straddling"])
 def test_sampler_equals_whole_array_pass_on_drawn_states(link, rays, seed):
-    # the sampler solves only the rays in each link's certain-miss disk; the
-    # reference solves and scores every ray
+    # the sampler solves only the rays that its ellipses leave undecided;
+    # the reference solves and scores every ray
     spec = RayBundleSpec(ray_count=rays, seed=seed)
     assert ray_gain_mc(*link, spec) == reference_ray_gain_mc(*link, spec)
+
+
+@settings(max_examples=200)
+@given(link=drawn_links())
+@example(link=(BEAM50, L, PD, MisalignmentState()))
+@example(link=(BEAM50, L, PD, MisalignmentState(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0)))
+@example(link=(BEAM50, L, PD, MisalignmentState(phi_e=1.2, psi_e=-1.2)))  # |n_t[1]| > 0.9
+@example(link=PANEL_F_END)
+def test_frames_equal_the_np_cross_form_bit_for_bit(link):
+    _, distance, _, state = link
+    n_t = tx_normal(state.phi_a, state.phi_e)
+    for vector, expected in zip(oracle._transverse_basis(n_t), reference_transverse_basis(n_t)):
+        assert vector.tobytes() == expected.tobytes()
+    frame, expected = oracle._frame(state, distance), reference_frame(state, distance)
+    assert (frame is None) == (expected is None)
+    if frame is not None:
+        # tobytes compares the bits, so the signs of zeros too
+        assert np.array(sum(frame, [])).tobytes() == np.array(sum(expected, [])).tobytes()
 
 
 @settings(max_examples=150)
 @given(link=drawn_links())
 @example(link=KEPT_SET_CASES["straddling"][0])
-def test_keep_disk_holds_the_whole_detector(link):
-    # every point P of the detector disk, reached at axial distance t > 0,
-    # is the crossing of the ray nu = (P - W).e / w(t); no draw is involved,
-    # so the disk's edge is probed however unlikely a ray there is
+@example(link=(BEAM50, L, PD, BIT_STATES["psi80"]))
+@example(link=PANEL_F_END)
+def test_miss_ellipse_holds_the_whole_detector(link):
+    # every point P of the detector disk, or off its plane by up to the
+    # residual tolerance, reached at axial distance t > 0, is the crossing
+    # of the ray nu = (P - W).e / w(t); no draw is involved, so the
+    # ellipse's edge is probed however unlikely a ray there is
     beam, distance, pd, state = link
     frame = oracle._frame(state, distance)
     if frame is None:
         return
-    disk = oracle._keep_disk(frame[3], beam, pd.radius)
+    ellipse = oracle._miss_ellipse(frame, beam, pd.radius)
+    assert ellipse is not None  # drawn links stay far from grazing
+    tol = oracle._residual_tol(frame, pd.radius)
     n_t = tx_normal(state.phi_a, state.phi_e)
-    e1, e2 = _transverse_basis(n_t)
+    n_r = rx_normal(state.psi_a, state.psi_e)
+    e1, e2 = reference_transverse_basis(n_t)
     m_r = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
     angle = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
     rho = pd.radius * np.array([0.0, 0.5, 0.9, 1.0])[None, :]
-    u, v = (rho * np.cos(angle)).reshape(-1, 1), (rho * np.sin(angle)).reshape(-1, 1)
-    offset = u * m_r[:, 0] + v * m_r[:, 1] - np.array([state.x_de, state.y_de, distance])
+    u, v = (rho * np.cos(angle)).reshape(-1, 1, 1), (rho * np.sin(angle)).reshape(-1, 1, 1)
+    lift = np.array([-tol, 0.0, tol])[None, :, None]
+    points = (u * m_r[:, 0] + v * m_r[:, 1] + lift * n_r).reshape(-1, 3)
+    offset = points - np.array([state.x_de, state.y_de, distance])
     t = offset @ -n_t
     w = beam.waist_radius * np.sqrt(1.0 + (t / beam.rayleigh_range) ** 2)
     nu1, nu2 = (offset @ e1)[t > 0.0] / w[t > 0.0], (offset @ e2)[t > 0.0] / w[t > 0.0]
-    if disk is None:
-        assert nu1.size == 0
-    else:
-        m1, m2, limit = disk
-        assert np.all((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
+    m1, m2, _, limit = ellipse
+    assert np.all((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
+    assert np.all(oracle._inside(ellipse, nu1, nu2))
 
 
 @settings(max_examples=150)
 @given(link=drawn_links())
 @example(link=KEPT_SET_CASES["certain"][0])
 @example(link=(BEAM50, L, PD, BIT_STATES["psi80"]))
-@example(link=(BEAM50, L, PD, BIT_STATES["mixed80"]))
-def test_hit_disk_rays_are_hits_of_the_whole_array_pass(link):
-    # rays on the certain-hit disk's rim and inside it, probed without
-    # draws, are kept by the certain-miss disk and each scores a hit when
+@example(link=PANEL_F_END)
+def test_hit_ellipse_rays_are_hits_of_the_whole_array_pass(link):
+    # rays on the certain-hit ellipse's rim and inside it, probed without
+    # draws at radii and angles of its G-coordinates y = G*(nu - h), lie in
+    # the certain-miss ellipse and its circle, and each scores a hit when
     # the whole-array pass solves and scores it
     beam, distance, pd, state = link
     frame = oracle._frame(state, distance)
-    disk = None if frame is None else oracle._hit_disk(frame, beam, pd.radius)
-    if disk is None:
+    ellipse = None if frame is None else oracle._hit_ellipse(frame, beam, pd.radius)
+    if ellipse is None:
         return
-    h1, h2, limit = disk
+    h1, h2, (g11, g12, g21, g22), limit = ellipse
     angle = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
     rho = math.sqrt(limit) * np.array([0.0, 0.5, 0.9, 1.0])[None, :]
-    nu = np.stack([(h1 + rho * np.cos(angle)).ravel(), (h2 + rho * np.sin(angle)).ravel()], 1)
+    y1, y2 = (rho * np.cos(angle)).ravel(), (rho * np.sin(angle)).ravel()
+    det = g11 * g22 - g12 * g21
+    nu1, nu2 = h1 + (g22 * y1 - g12 * y2) / det, h2 + (g11 * y2 - g21 * y1) / det
     # the sampler's test decides which probes are certified; the rim's
     # rounding may leave some of its probes out
-    certain = (nu[:, 0] - h1) ** 2 + (nu[:, 1] - h2) ** 2 <= limit
+    certain = oracle._inside(ellipse, nu1, nu2)
     assert certain.sum() >= 3 * 64
-    m1, m2, keep_limit = oracle._keep_disk(
-        frame[3], beam, pd.radius + oracle._residual_tol(frame, pd.radius))
-    nu = nu[certain]
-    assert np.all((nu[:, 0] - m1) ** 2 + (nu[:, 1] - m2) ** 2 <= keep_limit)
-    assert reference_hits(beam, distance, pd, state, nu).all()
+    nu1, nu2 = nu1[certain], nu2[certain]
+    miss = oracle._miss_ellipse(frame, beam, pd.radius)
+    m1, m2, _, keep_limit = miss
+    assert np.all((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= keep_limit)
+    assert np.all(oracle._inside(miss, nu1, nu2))
+    assert reference_hits(beam, distance, pd, state, np.stack([nu1, nu2], 1)).all()
 
 
-def kept_and_certain(link, rays, seed):
-    """``(kept, certain)`` per block of the sampler's draws: the rays that
-    the link's certain-miss disk keeps, and those of them in its
-    certain-hit disk."""
+def kept_certain_missed(link, rays, seed):
+    """``(kept, certain, missed)`` per block of the sampler's draws: the
+    rays in the link's certain-miss circle, those of them in its
+    certain-hit ellipse, and those of the rest outside its certain-miss
+    ellipse."""
     beam, distance, pd, state = link
     frame = oracle._frame(state, distance)
-    tol = oracle._residual_tol(frame, pd.radius)
     nu1, nu2 = np.random.default_rng(seed).normal(0.0, 0.5, size=(rays, 2)).T
-
-    def inside(disk):
-        if disk is None:
-            return np.zeros(rays, dtype=bool)
-        c1, c2, limit = disk
-        return (nu1 - c1) ** 2 + (nu2 - c2) ** 2 <= limit
-
-    kept = inside(oracle._keep_disk(frame[3], beam, pd.radius + tol))
-    certain = kept & inside(oracle._hit_disk(frame, beam, pd.radius))
-    return [(np.count_nonzero(kept[lo : lo + CHUNK]), np.count_nonzero(certain[lo : lo + CHUNK]))
+    miss = oracle._miss_ellipse(frame, beam, pd.radius)
+    hit = oracle._hit_ellipse(frame, beam, pd.radius)
+    m1, m2, _, limit = miss
+    kept = (nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit
+    certain = kept & (False if hit is None else oracle._inside(hit, nu1, nu2))
+    missed = kept & ~certain & ~oracle._inside(miss, nu1, nu2)
+    return [tuple(np.count_nonzero(mask[lo : lo + CHUNK]) for mask in (kept, certain, missed))
             for lo in range(0, rays, CHUNK)]
 
 
 def test_kept_set_cases_are_what_they_say(monkeypatch):
-    # a block decides the rays its certain-miss disk keeps: it certifies
-    # those in the certain-hit disk and solves the rest, if any
+    # a link decides the rays its certain-miss circle keeps: it certifies
+    # those in the certain-hit ellipse, drops those outside the certain-miss
+    # ellipse, and queues the rest, which it solves once a block's worth is
+    # queued and once after the last block
     solved = []
     crossing = oracle._crossing
 
@@ -381,20 +441,25 @@ def test_kept_set_cases_are_what_they_say(monkeypatch):
     gains = {}
     for name, (link, rays, seed) in KEPT_SET_CASES.items():
         solved.clear()
-        gains[name], _ = ray_gain_mc(*link, RayBundleSpec(rays, seed))
-        blocks = kept_and_certain(link, rays, seed)
-        assert solved == [kept - certain for kept, certain in blocks if kept > certain]
-        decided = [kept for kept, _ in blocks if kept]
+        spec = RayBundleSpec(rays, seed)
+        gains[name], _ = ray_gain_mc(*link, spec)
+        assert (gains[name], _) == reference_ray_gain_mc(*link, spec)
+        blocks = kept_certain_missed(link, rays, seed)
+        assert sum(solved) == sum(kept - certain - missed for kept, certain, missed in blocks)
+        assert all(CHUNK <= size <= 2 * CHUNK for size in solved[:-1])
+        assert all(0 < size <= 2 * CHUNK for size in solved[-1:])
+        decided = [kept for kept, _, _ in blocks if kept]
         if name == "beyond":
             assert decided == [] and gains[name] == 0.0
         elif name == "sparse":
             assert 0 < len(decided) < 3 and gains[name] > 0.0
         elif name == "certain":
             assert solved == [] and decided and gains[name] > 0.0
+        elif name == "straddling-long":
+            frame = oracle._frame(link[3], link[1])
+            assert oracle._hit_ellipse(frame, link[0], link[2].radius) is None
+            assert len(solved) >= 2
     assert 0.3 < gains["straddling"] < 0.7
-    link, rays, seed = KEPT_SET_CASES["certain"]
-    assert ray_gain_mc(*link, RayBundleSpec(rays, seed)) == reference_ray_gain_mc(
-        *link, RayBundleSpec(rays, seed))
 
 
 @pytest.mark.parametrize("distance", [1e200, 1e300])
@@ -469,25 +534,30 @@ def test_gmm_verify_samples_each_link_as_the_one_link_sampler(tmp_path):
                 assert columns[f"{name}_{tag}"] == tuple(f"{v:.11e}" for v in values)
 
 
-def test_gmm_verify_scores_the_same_without_the_hit_disk(tmp_path, monkeypatch):
-    # the certain hits are counted unsolved; solving them instead changes no byte
-    hit_disk = oracle._hit_disk
-    disks = []
+def test_gmm_verify_scores_the_same_without_the_ellipses(tmp_path, monkeypatch):
+    # certain hits are counted and certain misses dropped unsolved; with no
+    # ellipses every ray is solved, and that changes no byte
+    bounds = {name: getattr(oracle, name) for name in ("_miss_ellipse", "_hit_ellipse")}
+    ellipses = []
 
-    def recording(*args):
-        disks.append(hit_disk(*args))
-        return disks[-1]
+    def recording(bound):
+        def record(*args):
+            ellipses.append(bound(*args))
+            return ellipses[-1]
+        return record
 
     for seed in (0, 1):
         outputs = {}
-        for name, patch in (("with", recording), ("without", lambda *args: None)):
-            monkeypatch.setattr(oracle, "_hit_disk", patch)
-            out = tmp_path / f"{seed}-{name}"
+        for case in ("with", "without"):
+            for name, bound in bounds.items():
+                patch = recording(bound) if case == "with" else lambda *args: None
+                monkeypatch.setattr(oracle, name, patch)
+            out = tmp_path / f"{seed}-{case}"
             out.mkdir()
             paths = presets.preset_gmm_verify(out, seed=seed, points=3, rays=CHUNK + 1)
-            outputs[name] = [(path.name, path.read_bytes()) for path in paths]
+            outputs[case] = [(path.name, path.read_bytes()) for path in paths]
         assert outputs["with"] == outputs["without"]
-    assert any(disk is not None for disk in disks)
+    assert ellipses and None not in ellipses
 
 
 def test_newton_early_exit_keeps_the_full_solve():
@@ -496,7 +566,7 @@ def test_newton_early_exit_keeps_the_full_solve():
     state = BIT_STATES["psi80"]
     n_t = tx_normal(state.phi_a, state.phi_e)
     n_r = rx_normal(state.psi_a, state.psi_e)
-    e1, e2 = _transverse_basis(n_t)
+    e1, e2 = reference_transverse_basis(n_t)
     base = float(np.array([state.x_de, state.y_de, L]) @ n_r)
     slope = float(-n_t @ n_r)
     nu = np.random.default_rng(8).normal(0.0, 0.5, size=(CHUNK, 2))
