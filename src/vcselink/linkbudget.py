@@ -173,8 +173,6 @@ def _singular_values(stack: np.ndarray) -> np.ndarray:
     if stack.shape[-2] < stack.shape[-1]:
         raise ValueError("svd_thin requires N_r >= N_t")
     finite = np.isfinite(stack).all(axis=(-2, -1))
-    if finite.all():
-        return np.linalg.svd(stack, compute_uv=False)
     values = np.full(stack.shape[:-2] + stack.shape[-1:], np.nan)
     values[finite] = np.linalg.svd(stack[finite], compute_uv=False)
     return values

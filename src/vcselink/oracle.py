@@ -17,22 +17,22 @@ Seen along the beam, a detector tilted by theta covers an ellipse with
 semi-axes r and r*cos(theta), so the sampler decides rays with ellipses in
 the space of normalized offsets nu, in the norm of the detector's plane
 map G (``_plane_map``), which takes a crossing's offset across the beam to
-its point on the detector. Most rays cannot reach the detector: a ray
-that scores lies in the certain-miss ellipse (``_miss_ellipse``), which
-bounds its axial distance, hence w, hence nu. A link keeps the rays in the
-ellipse's circumscribed circle, one cheap test per drawn ray. Most kept
-rays cannot miss: inside the certain-hit ellipse (``_hit_ellipse``) a ray
-meets the detector plane at a point of the detector, and the Newton solve
-and scoring provably say so too, so those rays count as hits unsolved. Of
-the rest, those outside the certain-miss ellipse are misses; the few left
-are queued per link, and solved and scored once a block's worth is queued
-and once after the last block. Each bound carries relative and absolute
-margins that cover the rounding of the scored quantities, so the hit
-counts are those of solving every ray.
+its point on the detector. Both ellipses of a link share one centre m
+(``_ellipses``), so one quadratic form q = ||nu - m||_G**2 decides a ray
+against both: within the certain-hit limit a ray meets the detector plane
+at a point of the detector, and the Newton solve and scoring provably say
+so too, so it counts as a hit unsolved; beyond the certain-miss limit its
+axial distance, hence w, hence nu, rules out a hit. A link first keeps
+the rays in the certain-miss ellipse's circumscribed circle, one cheap
+test per drawn ray, and computes q only for those. The few kept rays
+between the two limits are queued per link, and solved and scored once a
+block's worth is queued and once after the last block. Each limit carries
+relative and absolute margins that cover the rounding of the scored
+quantities, so the hit counts are those of solving every ray.
 
 On the ``gmm-verify`` preset (seeds 0-2, 74.4 M drawn rays a round) the
-circles keep 16.5% of the drawn rays, the certain-hit ellipses certify
-83.1% of those, the certain-miss ellipses drop another 16.3%, and about
+circles keep 16.5% of the drawn rays, the certain-hit limits certify
+83.1% of those, the certain-miss limits drop another 16.3%, and about
 64 k rays a round (0.52% of the kept ones) are solved, in about 340 calls.
 """
 
@@ -186,37 +186,31 @@ def _plane_map(frame):
     return g, cos, math.hypot(a1, a2)
 
 
-def _g_norm(g, x1: float, x2: float) -> float:
-    """||x||_G of :func:`_plane_map`."""
-    g11, g12, g21, g22 = g
-    return math.hypot(g11 * x1 + g12 * x2, g21 * x1 + g22 * x2)
+def _ellipses(frame, beam: BeamParams, r: float):
+    """``(m1, m2, g, hit, miss)``: a centre m, the plane map G of
+    :func:`_plane_map`, and two limits on q = ||nu - m||_G**2. The full
+    solve scores a ray with q <= hit as a hit and one with q > miss as a
+    miss; hit is -1 if the bound below certifies no ray of the link. A ray
+    that scores also has |nu - m|**2 <= miss, the miss ellipse's
+    circumscribed circle, since |x| <= ||x||_G. None if the link has no
+    plane map, and then every ray is solved.
 
+    In the notation of :func:`_plane_map`, a ray that crosses at axial
+    distance t has p = w(t)*(nu - s*c), s = 1/w(t). Both limits bound t to
+    an interval, so s to an [s_lo, s_hi] that holds s_c = 1/w(max(t_c, 0)),
+    and m = s_c*c. Then ||nu - s*c||_G and ||nu - m||_G differ by at most
+    |s - s_c|*||c||_G <= k*||c||_G, k = max(s_hi - s_c, s_c - s_lo), so each
+    radius below gives up k*||c||_G to the one centre.
 
-def _inside(ellipse, n1, n2):
-    """Mask of the rays (n1, n2) in ``ellipse`` = (h1, h2, g, limit):
-    ||nu - h||_G**2 <= limit."""
-    h1, h2, (g11, g12, g21, g22), limit = ellipse
-    x, y = n1 - h1, n2 - h2
-    return (g11 * x + g12 * y) ** 2 + (g21 * x + g22 * y) ** 2 <= limit
-
-
-def _miss_ellipse(frame, beam: BeamParams, r: float):
-    """``(m1, m2, g, limit)``: a ray ``nu`` can score only if ||nu -
-    m||_G**2 <= limit (:func:`_inside`), hence only if |nu - m|**2 <=
-    limit, the ellipse's circumscribed circle; None if the link has no
-    plane map (:func:`_plane_map`), and then every ray is solved.
-
-    In the notation of :func:`_plane_map`, a scored hit has residual delta
-    = Q.n_r with |delta| <= tol (:func:`_residual_tol`) and u**2 + v**2 <=
-    r**2. Then (t - t_c)*slope + p.a = delta, so (u, v) = G*p +
-    delta*(u_d, v_d)/slope, and |(u_d, v_d)| = sin(theta), the part of d in
-    the plane: ||p||_G <= r + tol*tan(theta). Also |Q|**2 = u**2 + v**2 +
-    delta**2, so t > 0 and |t - t_c| <= |Q| <= R: w(t) lies in [w_lo,
-    w_hi] = [w(max(t_c - R, 0)), w(max(t_c + R, 0))] (if t_c + R <= 0 no
-    ray scores, and the ellipse below holds vacuously). With s = 1/w(t),
-    ||nu - s*c||_G = s*||p||_G <= s_hi*R_G, and s*c lies within
-    ||c||_G*(s_hi - s_lo)/2 of s_m*c, s_m = (s_lo + s_hi)/2: nu lies in the
-    ellipse about s_m*c of radius s_hi*R_G + ||c||_G*(s_hi - s_lo)/2.
+    *Certain miss.* A scored hit has residual delta = Q.n_r with |delta| <=
+    tol (:func:`_residual_tol`) and u**2 + v**2 <= r**2. Then (t -
+    t_c)*slope + p.a = delta, so (u, v) = G*p + delta*(u_d, v_d)/slope, and
+    |(u_d, v_d)| = sin(theta), the part of d in the plane: ||p||_G <= r +
+    tol*tan(theta). Also |Q|**2 = u**2 + v**2 + delta**2, so t > 0 and |t -
+    t_c| <= |Q| <= R: s lies in [s_lo, s_hi] = [1/w(max(t_c + R, 0)),
+    1/w(max(t_c - R, 0))] (if t_c + R <= 0 no ray scores, and the limit
+    holds vacuously), so ||nu - m||_G <= s*||p||_G + k*||c||_G <= s_hi*R_G +
+    k*||c||_G.
 
     R = (r + tol)*(1 + 1e-6) + 1e-12*|W| and R_G = (r +
     tol*tan(theta))*(1 + 1e-6) + 1e-12*|W|/cos(theta), and the radius gets
@@ -226,100 +220,87 @@ def _miss_ellipse(frame, beam: BeamParams, r: float):
     |W|, which the absolute one covers; G stretches either by at most
     1/cos(theta). w is evaluated as w0*hypot(1, t/zr), which cannot
     overflow in Python floats at any finite t.
-    """
-    plane = _plane_map(frame)
-    if plane is None:
-        return None
-    g, cos, sin = plane
-    waist = frame[3]
-    t_c, c1, c2 = -waist[0], -waist[1], -waist[2]
-    size = math.hypot(*waist)
-    tol = _residual_tol(frame, r)
-    bound = (r + tol) * (1.0 + 1e-6) + 1e-12 * size  # R
-    bound_g = (r + tol * sin / cos) * (1.0 + 1e-6) + 1e-12 * size / cos  # R_G
-    w0, zr = beam.waist_radius, beam.rayleigh_range
-    s_hi = 1.0 / (w0 * math.hypot(1.0, max(t_c - bound, 0.0) / zr))
-    s_lo = 1.0 / (w0 * math.hypot(1.0, max(t_c + bound, 0.0) / zr))
-    s_m = 0.5 * (s_lo + s_hi)
-    radius = (s_hi * bound_g + _g_norm(g, c1, c2) * 0.5 * (s_hi - s_lo)) * (1.0 + 1e-6)
-    return s_m * c1, s_m * c2, g, radius * radius
 
+    *Certain hit, geometry.* Let rho = r*(1 - 1e-6) -
+    1e-12*|W|/cos(theta) and Delta = rho*tan(theta)*(1 + 1e-6), and require
+    rho > 0 and t_c - Delta > 0. Over I = [t_c - Delta, t_c + Delta], s lies
+    in [s_lo, s_hi] = [1/w(t_c + Delta), 1/w(t_c - Delta)], so a ray with
+    ||nu - m||_G <= rho*s_lo - k*||c||_G has ||p||_G = w(t)*||nu - s*c||_G
+    <= w(t)*rho*s_lo <= rho for every t in I. The plane function (t -
+    t_c)*slope + p.a has |p.a| <= |p|*sin(theta) <= ||p||_G*sin(theta) <=
+    rho*sin(theta) < Delta*cos(theta) on I, so it has opposite signs at the
+    ends of I and the crossing lies in I. There (u, v) = G*p, so u**2 +
+    v**2 <= rho**2 < (r*(1 - 1e-6))**2: a hit. The radius carries another
+    factor 1 - 1e-6 and rho the absolute 1e-12*|W|/cos(theta), which cover
+    the rounding of the test and of the centre, as for the certain miss.
 
-def _hit_ellipse(frame, beam: BeamParams, r: float):
-    """``(h1, h2, g, limit)``: a ray ``nu`` with ||nu - h||_G**2 <= limit
-    (:func:`_inside`) is scored a hit by the full solve; None if the bound
-    below certifies no ray of the link.
-
-    *Geometry.* In the notation of :func:`_plane_map`, let rho = r*(1 -
-    1e-6) - 1e-12*|W|/cos(theta) and Delta = rho*tan(theta)*(1 + 1e-6),
-    and require rho > 0 and t_c - Delta > 0. Over I = [t_c - Delta, t_c +
-    Delta], s = 1/w(t) lies in [s_lo, s_hi] = [1/w(t_c + Delta), 1/w(t_c -
-    Delta)], so a ray with ||nu - s_m*c||_G <= rho*s_lo - ||c||_G*(s_hi -
-    s_lo)/2, s_m = (s_lo + s_hi)/2, has ||p||_G = w(t)*||nu - s*c||_G <= rho
-    for every t in I. The plane function (t - t_c)*slope + p.a has |p.a| <=
-    |p|*sin(theta) <= ||p||_G*sin(theta) <= rho*sin(theta) < Delta*cos(theta)
-    on I, so it has opposite signs at the ends of I and the crossing lies
-    in I. There (u, v) = G*p, so u**2 + v**2 <= rho**2 < (r*(1 -
-    1e-6))**2: a hit. The radius carries another factor 1 - 1e-6 and rho
-    the absolute 1e-12*|W|/cos(theta), which cover the rounding of the
-    ellipse's test and of its centre, as in :func:`_miss_ellipse`.
-
-    *The computed solve.* ``_crossing`` solves F(t) = base + t*slope +
-    w(t)*proj = 0, with |proj| <= P = |nu|max*sin(theta), where |nu|max =
-    s_m*|c| + the radius bounds the ellipse's |nu| since |x| <= ||x||_G.
-    Since |w'| < w0/z_R, F' lies within (w0/z_R)*P of slope; the link must
-    have m = cos(theta) - (w0/z_R)*P >= cos(theta)/2, so F is monotone with
-    one root t*. F'' = w''*proj keeps its sign, so the Newton iterates from
-    the axis crossing t0 = -base/slope stay between t0, its first step and
-    t*, all within E = w(t0)*P/m of t0. On J = [t0 - E, t0 + E], with t0 -
-    E > 0, |F''| <= M = w''(t0 - E)*P; the link must have M*E <= m, so the
-    error e_k of step k obeys e_k <= E*2**(1 - 2**k), below 2e-19*E by step
-    6 of the 8. Every term of F, and of the scored u and v, is at most S =
-    |W| + (t0 + E) + w(t0 + E)*|nu|max in size, so rounding keeps each
-    computed iterate, and the ray's point on the plane, within about
-    40*eps*S*g/cos(theta) of the exact ones, with g = 1 +
-    (w0/z_R)*|nu|max. The link must have t0 - E, tol and r*1e-6 all above
-    slack = 1e-13*S*g/cos(theta), twenty times that: then t > 0, the
+    *Certain hit, the computed solve.* ``_crossing`` solves F(t) = base +
+    t*slope + w(t)*proj = 0, with |proj| <= P = |nu|max*sin(theta), where
+    |nu|max = |m| + the radius bounds a certified ray's |nu| since |x| <=
+    ||x||_G. Since |w'| < w0/z_R, F' lies within (w0/z_R)*P of slope; the
+    link must have margin = cos(theta) - (w0/z_R)*P >= cos(theta)/2, so F
+    is monotone with one root t*. F'' = w''*proj keeps its sign, so the
+    Newton iterates from the axis crossing t0 = -base/slope stay between
+    t0, its first step and t*, all within E = w(t0)*P/margin of t0. On J =
+    [t0 - E, t0 + E], with t0 - E > 0, |F''| <= M = w''(t0 - E)*P; the link
+    must have M*E <= margin, so the error e_k of step k obeys e_k <= E*2**(1
+    - 2**k), below 2e-19*E by step 6 of the 8. Every term of F, and of the
+    scored u and v, is at most S = |W| + (t0 + E) + w(t0 + E)*|nu|max in
+    size, so rounding keeps each computed iterate, and the ray's point on
+    the plane, within about 40*eps*S*g/cos(theta) of the exact ones, with g
+    = 1 + (w0/z_R)*|nu|max. The link must have t0 - E, tol and r*1e-6 all
+    above slack = 1e-13*S*g/cos(theta), twenty times that: then t > 0, the
     residual is at most tol, and u**2 + v**2 <= r**2 as computed. A link
-    that fails any of these conditions gets no ellipse, and all its kept
-    rays are solved.
+    that fails any of these conditions certifies no ray, and all its kept
+    rays inside the miss limit are solved.
     """
     plane = _plane_map(frame)
     if plane is None:
         return None
     g, cos, sin = plane
     (base, slope, _, _), _, _, waist = frame
-    size = math.hypot(*waist)
-    rho = r * (1.0 - 1e-6) - 1e-12 * size / cos
-    if not rho > 0.0:
-        return None
     t_c, c1, c2 = -waist[0], -waist[1], -waist[2]
-    delta = rho * sin / cos * (1.0 + 1e-6)
-    if not t_c - delta > 0.0:
-        return None
+    size = math.hypot(*waist)
+    g11, g12, g21, g22 = g
+    c_g = math.hypot(g11 * c1 + g12 * c2, g21 * c1 + g22 * c2)  # ||c||_G
     w0, zr = beam.waist_radius, beam.rayleigh_range
-    s_hi = 1.0 / (w0 * math.hypot(1.0, (t_c - delta) / zr))
-    s_lo = 1.0 / (w0 * math.hypot(1.0, (t_c + delta) / zr))
-    s_m = 0.5 * (s_lo + s_hi)
-    radius = (rho * s_lo - _g_norm(g, c1, c2) * 0.5 * (s_hi - s_lo)) * (1.0 - 1e-6)
-    if not radius > 0.0:
-        return None
-    nu_max = s_m * math.hypot(c1, c2) + radius
+
+    def s(t: float) -> float:  # 1/w(max(t, 0))
+        return 1.0 / (w0 * math.hypot(1.0, max(t, 0.0) / zr))
+
+    s_c = s(t_c)
+    m1, m2 = s_c * c1, s_c * c2
+    tol = _residual_tol(frame, r)
+    bound = (r + tol) * (1.0 + 1e-6) + 1e-12 * size  # R
+    bound_g = (r + tol * sin / cos) * (1.0 + 1e-6) + 1e-12 * size / cos  # R_G
+    s_lo, s_hi = s(t_c + bound), s(t_c - bound)
+    miss = (s_hi * bound_g + c_g * max(s_hi - s_c, s_c - s_lo)) * (1.0 + 1e-6)
+    no_hit = m1, m2, g, -1.0, miss * miss
+
+    rho = r * (1.0 - 1e-6) - 1e-12 * size / cos
+    delta = rho * sin / cos * (1.0 + 1e-6)
+    if not (rho > 0.0 and t_c - delta > 0.0):
+        return no_hit
+    s_lo, s_hi = s(t_c + delta), s(t_c - delta)
+    hit = (rho * s_lo - c_g * max(s_hi - s_c, s_c - s_lo)) * (1.0 - 1e-6)
+    if not hit > 0.0:
+        return no_hit
+    nu_max = s_c * math.hypot(c1, c2) + hit
     proj_max = nu_max * sin  # P
-    m = cos - w0 / zr * proj_max
-    if not 2.0 * m >= cos:
-        return None
+    margin = cos - w0 / zr * proj_max
+    if not 2.0 * margin >= cos:
+        return no_hit
     t0 = -base / slope
-    spread = w0 * math.hypot(1.0, t0 / zr) * proj_max / m  # E
+    spread = w0 * math.hypot(1.0, t0 / zr) * proj_max / margin  # E
     lo, hi = t0 - spread, t0 + spread
     lo_h = math.hypot(1.0, lo / zr)
     curvature = w0 / zr / zr / (lo_h * lo_h * lo_h) * proj_max  # M = w''(t0 - E)*P
     scale = size + hi + w0 * math.hypot(1.0, hi / zr) * nu_max  # S
     slack = 1e-13 * scale * (1.0 + w0 / zr * nu_max) / cos
-    if not (lo > slack and curvature * spread <= m
-            and slack <= min(_residual_tol(frame, r), 1e-6 * r)):
-        return None
-    return s_m * c1, s_m * c2, g, radius * radius
+    if not (lo > slack and curvature * spread <= margin
+            and slack <= min(tol, 1e-6 * r)):
+        return no_hit
+    return m1, m2, g, hit * hit, miss * miss
 
 
 def _hits(beam: BeamParams, frame, r: float, queue) -> int:
@@ -345,15 +326,15 @@ def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tup
     on the same ray draws of ``spec``.
 
     Each block of rays is drawn once for all links. A link keeps the rays
-    in the circle about its certain-miss ellipse (``_miss_ellipse``),
-    counts the kept rays in its certain-hit ellipse (``_hit_ellipse``) as
-    hits, drops the rest that lie outside the certain-miss ellipse, and
-    queues what is left. It solves and scores its queue once it holds
-    ``_CHUNK`` rays, and once more after the last block. Its hits are those
-    of solving every ray: each solved ray goes through the same elementwise
-    arithmetic as in a full-block pass, and ``_crossing`` returns each ray's
-    full Newton solve whatever rays share its call. So each result equals
-    the one-link ``ray_gain_mc`` bit for bit.
+    in the circle of its certain-miss limit (``_ellipses``), computes one
+    quadratic form q = ||nu - m||_G**2 per kept ray, and sorts each ray by
+    its two limits: q <= hit counts as a hit, q > miss is dropped as a
+    miss, and the rest is queued. It solves and scores its queue once it
+    holds ``_CHUNK`` rays, and once more after the last block. Its hits are
+    those of solving every ray: each solved ray goes through the same
+    elementwise arithmetic as in a full-block pass, and ``_crossing``
+    returns each ray's full Newton solve whatever rays share its call. So
+    each result equals the one-link ``ray_gain_mc`` bit for bit.
     """
     _check_link_distance(L)
     r = pd.radius
@@ -362,8 +343,7 @@ def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tup
         frame = _frame(state, L)
         if frame is None:  # facing away: scores no ray
             continue
-        miss, hit = _miss_ellipse(frame, beam, r), _hit_ellipse(frame, beam, r)
-        plans.append((index, beam, frame, miss, hit, []))
+        plans.append((index, beam, frame, _ellipses(frame, beam, r), []))
     if not plans:
         return [(0.0, 0.0)] * len(links)
 
@@ -375,33 +355,30 @@ def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tup
             size = min(_CHUNK, spec.ray_count - start)
             # contiguous rows: every link masks the block and gathers from it
             nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T.copy()
-            for index, beam, frame, miss, hit, queue in plans:
+            for index, beam, frame, ellipses, queue in plans:
                 n1, n2 = nu1, nu2
-                if miss is not None:  # the circle first: one cheap test per ray
-                    m1, m2, _, limit = miss
-                    keep = np.flatnonzero((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
+                if ellipses is not None:
+                    m1, m2, (g11, g12, g21, g22), hit, miss = ellipses
+                    # the circle first: one cheap test per drawn ray
+                    keep = np.flatnonzero((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= miss)
                     if not keep.size:
                         continue
-                    n1, n2 = nu1[keep], nu2[keep]
-                if hit is not None:  # certain hits count unsolved
-                    certain = _inside(hit, n1, n2)
+                    x, y = nu1[keep] - m1, nu2[keep] - m2
+                    q = (g11 * x + g12 * y) ** 2 + (g21 * x + g22 * y) ** 2
+                    certain = q <= hit  # certain hits count unsolved
                     count = np.count_nonzero(certain)
                     hits[index] += count
-                    if count == n1.size:
+                    if count == keep.size:
                         continue
-                    if count:
-                        rest = ~certain
-                        n1, n2 = n1[rest], n2[rest]
-                if miss is not None:  # the ellipse only where it decides
-                    rest = np.flatnonzero(_inside(miss, n1, n2))
+                    rest = keep[(q <= miss) & ~certain]
                     if not rest.size:
                         continue
-                    n1, n2 = n1[rest], n2[rest]
+                    n1, n2 = nu1[rest], nu2[rest]
                 queue.append((n1, n2))
-                if sum(q[0].size for q in queue) >= _CHUNK:
+                if sum(part[0].size for part in queue) >= _CHUNK:
                     hits[index] += _hits(beam, frame, r, queue)
                     queue.clear()
-        for index, beam, frame, _, _, queue in plans:
+        for index, beam, frame, _, queue in plans:
             if queue:
                 hits[index] += _hits(beam, frame, r, queue)
 

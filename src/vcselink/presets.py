@@ -6,9 +6,12 @@ Each ``preset_*`` function writes plot-ready CSV data; ``run_preset``
 dispatches by name. Every rate is evaluated by the ``simulate`` engine,
 ``scenario.sweep``, on the reference configuration with a few sections
 replaced, one sweep point per curve point. The module also exposes the
-scalar helpers the experiments are built from (rate-vs-waist thresholds,
-misalignment crossings, the approximation-error table), which are reused
-by the acceptance test suite.
+helpers behind two of the experiments, the approximation-error table
+(``nmse_table_rows``) and the SINR map (``sinr_map``), and three that no
+preset calls and that serve the acceptance test suite: the rate-vs-waist
+threshold (``waist_threshold_um``), the first misalignment crossing
+below a threshold (``first_crossing_below``) and the reference link
+budget (``reference_params``).
 """
 
 from __future__ import annotations

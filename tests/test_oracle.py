@@ -339,6 +339,14 @@ def test_frames_equal_the_np_cross_form_bit_for_bit(link):
         assert np.array(sum(frame, [])).tobytes() == np.array(sum(expected, [])).tobytes()
 
 
+def quadratic_form(ellipses, n1, n2):
+    """q = ||nu - m||_G**2 of each ray (n1, n2), as the sampler computes it
+    from ``oracle._ellipses``."""
+    m1, m2, (g11, g12, g21, g22), _, _ = ellipses
+    x, y = n1 - m1, n2 - m2
+    return (g11 * x + g12 * y) ** 2 + (g21 * x + g22 * y) ** 2
+
+
 @settings(max_examples=150)
 @given(link=drawn_links())
 @example(link=KEPT_SET_CASES["straddling"][0])
@@ -353,8 +361,8 @@ def test_miss_ellipse_holds_the_whole_detector(link):
     frame = oracle._frame(state, distance)
     if frame is None:
         return
-    ellipse = oracle._miss_ellipse(frame, beam, pd.radius)
-    assert ellipse is not None  # drawn links stay far from grazing
+    ellipses = oracle._ellipses(frame, beam, pd.radius)
+    assert ellipses is not None  # drawn links stay far from grazing
     tol = oracle._residual_tol(frame, pd.radius)
     n_t = tx_normal(state.phi_a, state.phi_e)
     n_r = rx_normal(state.psi_a, state.psi_e)
@@ -369,9 +377,9 @@ def test_miss_ellipse_holds_the_whole_detector(link):
     t = offset @ -n_t
     w = beam.waist_radius * np.sqrt(1.0 + (t / beam.rayleigh_range) ** 2)
     nu1, nu2 = (offset @ e1)[t > 0.0] / w[t > 0.0], (offset @ e2)[t > 0.0] / w[t > 0.0]
-    m1, m2, _, limit = ellipse
+    m1, m2, _, _, limit = ellipses
     assert np.all((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit)
-    assert np.all(oracle._inside(ellipse, nu1, nu2))
+    assert np.all(quadratic_form(ellipses, nu1, nu2) <= limit)
 
 
 @settings(max_examples=150)
@@ -381,55 +389,68 @@ def test_miss_ellipse_holds_the_whole_detector(link):
 @example(link=PANEL_F_END)
 def test_hit_ellipse_rays_are_hits_of_the_whole_array_pass(link):
     # rays on the certain-hit ellipse's rim and inside it, probed without
-    # draws at radii and angles of its G-coordinates y = G*(nu - h), lie in
-    # the certain-miss ellipse and its circle, and each scores a hit when
-    # the whole-array pass solves and scores it
+    # draws at radii and angles of their G-coordinates y = G*(nu - m), lie
+    # within the certain-miss limit and its circle, and each scores a hit
+    # when the whole-array pass solves and scores it
     beam, distance, pd, state = link
     frame = oracle._frame(state, distance)
-    ellipse = None if frame is None else oracle._hit_ellipse(frame, beam, pd.radius)
-    if ellipse is None:
+    ellipses = None if frame is None else oracle._ellipses(frame, beam, pd.radius)
+    if ellipses is None or ellipses[3] < 0.0:
         return
-    h1, h2, (g11, g12, g21, g22), limit = ellipse
+    m1, m2, (g11, g12, g21, g22), hit, miss = ellipses
     angle = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
-    rho = math.sqrt(limit) * np.array([0.0, 0.5, 0.9, 1.0])[None, :]
+    rho = math.sqrt(hit) * np.array([0.0, 0.5, 0.9, 1.0])[None, :]
     y1, y2 = (rho * np.cos(angle)).ravel(), (rho * np.sin(angle)).ravel()
     det = g11 * g22 - g12 * g21
-    nu1, nu2 = h1 + (g22 * y1 - g12 * y2) / det, h2 + (g11 * y2 - g21 * y1) / det
+    nu1, nu2 = m1 + (g22 * y1 - g12 * y2) / det, m2 + (g11 * y2 - g21 * y1) / det
     # the sampler's test decides which probes are certified; the rim's
     # rounding may leave some of its probes out
-    certain = oracle._inside(ellipse, nu1, nu2)
+    certain = quadratic_form(ellipses, nu1, nu2) <= hit
     assert certain.sum() >= 3 * 64
     nu1, nu2 = nu1[certain], nu2[certain]
-    miss = oracle._miss_ellipse(frame, beam, pd.radius)
-    m1, m2, _, keep_limit = miss
-    assert np.all((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= keep_limit)
-    assert np.all(oracle._inside(miss, nu1, nu2))
+    assert np.all((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= miss)
+    assert np.all(quadratic_form(ellipses, nu1, nu2) <= miss)
     assert reference_hits(beam, distance, pd, state, np.stack([nu1, nu2], 1)).all()
+
+
+def test_every_gmm_verify_link_certifies_hits():
+    # the sampler's speed rests on certified rays: every link of a full
+    # gmm-verify round (6 panels x 31 points x 2 waists) has a certain-hit
+    # limit, so none of them solves all its kept rays
+    limits = []
+    for field, sign, stop, fixed in presets._VERIFY_PANELS.values():
+        for value in np.linspace(0.0, stop, 31):
+            state = MisalignmentState(**{field: sign * float(value)}, **fixed)
+            frame = oracle._frame(state, presets.LINK_DISTANCE)
+            for w0 in (50e-6, 100e-6):
+                beam = BeamParams(presets.WAVELENGTH, w0)
+                limits.append(oracle._ellipses(frame, beam, presets.PD_RADIUS)[3])
+    assert len(limits) == 372 and min(limits) >= 0.0
 
 
 def kept_certain_missed(link, rays, seed):
     """``(kept, certain, missed)`` per block of the sampler's draws: the
-    rays in the link's certain-miss circle, those of them in its
-    certain-hit ellipse, and those of the rest outside its certain-miss
-    ellipse."""
+    rays in the link's certain-miss circle, those of them within its
+    certain-hit limit, and those of the rest beyond its certain-miss
+    limit."""
     beam, distance, pd, state = link
     frame = oracle._frame(state, distance)
     nu1, nu2 = np.random.default_rng(seed).normal(0.0, 0.5, size=(rays, 2)).T
-    miss = oracle._miss_ellipse(frame, beam, pd.radius)
-    hit = oracle._hit_ellipse(frame, beam, pd.radius)
-    m1, m2, _, limit = miss
-    kept = (nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= limit
-    certain = kept & (False if hit is None else oracle._inside(hit, nu1, nu2))
-    missed = kept & ~certain & ~oracle._inside(miss, nu1, nu2)
+    ellipses = oracle._ellipses(frame, beam, pd.radius)
+    m1, m2, _, hit, miss = ellipses
+    q = quadratic_form(ellipses, nu1, nu2)
+    kept = (nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= miss
+    certain = kept & (q <= hit)
+    missed = kept & ~certain & (q > miss)
     return [tuple(np.count_nonzero(mask[lo : lo + CHUNK]) for mask in (kept, certain, missed))
             for lo in range(0, rays, CHUNK)]
 
 
 def test_kept_set_cases_are_what_they_say(monkeypatch):
     # a link decides the rays its certain-miss circle keeps: it certifies
-    # those in the certain-hit ellipse, drops those outside the certain-miss
-    # ellipse, and queues the rest, which it solves once a block's worth is
-    # queued and once after the last block
+    # those within the certain-hit limit, drops those beyond the
+    # certain-miss limit, and queues the rest, which it solves once a
+    # block's worth is queued and once after the last block
     solved = []
     crossing = oracle._crossing
 
@@ -457,7 +478,7 @@ def test_kept_set_cases_are_what_they_say(monkeypatch):
             assert solved == [] and decided and gains[name] > 0.0
         elif name == "straddling-long":
             frame = oracle._frame(link[3], link[1])
-            assert oracle._hit_ellipse(frame, link[0], link[2].radius) is None
+            assert oracle._ellipses(frame, link[0], link[2].radius)[3] == -1.0
             assert len(solved) >= 2
     assert 0.3 < gains["straddling"] < 0.7
 
@@ -537,27 +558,25 @@ def test_gmm_verify_samples_each_link_as_the_one_link_sampler(tmp_path):
 def test_gmm_verify_scores_the_same_without_the_ellipses(tmp_path, monkeypatch):
     # certain hits are counted and certain misses dropped unsolved; with no
     # ellipses every ray is solved, and that changes no byte
-    bounds = {name: getattr(oracle, name) for name in ("_miss_ellipse", "_hit_ellipse")}
+    bound = oracle._ellipses
     ellipses = []
 
-    def recording(bound):
-        def record(*args):
-            ellipses.append(bound(*args))
-            return ellipses[-1]
-        return record
+    def recording(*args):
+        ellipses.append(bound(*args))
+        return ellipses[-1]
 
     for seed in (0, 1):
         outputs = {}
         for case in ("with", "without"):
-            for name, bound in bounds.items():
-                patch = recording(bound) if case == "with" else lambda *args: None
-                monkeypatch.setattr(oracle, name, patch)
+            patch = recording if case == "with" else lambda *args: None
+            monkeypatch.setattr(oracle, "_ellipses", patch)
             out = tmp_path / f"{seed}-{case}"
             out.mkdir()
             paths = presets.preset_gmm_verify(out, seed=seed, points=3, rays=CHUNK + 1)
             outputs[case] = [(path.name, path.read_bytes()) for path in paths]
         assert outputs["with"] == outputs["without"]
     assert ellipses and None not in ellipses
+    assert min(hit for _, _, _, hit, _ in ellipses) >= 0.0  # every link certifies
 
 
 def test_newton_early_exit_keeps_the_full_solve():
