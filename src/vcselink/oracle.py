@@ -16,19 +16,21 @@ link, and each link's estimate is the one ``ray_gain_mc`` gives it alone.
 Seen along the beam, a detector tilted by theta covers an ellipse with
 semi-axes r and r*cos(theta), so the sampler decides rays with ellipses in
 the space of normalized offsets nu, in the norm of the detector's plane
-map G (``_plane_map``), which takes a crossing's offset across the beam to
-its point on the detector. Both ellipses of a link share one centre m
-(``_ellipses``), so one quadratic form q = ||nu - m||_G**2 decides a ray
-against both: within the certain-hit limit a ray meets the detector plane
-at a point of the detector, and the Newton solve and scoring provably say
-so too, so it counts as a hit unsolved; beyond the certain-miss limit its
-axial distance, hence w, hence nu, rules out a hit. A link first keeps
+map G, which takes a crossing's offset across the beam to its point on
+the detector. Both ellipses of a link share one centre m (``_ellipses``),
+so one quadratic form q = ||nu - m||_G**2 decides a ray against both:
+within the certain-hit limit a ray meets the detector plane at a point of
+the detector, and the Newton solve and scoring provably say so too, so it
+counts as a hit unsolved; beyond the certain-miss limit its axial
+distance, hence w, hence nu, rules out a hit. A link first keeps
 the rays in the certain-miss ellipse's circumscribed circle, one cheap
 test per drawn ray, and computes q only for those. The few kept rays
 between the two limits are queued per link, and solved and scored once a
 block's worth is queued and once after the last block. Each limit carries
 relative and absolute margins that cover the rounding of the scored
-quantities, so the hit counts are those of solving every ray.
+quantities, so the hit counts are those of solving every ray. A link
+within 1e-6 of grazing gets limits that decide no ray, so it keeps,
+queues and solves every ray in the same loop.
 
 On the ``gmm-verify`` preset (seeds 0-2, 74.4 M drawn rays a round) the
 circles keep 16.5% of the drawn rays, the certain-hit limits certify
@@ -40,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .beam import BeamParams
 from .channel import PdGeometry, _check_link_distance
 from .geometry import MisalignmentState, alignment_cosine, rotation_matrix, rx_normal, tx_normal
+from .quadrature import _check_count
 
 __all__ = ["RayBundleSpec", "ray_gain_mc"]
 
@@ -60,14 +62,8 @@ class RayBundleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("ray_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.ray_count < 10_000:
-            raise ValueError("ray_count must be >= 10000")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_count("ray_count", self.ray_count, 10_000)
+        _check_count("seed", self.seed, 0)
 
 
 # rays per block: the sampler draws and tests one block at a time, and
@@ -155,50 +151,42 @@ def _residual_tol(frame, r: float) -> float:
     return 1e-9 * (abs(frame[0][0]) + r)
 
 
-def _plane_map(frame):
-    """``(g, cos, sin)``: the map G = ((g11, g12), (g21, g22)) from a
-    crossing's transverse offset to its point (u, v) on the detector
-    plane, and the cosine and sine of the angle theta between beam and
-    receiver normal; None for a link within 1e-6 of grazing.
-
-    In the beam frame (waist W, axis d, transverse axes e1, e2) the
-    detector centre lies at axial distance t_c = -W.d and transverse offset
-    c = (-W.e1, -W.e2), and a ray sits at Q(t) = (t - t_c)*d + p.e from it,
-    with transverse offset p = w(t)*nu - c. With (base, slope, a1, a2) the
-    first row of the frame, Q.n_r = (t - t_c)*slope + p.a; on the plane t -
-    t_c = -p.a/slope, so (u, v) = (t - t_c)*(u_d, v_d) + (p.(u_1, u_2),
-    p.(v_1, v_2)) = G*p with g = (u_1 - u_d*a1/slope, u_2 - u_d*a2/slope, v_1
-    - v_d*a1/slope, v_2 - v_d*a2/slope). G undoes the projection of the
-    tilted plane onto the beam's cross-section, so its singular values are
-    1 and 1/cos(theta): ||x||_G = |G*x| obeys |x| <= ||x||_G <=
-    |x|/cos(theta), and it is the Euclidean norm at theta = 0.
-
-    Near grazing G amplifies the rounding of the ellipse tests by up to
-    1/cos(theta); below cos(theta) = 1e-6 that could exceed the tests'
-    relative margin of 1e-6, so such a link gets no ellipses.
-    """
-    (_, slope, a1, a2), (_, u_d, u_1, u_2), (_, v_d, v_1, v_2), _ = frame
-    cos = abs(slope)
-    if not cos >= 1e-6:
-        return None
-    k1, k2 = a1 / slope, a2 / slope
-    g = (u_1 - u_d * k1, u_2 - u_d * k2, v_1 - v_d * k1, v_2 - v_d * k2)
-    return g, cos, math.hypot(a1, a2)
+# limits that decide no ray: centre 0, G the identity, no certain hit and
+# no certain miss, so a link keeps, queues, solves and scores every ray
+_SOLVE_ALL = (0.0, 0.0, (1.0, 0.0, 0.0, 1.0), -1.0, math.inf)
 
 
 def _ellipses(frame, beam: BeamParams, r: float):
-    """``(m1, m2, g, hit, miss)``: a centre m, the plane map G of
-    :func:`_plane_map`, and two limits on q = ||nu - m||_G**2. The full
-    solve scores a ray with q <= hit as a hit and one with q > miss as a
-    miss; hit is -1 if the bound below certifies no ray of the link. A ray
-    that scores also has |nu - m|**2 <= miss, the miss ellipse's
-    circumscribed circle, since |x| <= ||x||_G. None if the link has no
-    plane map, and then every ray is solved.
+    """``(m1, m2, g, hit, miss)``: a centre m, the plane map G = ((g11,
+    g12), (g21, g22)), g = (g11, g12, g21, g22), and two limits on q =
+    ||nu - m||_G**2. The full solve scores a ray with q <= hit as a hit and
+    one with q > miss as a miss; hit is -1 if the bound below certifies no
+    ray of the link. A ray that scores also has |nu - m|**2 <= miss, the
+    miss ellipse's circumscribed circle, since |x| <= ||x||_G.
 
-    In the notation of :func:`_plane_map`, a ray that crosses at axial
-    distance t has p = w(t)*(nu - s*c), s = 1/w(t). Both limits bound t to
-    an interval, so s to an [s_lo, s_hi] that holds s_c = 1/w(max(t_c, 0)),
-    and m = s_c*c. Then ||nu - s*c||_G and ||nu - m||_G differ by at most
+    *The plane map.* In the beam frame (waist W, axis d, transverse axes
+    e1, e2) the detector centre lies at axial distance t_c = -W.d and
+    transverse offset c = (-W.e1, -W.e2), and a ray sits at Q(t) = (t -
+    t_c)*d + p.e from it, with transverse offset p = w(t)*nu - c. With
+    (base, slope, a1, a2) the first row of the frame, Q.n_r = (t -
+    t_c)*slope + p.a; on the plane t - t_c = -p.a/slope, so (u, v) = (t -
+    t_c)*(u_d, v_d) + (p.(u_1, u_2), p.(v_1, v_2)) = G*p with g = (u_1 -
+    u_d*a1/slope, u_2 - u_d*a2/slope, v_1 - v_d*a1/slope, v_2 -
+    v_d*a2/slope). G undoes the projection of the tilted plane onto the
+    beam's cross-section, so its singular values are 1 and 1/cos(theta),
+    with theta the angle between beam and receiver normal: ||x||_G = |G*x|
+    obeys |x| <= ||x||_G <= |x|/cos(theta), and it is the Euclidean norm at
+    theta = 0.
+
+    Near grazing G amplifies the rounding of the tests by up to
+    1/cos(theta); below cos(theta) = 1e-6 that could exceed their relative
+    margin of 1e-6, so such a link gets ``_SOLVE_ALL``, which decides no
+    ray.
+
+    In this notation, a ray that crosses at axial distance t has p =
+    w(t)*(nu - s*c), s = 1/w(t). Both limits bound t to an interval, so s
+    to an [s_lo, s_hi] that holds s_c = 1/w(max(t_c, 0)), and m = s_c*c.
+    Then ||nu - s*c||_G and ||nu - m||_G differ by at most
     |s - s_c|*||c||_G <= k*||c||_G, k = max(s_hi - s_c, s_c - s_lo), so each
     radius below gives up k*||c||_G to the one centre.
 
@@ -254,11 +242,12 @@ def _ellipses(frame, beam: BeamParams, r: float):
     that fails any of these conditions certifies no ray, and all its kept
     rays inside the miss limit are solved.
     """
-    plane = _plane_map(frame)
-    if plane is None:
-        return None
-    g, cos, sin = plane
-    (base, slope, _, _), _, _, waist = frame
+    (base, slope, a1, a2), (_, u_d, u_1, u_2), (_, v_d, v_1, v_2), waist = frame
+    cos, sin = abs(slope), math.hypot(a1, a2)
+    if not cos >= 1e-6:
+        return _SOLVE_ALL
+    k1, k2 = a1 / slope, a2 / slope
+    g = (u_1 - u_d * k1, u_2 - u_d * k2, v_1 - v_d * k1, v_2 - v_d * k2)
     t_c, c1, c2 = -waist[0], -waist[1], -waist[2]
     size = math.hypot(*waist)
     g11, g12, g21, g22 = g
@@ -330,9 +319,10 @@ def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tup
     quadratic form q = ||nu - m||_G**2 per kept ray, and sorts each ray by
     its two limits: q <= hit counts as a hit, q > miss is dropped as a
     miss, and the rest is queued. It solves and scores its queue once it
-    holds ``_CHUNK`` rays, and once more after the last block. Its hits are
-    those of solving every ray: each solved ray goes through the same
-    elementwise arithmetic as in a full-block pass, and ``_crossing``
+    holds ``_CHUNK`` rays, and once more after the last block. A link
+    within 1e-6 of grazing gets ``_SOLVE_ALL``, so it queues every ray. Its
+    hits are those of solving every ray: each solved ray goes through the
+    same elementwise arithmetic as in a full-block pass, and ``_crossing``
     returns each ray's full Newton solve whatever rays share its call. So
     each result equals the one-link ``ray_gain_mc`` bit for bit.
     """
@@ -355,26 +345,22 @@ def _ray_gains(links, L: float, pd: PdGeometry, spec: RayBundleSpec) -> list[tup
             size = min(_CHUNK, spec.ray_count - start)
             # contiguous rows: every link masks the block and gathers from it
             nu1, nu2 = rng.normal(0.0, 0.5, size=(size, 2)).T.copy()
-            for index, beam, frame, ellipses, queue in plans:
-                n1, n2 = nu1, nu2
-                if ellipses is not None:
-                    m1, m2, (g11, g12, g21, g22), hit, miss = ellipses
-                    # the circle first: one cheap test per drawn ray
-                    keep = np.flatnonzero((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= miss)
-                    if not keep.size:
-                        continue
-                    x, y = nu1[keep] - m1, nu2[keep] - m2
-                    q = (g11 * x + g12 * y) ** 2 + (g21 * x + g22 * y) ** 2
-                    certain = q <= hit  # certain hits count unsolved
-                    count = np.count_nonzero(certain)
-                    hits[index] += count
-                    if count == keep.size:
-                        continue
-                    rest = keep[(q <= miss) & ~certain]
-                    if not rest.size:
-                        continue
-                    n1, n2 = nu1[rest], nu2[rest]
-                queue.append((n1, n2))
+            for index, beam, frame, (m1, m2, (g11, g12, g21, g22), hit, miss), queue in plans:
+                # the circle first: one cheap test per drawn ray
+                keep = np.flatnonzero((nu1 - m1) ** 2 + (nu2 - m2) ** 2 <= miss)
+                if not keep.size:
+                    continue
+                x, y = nu1[keep] - m1, nu2[keep] - m2
+                q = (g11 * x + g12 * y) ** 2 + (g21 * x + g22 * y) ** 2
+                certain = q <= hit  # certain hits count unsolved
+                count = np.count_nonzero(certain)
+                hits[index] += count
+                if count == keep.size:
+                    continue
+                rest = keep[(q <= miss) & ~certain]
+                if not rest.size:
+                    continue
+                queue.append((nu1[rest], nu2[rest]))
                 if sum(part[0].size for part in queue) >= _CHUNK:
                     hits[index] += _hits(beam, frame, r, queue)
                     queue.clear()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -138,6 +139,15 @@ def integrate_disk(f, radius: float) -> float:
     return float(values[0])
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a ``value`` that is not an integer (a bool, a float, None)
+    or is below ``minimum``, naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def integrate_disk_mc(f, radius: float, samples: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo disk integral with uniform sampling.
 
@@ -147,8 +157,8 @@ def integrate_disk_mc(f, radius: float, samples: int, seed: int) -> tuple[float,
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    _check_count("samples", samples, 1000)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     r = radius * np.sqrt(rng.random(samples))
     theta = 2.0 * np.pi * rng.random(samples)

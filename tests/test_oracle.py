@@ -290,9 +290,11 @@ def drawn_links(draw):
 
 # (link, rays, seed) at which the certain-miss circle keeps no ray in any
 # block, keeps rays in some blocks only, and straddles the detector plane
-# (a link with no certain-hit ellipse, at 10k rays and at five blocks), and
-# at which the certain-hit ellipse holds every ray the certain-miss ellipse
-# keeps
+# (a link with no certain-hit ellipse, at 10k rays and at five blocks), at
+# which the certain-hit ellipse holds every ray the certain-miss ellipse
+# keeps, and at which the link is within 1e-6 of grazing (cos(theta) =
+# 5e-7), so that its limits decide no ray and every ray is solved; at L = 2
+# m that grazing link would score no ray
 STRADDLING = (BEAM50, 1e-6, PD, MisalignmentState(psi_a=math.radians(85.0)))
 KEPT_SET_CASES = {
     "beyond": ((BEAM50, L, PD, MisalignmentState(x_de=1.0)), 3 * CHUNK, 0),
@@ -300,6 +302,7 @@ KEPT_SET_CASES = {
     "straddling": (STRADDLING, 10_000, 1),
     "straddling-long": (STRADDLING, 5 * CHUNK, 4),
     "certain": ((BEAM50, 0.05, PD, MisalignmentState()), CHUNK + 1, 3),
+    "grazing": ((BEAM50, 1e-3, PD, MisalignmentState(psi_a=math.pi / 2 - 5e-7)), 3 * CHUNK + 7, 3),
 }
 # the last point of gmm-verify panel f: many 1-ulp Newton 2-cycles, and the
 # fewest kept rays that the certain-hit ellipse certifies
@@ -314,6 +317,7 @@ PANEL_F_END = (BEAM50, presets.LINK_DISTANCE, PdGeometry(presets.PD_RADIUS), BIT
 @example(*KEPT_SET_CASES["beyond"])
 @example(*KEPT_SET_CASES["sparse"])
 @example(*KEPT_SET_CASES["straddling"])
+@example(*KEPT_SET_CASES["grazing"])
 def test_sampler_equals_whole_array_pass_on_drawn_states(link, rays, seed):
     # the sampler solves only the rays that its ellipses leave undecided;
     # the reference solves and scores every ray
@@ -362,7 +366,7 @@ def test_miss_ellipse_holds_the_whole_detector(link):
     if frame is None:
         return
     ellipses = oracle._ellipses(frame, beam, pd.radius)
-    assert ellipses is not None  # drawn links stay far from grazing
+    assert ellipses is not oracle._SOLVE_ALL  # drawn links stay far from grazing
     tol = oracle._residual_tol(frame, pd.radius)
     n_t = tx_normal(state.phi_a, state.phi_e)
     n_r = rx_normal(state.psi_a, state.psi_e)
@@ -394,8 +398,10 @@ def test_hit_ellipse_rays_are_hits_of_the_whole_array_pass(link):
     # when the whole-array pass solves and scores it
     beam, distance, pd, state = link
     frame = oracle._frame(state, distance)
-    ellipses = None if frame is None else oracle._ellipses(frame, beam, pd.radius)
-    if ellipses is None or ellipses[3] < 0.0:
+    if frame is None:
+        return
+    ellipses = oracle._ellipses(frame, beam, pd.radius)
+    if ellipses[3] < 0.0:
         return
     m1, m2, (g11, g12, g21, g22), hit, miss = ellipses
     angle = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
@@ -480,6 +486,11 @@ def test_kept_set_cases_are_what_they_say(monkeypatch):
             frame = oracle._frame(link[3], link[1])
             assert oracle._ellipses(frame, link[0], link[2].radius)[3] == -1.0
             assert len(solved) >= 2
+        elif name == "grazing":
+            frame = oracle._frame(link[3], link[1])
+            assert oracle._ellipses(frame, link[0], link[2].radius) is oracle._SOLVE_ALL
+            # _crossing sees every ray, in the threshold flushes and the last one
+            assert sum(solved) == rays and len(solved) >= 2 and gains[name] > 0.0
     assert 0.3 < gains["straddling"] < 0.7
 
 
@@ -556,8 +567,8 @@ def test_gmm_verify_samples_each_link_as_the_one_link_sampler(tmp_path):
 
 
 def test_gmm_verify_scores_the_same_without_the_ellipses(tmp_path, monkeypatch):
-    # certain hits are counted and certain misses dropped unsolved; with no
-    # ellipses every ray is solved, and that changes no byte
+    # certain hits are counted and certain misses dropped unsolved; with the
+    # limits that decide no ray every ray is solved, and that changes no byte
     bound = oracle._ellipses
     ellipses = []
 
@@ -568,14 +579,14 @@ def test_gmm_verify_scores_the_same_without_the_ellipses(tmp_path, monkeypatch):
     for seed in (0, 1):
         outputs = {}
         for case in ("with", "without"):
-            patch = recording if case == "with" else lambda *args: None
+            patch = recording if case == "with" else lambda *args: oracle._SOLVE_ALL
             monkeypatch.setattr(oracle, "_ellipses", patch)
             out = tmp_path / f"{seed}-{case}"
             out.mkdir()
             paths = presets.preset_gmm_verify(out, seed=seed, points=3, rays=CHUNK + 1)
             outputs[case] = [(path.name, path.read_bytes()) for path in paths]
         assert outputs["with"] == outputs["without"]
-    assert ellipses and None not in ellipses
+    assert ellipses and oracle._SOLVE_ALL not in ellipses
     assert min(hit for _, _, _, hit, _ in ellipses) >= 0.0  # every link certifies
 
 

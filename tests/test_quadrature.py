@@ -149,3 +149,21 @@ class TestMonteCarlo:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             integrate_disk_mc(lambda x, y: x, 1.0, 999, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"samples": 5000.0},
+            {"samples": True},
+            {"samples": "5000"},
+            {"seed": 1.5},
+            {"seed": False},
+            {"seed": None},
+            {"seed": -1},
+        ],
+    )
+    def test_rejects_non_integer_samples_and_seeds(self, kwargs):
+        # seed=None would draw OS entropy, so the result would not repeat
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            integrate_disk_mc(lambda x, y: x, 1.0, **{"samples": 5000, "seed": 0, **kwargs})
