@@ -241,7 +241,8 @@ def _intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_theta):
     """Intensity of a beam of 1/z_R^2 ``inv_zr_sq`` and w0^2 ``w0_sq`` on the
     tilted detector at beam-frame (z, rho^2), weighted by the alignment
     cosine; zero behind the waist. It equals its textbook form bit for bit;
-    the zeroing runs only where some z fails z > 0, as a NaN does."""
+    the zeroing runs only where some z fails z > 0, as a NaN does. A z per
+    link (both ends untilted, :func:`gmm_point_frame`) gives w^2 per link."""
     w2 = z * z
     w2 = w2 * inv_zr_sq  # a per-beam term can widen the shape, so out of place
     w2 += 1.0
@@ -252,8 +253,7 @@ def _intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_theta):
     w2 *= np.pi
     vals *= 2.0 / w2
     vals = vals * cos_theta  # a per-link cosine can widen the shape
-    ahead = np.greater(z, 0.0)
-    return vals if ahead.all() else np.where(ahead, vals, 0.0)
+    return vals if np.min(z) > 0.0 else np.where(z > 0.0, vals, 0.0)  # a NaN min fails
 
 
 def gain_approx_displacement(beam: BeamParams, L: float, pd: PdGeometry, x_off, y_off):

@@ -52,7 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (sim, pre):
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--threads", type=int, default=1, help="ignored; sweeps run serially")
-        cmd.add_argument("--seed", type=_seed, default=0, help="seed for sampling-based outputs")
+        cmd.add_argument("--seed", type=_seed, default=0,
+                         help="seed of the trajectory sampler of 'preset gmm-verify'; "
+                         "simulate records it in meta.json, and other presets ignore it")
     return parser
 
 

@@ -134,6 +134,11 @@ def _link_constants(L, phi_a, phi_e, psi_a, psi_e):
     return a, b, c, on_axis, *rotation, _cos_theta(phi_a, phi_e, psi_a, psi_e)
 
 
+def _equal(value, *terms):
+    """Whether every term is a float equal to ``value`` (-0.0 equals 0.0)."""
+    return all(isinstance(t, float) and t == value for t in terms)
+
+
 def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
     """Map receiver-local points (x, y) of a link to (z, rho^2) in its beam
     frame; the link is given by its distance, displacement and
@@ -154,11 +159,31 @@ def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
     textbook expression bit for bit (IEEE round-to-nearest): x + (-y) is
     x - y, (-p) - q is -(p + q) and squaring drops the sign, and + and *
     commute.
+
+    Exact zeros: an untilted end shares float terms of exactly 0 and 1, and
+    the kernel drops the products they make signed zeros or copies. An
+    untilted receiver (sa, se = +-0, ca = ce = 1) gives (u, v, w) = (x, y,
+    0), so c w and L - w drop out; an untilted transmitter (a, b = +-0, c =
+    1, L == on_axis) gives z = on_axis - w and rho^2 = up^2 + vp^2, since a
+    up, b vp, z a and z b are signed zeros and (L - w) - z c is z - z, +0. A
+    dropped signed zero moves only the sign of a zero sum, which squares
+    drop and on_axis > 0 absorbs, so with finite terms (0 inf is NaN) and
+    nodes the rule is exact; z and rho^2 may be narrower than the textbook's.
     """
-    u, v, w = _rotate_rx(x, y, ca, sa, ce, se)
+    rx_flat = _equal(1.0, ca, ce) and _equal(0.0, sa, se)
+    tx_flat = _equal(1.0, c) and _equal(0.0, a, b) and np.array_equal(L, on_axis)
+    # a sum times 0.0 is NaN unless its terms are finite, else +-0
+    if (rx_flat or tx_flat) and not np.min(
+            on_axis + (L + x_de + y_de + (c + ca + sa + ce + se)) * 0.0) > 0.0:
+        rx_flat = tx_flat = False
+    u, v, w = (x, y, 0.0) if rx_flat else _rotate_rx(x, y, ca, sa, ce, se)
     up = u - x_de
     vp = v - y_de
-    z = on_axis - (a * up + b * vp + c * w)
+    if tx_flat:
+        up *= up
+        vp *= vp
+        return on_axis - w, up + vp
+    z = on_axis - (a * up + b * vp if rx_flat else a * up + b * vp + c * w)
     # rho^2 = d^2 - z^2 with d the waist-to-point distance; evaluated as the
     # squared rejection of the waist-to-point vector from the beam axis,
     # which is the same quantity without the catastrophic cancellation; its

@@ -365,12 +365,22 @@ def _beam_terms(*waists):
 
 
 _BEAM_80 = _beam_terms(80e-6)
+# points on the axis and beside it, with signed zeros; the transmitter
+# terms a, b, c, on_axis and the receiver terms ca, sa, ce, se of a tilt
+_SIGNED_X = np.array([[[0.0, -0.0], [-0.0, 1e-3]]])
+_SIGNED_Y = np.array([[[-0.0, 0.0], [-0.0, -2e-3]]])
+_TX_TILT = [-0.01, 0.02, 0.9997, 1.99]
+_RX_TILT = [0.8, 0.6, 0.6, -0.8]
+_PER_LINK_L = np.array([1.0, 2.0]).reshape(2, 1, 1)
 
 
 @st.composite
 def kernel_inputs(draw):
     """Points as a (1, rows, angles) grid, a 0-d array or a float; link
-    terms each shared (a float) or per integral ((m, 1, 1) arrays), with now
+    terms each shared (a float) or per integral ((m, 1, 1) arrays); in about
+    half the draws an untilted transmitter (a, b = +-0, c = 1, on_axis equal
+    to L or not) and in about half an untilted receiver (sa, se = +-0, ca =
+    ce = 1), the shared exact zeros and ones of the kernel's shortcuts; now
     and then one term NaN or infinite; and the beam constants of waists of
     20-200 um, each shared or per integral."""
     m = draw(st.integers(1, 3))
@@ -379,6 +389,13 @@ def kernel_inputs(draw):
         else np.array(draw(st.lists(values, min_size=m, max_size=m))).reshape(m, 1, 1)
         for values in _LINK_TERMS
     ]
+    zero = st.sampled_from([0.0, -0.0])
+    if draw(st.booleans()):  # untilted transmitter
+        terms[3:6] = draw(zero), draw(zero), 1.0
+        if draw(st.booleans()):
+            terms[6] = terms[0]
+    if draw(st.booleans()):  # untilted receiver
+        terms[7:11] = 1.0, draw(zero), 1.0, draw(zero)
     if draw(st.integers(0, 4)) == 0:
         terms[draw(st.integers(0, len(terms) - 1))] = draw(st.sampled_from([math.nan, math.inf]))
     rows = _beam_terms(*draw(st.lists(st.floats(20e-6, 200e-6), min_size=m, max_size=m)))
@@ -411,7 +428,27 @@ def kernel_inputs(draw):
                  _ALIGNED + _beam_terms(50e-6, 100e-6)))
 @example(inputs=(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
                  _ALIGNED + [_BEAM_80[0], _beam_terms(50e-6, 100e-6)[1]]))
+# untilted ends, the exact zeros of the kernel's shortcuts, with signed zeros
+@example(inputs=(_SIGNED_X, _SIGNED_Y,  # both ends
+                 [2.0, -0.0, 0.0, -0.0, 0.0, 1.0, 2.0, 1.0, -0.0, 1.0, 0.0, 1.0] + _BEAM_80))
+@example(inputs=(_SIGNED_X, _SIGNED_Y,  # the transmitter
+                 [2.0, 1e-3, -0.0, 0.0, -0.0, 1.0, 2.0, *_RX_TILT, 0.9] + _BEAM_80))
+@example(inputs=(_SIGNED_X, _SIGNED_Y,  # the receiver
+                 [2.0, -0.0, 0.0, *_TX_TILT, 1.0, 0.0, 1.0, -0.0, 1.0] + _BEAM_80))
+@example(inputs=(_SIGNED_X, _SIGNED_Y,  # both ends, per-link L equal to on_axis
+                 [_PER_LINK_L, 1e-3, 0.0, 0.0, 0.0, 1.0, _PER_LINK_L.copy(), 1.0, 0.0, 1.0, -0.0,
+                  1.0] + _BEAM_80))
+@example(inputs=(_SIGNED_X, _SIGNED_Y,  # the transmitter, on_axis not L
+                 [2.0, 1e-3, 0.0, 0.0, 0.0, 1.0, 1.5, 1.0, 0.0, 1.0, 0.0, 1.0] + _BEAM_80))
+@example(inputs=(0.0, 0.0,  # the waist plane at -0.0, where signed zeros decide z
+                 [2.0, 0.0, 0.0, -0.0, -0.0, 1.0, -0.0, 1.0, 0.0, 1.0, 0.0, 1.0] + _BEAM_80))
+@example(inputs=(_SIGNED_X, _SIGNED_Y,  # the waist plane, L equal to on_axis
+                 [-0.0, 0.0, 0.0, 0.0, -0.0, 1.0, 0.0, 1.0, 0.0, 1.0, -0.0, 1.0] + _BEAM_80))
+@example(inputs=(_SIGNED_X, _SIGNED_Y,  # an infinite displacement: 0 * inf is NaN
+                 [2.0, math.inf, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 0.0, 1.0] + _BEAM_80))
 def test_point_kernel_equals_its_textbook_form_bit_for_bit(inputs):
+    # an untilted end can return z and rho^2 narrower than the textbook's
+    # full broadcast (z = on_axis once per link); their values must match it
     x, y, terms = inputs
     *link, cos_theta, inv_zr_sq, w0_sq = terms
     before = [np.array(v, copy=True) for v in (x, y, *terms)]
@@ -419,11 +456,59 @@ def test_point_kernel_equals_its_textbook_form_bit_for_bit(inputs):
         z_ref, rho_ref = reference_point_frame(x, y, *link)
         expected = reference_intensity(inv_zr_sq, w0_sq, z_ref, rho_ref, cos_theta)
         z, rho_sq = geometry.gmm_point_frame(x, y, *link)
-        assert _same_bits(z, z_ref) and _same_bits(rho_sq, rho_ref)
+        assert _same_bits(np.broadcast_to(z, np.shape(z_ref)), z_ref)
+        assert _same_bits(np.broadcast_to(rho_sq, np.shape(rho_ref)), rho_ref)
         assert _same_bits(channel._intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_theta), expected)
-    assert _same_bits(rho_sq, rho_ref)
+    assert _same_bits(np.broadcast_to(rho_sq, np.shape(rho_ref)), rho_ref)
     for old, new in zip(before, (x, y, *terms)):
         assert _same_bits(new, old)
+
+
+# Untilted ends take the kernel's exact-zero shortcuts; the matrices and
+# gains they give equal those of the textbook kernel and intensity bit for
+# bit, lone, stacked and batched.
+
+_END_STATES = {
+    "aligned": MisalignmentState(),
+    "displaced": MisalignmentState(x_de=3e-3, y_de=-1e-3),
+    "rx-tilt": MisalignmentState(x_de=1e-3, psi_a=rad(20.0), psi_e=rad(-8.0)),
+    "tx-tilt": MisalignmentState(phi_a=rad(0.3), phi_e=rad(-0.1)),
+    "both-tilted": MisalignmentState(y_de=2e-3, phi_a=rad(0.1), psi_e=rad(10.0)),
+}
+_END_BEAMS = [BeamParams(850e-9, w0) for w0 in (50e-6, 80e-6, 100e-6)]
+
+
+def _textbook(monkeypatch, compute):
+    """``compute()`` with the point kernel and intensity of the textbook."""
+    with monkeypatch.context() as patched:
+        patched.setattr(channel, "gmm_point_frame", reference_point_frame)
+        patched.setattr(channel, "_intensity", reference_intensity)
+        return compute()
+
+
+@pytest.mark.parametrize("state", _END_STATES.values(), ids=_END_STATES.keys())
+def test_untilted_ends_give_the_textbook_matrices(monkeypatch, state):
+    def matrices():
+        return (mimo_matrix(_END_BEAMS[1], L, TX, CONFIG_III, state),
+                mimo_matrix(_END_BEAMS, L, TX, CONFIG_III, state))
+
+    one, stack = matrices()
+    textbook_one, textbook_stack = _textbook(monkeypatch, matrices)
+    assert _same_bits(one, textbook_one) and _same_bits(stack, textbook_stack)
+    assert (one > 0.0).any()
+
+
+def test_untilted_ends_give_the_textbook_gains_in_a_mixed_batch(monkeypatch):
+    states = list(_END_STATES.values())
+
+    def gains():
+        return gain_gmm(_END_BEAMS[0], L, PD, states), [gain_gmm(_END_BEAMS[0], L, PD, s)
+                                                         for s in states]
+
+    batch, lone = gains()
+    textbook_batch, textbook_lone = _textbook(monkeypatch, gains)
+    assert _same_bits(batch, textbook_batch) and _same_bits(lone, textbook_lone)
+    assert _same_bits(batch, lone)
 
 
 # The pair keys are collected once per exact call (channel._pair_keys), in
