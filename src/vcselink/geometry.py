@@ -88,10 +88,13 @@ def rotation_matrix(axis: str, angle: float) -> np.ndarray:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _rotate_rx(x, y, ca, sa, ce, se):
-    """Project a point (x, y) of the tilted receiver plane into the
-    reference frame, R_y(-psi_a) @ R_x(-psi_e) @ [x, y, 0], given the
-    cosines and sines of psi_a and psi_e; returns the (u, v, w) triple."""
+def _rotate(x, y, ca, sa, ce, se):
+    """Project a point (x, y) of a tilted plane into the reference frame,
+    R_y(-a) @ R_x(-e) @ [x, y, 0], given the cosines and sines of a and e;
+    returns the (u, v, w) triple. This one elementwise rotation serves the
+    point kernel (:func:`gmm_point_frame`) and both element poses: the
+    receiver passes psi_a and psi_e, and the transmitter, turned by
+    R_y(-phi_a) @ R_x(+phi_e), passes -sin(phi_e) as ``se``."""
     return x * ca + y * sa * se, y * ce, x * sa - y * ca * se
 
 
@@ -176,7 +179,7 @@ def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
     if (rx_flat or tx_flat) and not np.min(
             on_axis + (L + x_de + y_de + (c + ca + sa + ce + se)) * 0.0) > 0.0:
         rx_flat = tx_flat = False
-    u, v, w = (x, y, 0.0) if rx_flat else _rotate_rx(x, y, ca, sa, ce, se)
+    u, v, w = (x, y, 0.0) if rx_flat else _rotate(x, y, ca, sa, ce, se)
     up = u - x_de
     vp = v - y_de
     if tx_flat:
@@ -218,24 +221,18 @@ def array_element_xy(i, k: int, d_pd: float):
     return x, y
 
 
-def _rotate_stack(mat: np.ndarray, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pts = np.stack(np.broadcast_arrays(x, y, np.zeros_like(x + y)), axis=-1)
-    return pts @ mat.T
-
-
 def tx_element_pose(x, y, state: MisalignmentState, L: float):
     """Reference-frame position of a transmitter element at local (x, y):
     rotate by (-phi_a about y', +phi_e about x''), then translate to
-    (x_de, y_de, L)."""
-    mat = rotation_matrix("y", -state.phi_a) @ rotation_matrix("x", state.phi_e)
-    out = _rotate_stack(mat, x, y) + np.array([state.x_de, state.y_de, L])
-    return out
+    (x_de, y_de, L). Returns an array of shape (..., 3)."""
+    a, e = state.phi_a, state.phi_e
+    u, v, w = _rotate(x, y, math.cos(a), math.sin(a), math.cos(e), -math.sin(e))
+    return np.stack(np.broadcast_arrays(u + state.x_de, v + state.y_de, w + L), axis=-1)
 
 
 def rx_element_pose(x, y, state: MisalignmentState):
     """Reference-frame position of a receiver element at local (x, y):
     rotate by (-psi_a about y', -psi_e about x''); no translation."""
-    mat = rotation_matrix("y", -state.psi_a) @ rotation_matrix("x", -state.psi_e)
-    return _rotate_stack(mat, x, y)
+    a, e = state.psi_a, state.psi_e
+    u, v, w = _rotate(x, y, math.cos(a), math.sin(a), math.cos(e), math.sin(e))
+    return np.stack(np.broadcast_arrays(u, v, w), axis=-1)

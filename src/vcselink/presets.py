@@ -162,6 +162,8 @@ def sinr_map(w0: float, grid_step: float = 1e-3) -> tuple[np.ndarray, np.ndarray
     ``aggregate_rate`` with the cell owner as the serving transmitter.
     Returns (xs, ys, sinr_db) with sinr_db indexed [iy, ix].
     """
+    if not 0.0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be finite and > 0, got {grid_step!r}")
     scenario = build_scenario(reference_config(beam={"w0": w0}))
     tx, rx = scenario.tx, scenario.rx
     half = rx.side / 2.0
@@ -181,10 +183,12 @@ def sinr_map(w0: float, grid_step: float = 1e-3) -> tuple[np.ndarray, np.ndarray
 # CSV-writing presets
 
 
-def _grid(start, stop, step) -> np.ndarray:
+def _grid(start, stop, step, name: str) -> np.ndarray:
     """Sweep values start + k step for k = 0, 1, ... up to ``stop``, never
     past it; a step that divides the span keeps ``stop`` despite rounding
-    in the quotient."""
+    in the quotient. A step that is not finite and > 0 raises naming ``name``."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {step!r}")
     return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
 
 
@@ -215,7 +219,7 @@ def _receiver_columns(approx_method: str | None = None) -> list[tuple[str, dict]
     return columns
 
 
-def preset_nmse_table(out_dir: Path, seed: int = 0) -> list[Path]:
+def preset_nmse_table(out_dir: Path) -> list[Path]:
     ratios, disp_row, tilt_row = nmse_table_rows()
     path = out_dir / "nmse_table.csv"
     _write_csv(
@@ -226,18 +230,18 @@ def preset_nmse_table(out_dir: Path, seed: int = 0) -> list[Path]:
     return [path]
 
 
-def preset_rate_vs_waist(out_dir: Path, seed: int = 0, step_um: int = 2) -> list[Path]:
+def preset_rate_vs_waist(out_dir: Path, step_um: int = 2) -> list[Path]:
     columns = [
         (f"{mode}_{k * k}x{k * k}_bps", {**_square_arrays(k), "mode": mode})
         for k in (2, 3, 4, 5)
         for mode in ("direct", "svd")
     ]
-    values = ((float(w_um), w_um * 1e-6) for w_um in _grid(10, 100, step_um))
+    values = ((float(w_um), w_um * 1e-6) for w_um in _grid(10, 100, step_um, "step_um"))
     path = out_dir / "rate_vs_waist.csv"
     return [_write_rate_table(path, "w0_um", ["beam.w0"], values, columns)]
 
 
-def preset_sinr_map(out_dir: Path, seed: int = 0, grid_step: float = 1e-3) -> list[Path]:
+def preset_sinr_map(out_dir: Path, grid_step: float = 1e-3) -> list[Path]:
     written = []
     for w0 in (50e-6, 100e-6):
         xs, ys, sinr_db = sinr_map(w0, grid_step=grid_step)
@@ -304,10 +308,9 @@ def preset_gmm_verify(
     return written
 
 
-def preset_rate_vs_displacement(
-    out_dir: Path, seed: int = 0, step: float = 0.5e-3, stop: float = 42e-3
-) -> list[Path]:
-    r_values = [float(r) for r in _grid(0.0, stop, step)]
+def preset_rate_vs_displacement(out_dir: Path, step: float = 0.5e-3,
+                                stop: float = 42e-3) -> list[Path]:
+    r_values = [float(r) for r in _grid(0.0, stop, step, "step")]
     directions = {"horizontal": ["x_de"], "diagonal": ["x_de", "y_de"]}
     columns = _receiver_columns("approx-displacement")
     return [
@@ -339,17 +342,15 @@ def _tilt_tables(out_dir: Path, end: str, degrees, columns) -> list[Path]:
     ]
 
 
-def preset_rate_vs_tx_tilt(
-    out_dir: Path, seed: int = 0, step_deg: float = 0.05, stop_deg: float = 2.0
-) -> list[Path]:
-    phis = _grid(0.0, stop_deg, step_deg)
+def preset_rate_vs_tx_tilt(out_dir: Path, step_deg: float = 0.05,
+                           stop_deg: float = 2.0) -> list[Path]:
+    phis = _grid(0.0, stop_deg, step_deg, "step_deg")
     return _tilt_tables(out_dir, "tx", phis, _receiver_columns("approx-tx-tilt"))
 
 
-def preset_rate_vs_rx_tilt(
-    out_dir: Path, seed: int = 0, step_deg: float = 2.5, stop_deg: float = 87.5
-) -> list[Path]:
-    psis = _grid(0.0, stop_deg, step_deg)
+def preset_rate_vs_rx_tilt(out_dir: Path, step_deg: float = 2.5,
+                           stop_deg: float = 87.5) -> list[Path]:
+    psis = _grid(0.0, stop_deg, step_deg, "step_deg")
     return _tilt_tables(out_dir, "rx", psis, _receiver_columns())
 
 
@@ -366,9 +367,10 @@ PRESETS = {
 
 def run_preset(name: str, out_dir, seed: int = 0) -> list[Path]:
     """Execute a named preset; unknown names raise a ConfigError listing
-    the available presets."""
+    the available presets. Only gmm-verify's trajectory sampler reads ``seed``."""
     if name not in PRESETS:
         raise ConfigError(
             "preset", f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    return PRESETS[name](_output_dir(out_dir), seed=seed)
+    kwargs = {"seed": seed} if name == "gmm-verify" else {}
+    return PRESETS[name](_output_dir(out_dir), **kwargs)

@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +10,12 @@ import numpy as np
 import pytest
 
 import vcselink
+from vcselink import presets
 from vcselink.channel import build_layout
 from vcselink.cli import main
 from vcselink.linkbudget import LinkParams, aggregate_rate
 from vcselink.presets import (
+    PRESETS,
     nmse_table_rows,
     preset_rate_vs_tx_tilt,
     preset_sinr_map,
@@ -568,6 +572,31 @@ class TestPresets:
         assert np.allclose(table[:, 0], ratios)
         assert np.allclose(table[:, 1], disp, rtol=1e-11)
         assert np.allclose(table[:, 2], tilt, rtol=1e-11)
+
+    def test_only_gmm_verify_reads_the_seed(self, tmp_path):
+        # the CLI passes --seed to every preset; only the trajectory sampler
+        # of gmm-verify reads it
+        parameters = {name: inspect.signature(fn).parameters for name, fn in PRESETS.items()}
+        assert [name for name in PRESETS if "seed" in parameters[name]] == ["gmm-verify"]
+        at_5 = run_preset("nmse-table", tmp_path / "seed-5", seed=5)
+        at_0 = run_preset("nmse-table", tmp_path / "seed-0", seed=0)
+        assert [p.read_bytes() for p in at_5] == [p.read_bytes() for p in at_0]
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("function, name", [
+        ("sinr_map", "grid_step"),
+        ("preset_sinr_map", "grid_step"),
+        ("preset_rate_vs_waist", "step_um"),
+        ("preset_rate_vs_displacement", "step"),
+        ("preset_rate_vs_tx_tilt", "step_deg"),
+        ("preset_rate_vs_rx_tilt", "step_deg"),
+    ])
+    def test_a_grid_step_that_is_not_finite_and_positive_is_rejected(self, tmp_path, function,
+                                                                    name, step):
+        first = 50e-6 if function == "sinr_map" else tmp_path
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {step!r}$"):
+            getattr(presets, function)(first, **{name: step})
+        assert not any(tmp_path.iterdir())
 
     def test_sinr_map_center_vs_corner_ordering(self, tmp_path):
         paths = preset_sinr_map(tmp_path, grid_step=6e-3)

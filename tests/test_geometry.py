@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from vcselink.beam import BeamParams
 from vcselink.channel import PdGeometry, gain_gmm
 from vcselink.geometry import (
     MisalignmentState,
     _link_constants,
-    _rotate_rx,
+    _rotate,
     alignment_cosine,
     array_element_xy,
     gmm_point_frame,
@@ -58,7 +61,7 @@ def test_rotation_rejects_unknown_axis():
 def rx_point_to_ref(x, y, psi_a, psi_e):
     """A receiver-plane point (x, y) in the reference frame, as the point
     kernel projects it."""
-    return _rotate_rx(x, y, math.cos(psi_a), math.sin(psi_a), math.cos(psi_e), math.sin(psi_e))
+    return _rotate(x, y, math.cos(psi_a), math.sin(psi_a), math.cos(psi_e), math.sin(psi_e))
 
 
 def test_rx_point_to_ref_identity():
@@ -255,6 +258,50 @@ def test_rx_element_pose_matches_point_projection():
         x, y = rng.uniform(-30e-3, 30e-3, 2)
         pose = rx_element_pose(x, y, MisalignmentState(psi_a=qa, psi_e=qe))
         assert np.allclose(pose, rx_point_to_ref(x, y, qa, qe), atol=1e-12)
+
+
+_POSE_ANGLE = st.floats(-1.2, 1.2)
+_POSE_SHAPE = st.shared(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4), key="pose")
+_POSE_COORDS = arrays(np.float64, _POSE_SHAPE,
+                      elements=st.floats(-0.1, 0.1, allow_subnormal=False))
+
+
+@settings(max_examples=200)
+@given(phi_a=_POSE_ANGLE, phi_e=_POSE_ANGLE, psi_a=_POSE_ANGLE, psi_e=_POSE_ANGLE,
+       x_de=st.floats(-0.05, 0.05), y_de=st.floats(-0.05, 0.05), L=st.floats(0.01, 10.0),
+       x=_POSE_COORDS, y=_POSE_COORDS)
+def test_element_poses_are_the_point_kernels_rotation(phi_a, phi_e, psi_a, psi_e, x_de, y_de, L,
+                                                      x, y):
+    # both poses turn their elements with the point kernel's elementwise
+    # rotation, bit for bit, so no BLAS kernel enters an exact gain; the
+    # transmitter's R_x(+phi_e) passes -sin(phi_e)
+    state = MisalignmentState(x_de, y_de, phi_a, phi_e, psi_a, psi_e)
+    tx = tx_element_pose(x, y, state, L)
+    rx = rx_element_pose(x, y, state)
+    u, v, w = _rotate(x, y, math.cos(phi_a), math.sin(phi_a), math.cos(phi_e), -math.sin(phi_e))
+    expected_tx = np.stack([u + x_de, v + y_de, w + L], axis=-1)
+    expected_rx = np.stack(_rotate(x, y, math.cos(psi_a), math.sin(psi_a),
+                                   math.cos(psi_e), math.sin(psi_e)), axis=-1)
+    for pose, expected in ((tx, expected_tx), (rx, expected_rx)):
+        assert pose.shape == x.shape + (3,) and pose.dtype == np.float64
+        assert pose.tobytes() == expected.tobytes()
+
+    # the rotation matrices agree within 2 ulps of the larger local
+    # coordinate; the transmitter's translation rounds once more, within
+    # 1 ulp of the translated coordinate (of L in z)
+    pts = np.stack([x, y, np.zeros_like(x)], axis=-1)
+    ulps = 2 * np.spacing(np.maximum(abs(x), abs(y)))[..., None]
+    tx_mat = rotation_matrix("y", -phi_a) @ rotation_matrix("x", phi_e)
+    rx_mat = rotation_matrix("y", -psi_a) @ rotation_matrix("x", -psi_e)
+    tx_ref = pts @ tx_mat.T + [x_de, y_de, L]
+    assert np.all(abs(tx - tx_ref) <= ulps + np.spacing(abs(tx_ref)))
+    assert np.all(abs(rx - pts @ rx_mat.T) <= ulps)
+
+    # an untilted end returns its local coordinates exactly, and L in z
+    flat_tx = tx_element_pose(x, y, MisalignmentState(x_de, y_de, psi_a=psi_a, psi_e=psi_e), L)
+    assert np.array_equal(flat_tx, np.stack([x + x_de, y + y_de, np.full_like(x, L)], axis=-1))
+    flat_rx = rx_element_pose(x, y, MisalignmentState(x_de, y_de, phi_a, phi_e))
+    assert np.array_equal(flat_rx, np.stack([x, y, np.zeros_like(x)], axis=-1))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
