@@ -20,13 +20,14 @@ from ._warn import warn
 from .beam import BeamParams, spot_radius_sq
 from .geometry import (
     MisalignmentState,
+    _kernel_path,
     _link_constants,
     array_element_xy,
     gmm_point_frame,
     rx_element_pose,
     tx_element_pose,
 )
-from .quadrature import _integrate_disks, integrate_disk
+from .quadrature import _ABS_TOL, _integrate_disks, integrate_disk
 
 __all__ = [
     "PdGeometry",
@@ -185,7 +186,7 @@ def gain_gmm(
     """
     _check_link_distance(L)
     if isinstance(state, MisalignmentState):
-        integrand, live = _link_integrand([beam], [_link_row(L, state)])
+        integrand, live, _ = _link_integrand([beam], [_link_row(L, state)])
         return integrate_disk(integrand, pd.radius) if len(live) else 0.0
     links = [_link_row(L, s) for s in state]
     return _exact_gains([beam], pd, links, lambda k: f"state {k}")[0]
@@ -199,22 +200,52 @@ def _link_row(L: float, s: MisalignmentState) -> tuple:
 def _exact_gains(beams: Sequence[BeamParams], pd: PdGeometry, links, where) -> np.ndarray:
     """Exact gains of link rows (see :func:`_link_integrand`) under each of
     P beams, a (P, K) array, in one batched quadrature; ``where(k)`` locates
-    a failure of row k."""
-    integrand, live = _link_integrand(beams, links)
-    gains = np.zeros((len(beams), len(links)))
+    a failure of row k. An integral whose :func:`_integral_bound` is at most
+    ``_ABS_TOL``/2 is settled: it skips the quadrature's first order
+    (:func:`_integrate_disks`), with the same bits."""
+    integrand, live, terms = _link_integrand(beams, links)
+    settled = _integral_bound(terms, pd.radius) <= _ABS_TOL / 2.0
+    del terms  # the integrand keeps its own table; freed, they add no peak memory
+    gains =np.zeros((len(beams), len(links)))
     gains[:, live] = _integrate_disks(integrand, pd.radius, len(beams) * len(live),
-                                      lambda k: where(live[k % len(live)])).reshape(len(beams), -1)
+                                      lambda k: where(live[k % len(live)]),
+                                      settled).reshape(len(beams), -1)
     return gains
+
+
+def _integral_bound(terms, radius: float) -> np.ndarray:
+    """An upper bound B of each integral of a link table, given by the terms
+    of :func:`_link_integrand`, over a detector of radius r; +inf where the
+    disk may reach the waist plane. It is small where the spot misses the
+    detector.
+
+    The point kernel evaluated at the detector centre gives (z_c, rho_c^2).
+    The point map is rigid, so every point of the disk has z within r of z_c
+    and rho >= rho_c - r. Where z_c - r > 0 the intensity is then at most
+    2 cos(theta) / (pi w^2(z_c - r)) exp(-2 max(rho_c - r, 0)^2 / w^2(z_c +
+    r)), and the integral at most the disk area times that:
+    B = 2 r^2 / w^2(z_c - r) exp(-2 max(rho_c - r, 0)^2 / w^2(z_c + r)) cos(theta),
+    one bound per integral, from its own beam and row."""
+    *link, cos_theta, inv_zr_sq, w0_sq = terms
+    z_c, rho_c_sq = gmm_point_frame(0.0, 0.0, *link)
+    near, far = z_c - radius, z_c + radius
+    reach = np.maximum(np.sqrt(rho_c_sq) - radius, 0.0)
+    bound = (2.0 * radius * radius / (w0_sq * (1.0 + near * near * inv_zr_sq))
+             * np.exp(-2.0 * reach * reach / (w0_sq * (1.0 + far * far * inv_zr_sq)))
+             * cos_theta)
+    return np.where(near > 0.0, bound, np.inf)
 
 
 def _link_integrand(beams: Sequence[BeamParams], links):
     """Integrand of the exact gains of link rows (L, x_de, y_de, phi_a,
-    phi_e, psi_a, psi_e) under each of P beams and the numbers of the rows it
-    covers, those facing the beam (the others gain 0): ``integrand(x, y,
-    k=0)`` is the intensity of integral k, covered row ``k % K`` of the K
-    covered rows under beam ``k // K``, weighted by its alignment cosine.
-    A beam's 1/z_R^2 and w0^2 are computed once and are terms of its
-    integrals like the link terms."""
+    phi_e, psi_a, psi_e) under each of P beams, the numbers of the rows it
+    covers, those facing the beam (the others gain 0), and its terms:
+    ``integrand(x, y, k=0)`` is the intensity of integral k, covered row
+    ``k % K`` of the K covered rows under beam ``k // K``, weighted by its
+    alignment cosine. The terms are the kernel's link terms, the cosine, and
+    a beam's 1/z_R^2 and w0^2, computed once, each an array of one value per
+    integral. The point kernel's exact-zero path is chosen once for the
+    table (:func:`_kernel_path`)."""
     L, x_de, y_de, *angles = np.array(links, dtype=float).reshape(-1, 7).T
     *frame, cos_theta = _link_constants(L, *angles)
     live = np.flatnonzero(cos_theta > 0.0)
@@ -227,14 +258,15 @@ def _link_integrand(beams: Sequence[BeamParams], links):
     shared = [float(v[0]) if len(v) and (v == v[0]).all() else None for v in terms]
     table = np.array([v for v, s in zip(terms, shared) if s is None])
     table = table.reshape(shared.count(None), len(terms[0]))
+    path = _kernel_path(*(v if s is None else s for v, s in zip(terms[:11], shared)))
 
     def integrand(x, y, k=0):
         rows = iter(table[:, k])
         *link, cos_k, inv_zr_sq, w0_sq = [next(rows) if s is None else s for s in shared]
-        z, rho_sq = gmm_point_frame(x, y, *link)
+        z, rho_sq = gmm_point_frame(x, y, *link, path)
         return _intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_k)
 
-    return integrand, live
+    return integrand, live, terms
 
 
 def _intensity(inv_zr_sq, w0_sq, z, rho_sq, cos_theta):

@@ -142,13 +142,33 @@ def _equal(value, *terms):
     return all(isinstance(t, float) and t == value for t in terms)
 
 
-def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
+def _kernel_path(L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
+    """The exact-zero path of :func:`gmm_point_frame` for its link terms:
+    whether the receiver, and whether the transmitter, is an untilted end
+    that shares its float terms of exactly 0 and 1. Both are False unless
+    every term is finite and on_axis > 0. Chosen for a table of links, it
+    gives every subset of the rows the bits of the subset's own choice: a
+    subset of a table that passes passes too, and the full path, taken
+    where the table fails, is the textbook form that the shortcuts equal."""
+    rx_flat = _equal(1.0, ca, ce) and _equal(0.0, sa, se)
+    tx_flat = _equal(1.0, c) and _equal(0.0, a, b) and np.array_equal(L, on_axis)
+    # a sum times 0.0 is NaN unless its terms are finite, else +-0
+    if (rx_flat or tx_flat) and not np.min(
+            on_axis + (L + x_de + y_de + (c + ca + sa + ce + se)) * 0.0) > 0.0:
+        return False, False
+    return rx_flat, tx_flat
+
+
+def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se, path=None):
     """Map receiver-local points (x, y) of a link to (z, rho^2) in its beam
     frame; the link is given by its distance, displacement and
     :func:`_link_constants`, each a float or an array that broadcasts
     against ``x`` and ``y`` (one value per link). This is the point kernel
     of every exact gain; it is listed in ``__all__`` so that the
     benchmark's per-layer tracer (``perfbench/tracer.py``) times it.
+    ``path`` is :func:`_kernel_path` of the link terms, or of a table whose
+    rows they are; a caller that calls the kernel on one table many times
+    chooses it once. None chooses it here.
 
     The point is projected to the reference frame, shifted against the
     transmitter displacement, and decomposed along / across the tilted beam
@@ -173,12 +193,9 @@ def gmm_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
     drop and on_axis > 0 absorbs, so with finite terms (0 inf is NaN) and
     nodes the rule is exact; z and rho^2 may be narrower than the textbook's.
     """
-    rx_flat = _equal(1.0, ca, ce) and _equal(0.0, sa, se)
-    tx_flat = _equal(1.0, c) and _equal(0.0, a, b) and np.array_equal(L, on_axis)
-    # a sum times 0.0 is NaN unless its terms are finite, else +-0
-    if (rx_flat or tx_flat) and not np.min(
-            on_axis + (L + x_de + y_de + (c + ca + sa + ce + se)) * 0.0) > 0.0:
-        rx_flat = tx_flat = False
+    if path is None:
+        path = _kernel_path(L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se)
+    rx_flat, tx_flat = path
     u, v, w = (x, y, 0.0) if rx_flat else _rotate(x, y, ca, sa, ce, se)
     up = u - x_de
     vp = v - y_de

@@ -160,14 +160,20 @@ def sinr_map(w0: float, grid_step: float = 1e-3) -> tuple[np.ndarray, np.ndarray
     placed; the transmitter owning the point's lattice cell provides the
     signal and all others interfere: the direct-mode SINR of
     ``aggregate_rate`` with the cell owner as the serving transmitter.
-    Returns (xs, ys, sinr_db) with sinr_db indexed [iy, ix].
+    Returns (xs, ys, sinr_db) with sinr_db indexed [iy, ix]. ``grid_step``
+    must split the aperture side into a whole number of steps (to relative
+    1e-9).
     """
     if not 0.0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be finite and > 0, got {grid_step!r}")
     scenario = build_scenario(reference_config(beam={"w0": w0}))
     tx, rx = scenario.tx, scenario.rx
+    steps = rx.side / grid_step
+    if steps < 1.0 or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"grid_step must split the {rx.side!r} m aperture into whole steps, "
+                         f"got {grid_step!r}")
     half = rx.side / 2.0
-    xs = ys = np.linspace(-half, half, int(round(2 * half / grid_step)) + 1)
+    xs = ys = np.linspace(-half, half, round(steps) + 1)
     # offsets (1, nx, N_t) and (ny, 1, N_t): each erf factor is evaluated on
     # one raster axis only and broadcasts to the (ny, nx, N_t) gains
     dx = xs[None, :, None] - tx.elements[:, 0]

@@ -98,7 +98,7 @@ def _fixed_order(f, radius: float, n_radial: int, active: np.ndarray) -> np.ndar
     return (row_sums * w_r).sum(axis=1) * (2.0 * np.pi / n_ang)
 
 
-def _integrate_disks(f, radius: float, count: int, where):
+def _integrate_disks(f, radius: float, count: int, where, settled=None):
     """Integrate ``count`` integrands over the same disk in one adaptive pass.
 
     ``f(x, y, k)`` gets node coordinates ``x``, ``y`` of shape (1, rows,
@@ -109,18 +109,32 @@ def _integrate_disks(f, radius: float, count: int, where):
     so each result is bit-identical to integrating it alone. On failure the
     lowest-numbered unconverged integral is reported, located by
     ``where(k)``.
+
+    ``settled`` marks, per integral, those whose integrand is non-negative
+    and whose integral a bound B of at most ``_ABS_TOL``/2 certifies
+    (``channel._integral_bound``: B = 2 r^2 / w^2(z_c - r) exp(-2 max(rho_c
+    - r, 0)^2 / w^2(z_c + r)) cos(theta) for a spot about (z_c, rho_c) at
+    the disk centre). Quadrature weights are positive and sum to the disk
+    area, so both estimates of the first test lie in [0, B] and differ by
+    less than ``_ABS_TOL``: the test accepts such an integral whatever its
+    first estimate is. A settled integral therefore skips the first order,
+    enters the first test as converged and returns the second estimate,
+    the bits it gets unmarked.
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     result = np.empty(count)
     active = np.arange(count)
-    prev = _fixed_order(f, radius, _BASE_RADIAL_ORDER, active)
+    settled = np.zeros(count, dtype=bool) if settled is None else settled
+    prev = np.zeros(count)
+    prev[~settled] = _fixed_order(f, radius, _BASE_RADIAL_ORDER, active[~settled])
     for level in range(1, _MAX_SUBDIVISIONS + 1):
         cur = _fixed_order(f, radius, _BASE_RADIAL_ORDER << level, active)
         diff = np.abs(cur - prev)
-        done = diff <= np.maximum(_REL_TOL * np.abs(cur), _ABS_TOL)
+        done = settled | (diff <= np.maximum(_REL_TOL * np.abs(cur), _ABS_TOL))
         result[active[done]] = cur[done]
         active, prev, diff = active[~done], cur[~done], diff[~done]
+        settled = settled[~done]  # all False: every settled integral is done
         if not len(active):
             return result
     raise DiskQuadratureError(

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -597,6 +598,25 @@ class TestPresets:
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {step!r}$"):
             getattr(presets, function)(first, **{name: step})
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("step", [0.05, 1.0, 7e-4])
+    @pytest.mark.parametrize("function", ["sinr_map", "preset_sinr_map"])
+    def test_a_grid_step_that_does_not_split_the_aperture_is_rejected(self, tmp_path, function,
+                                                                     step):
+        # 0.05 and 7e-4 leave a part step of the 60 mm aperture, which used to
+        # be rounded into another step; 1.0 used to collapse onto the corner
+        first = 50e-6 if function == "sinr_map" else tmp_path
+        message = re.escape(f"grid_step must split the 0.06 m aperture into whole steps, "
+                            f"got {step!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(presets, function)(first, grid_step=step)
+        assert not any(tmp_path.iterdir())
+
+    def test_the_default_grid_step_splits_the_aperture_into_60_steps(self):
+        xs, ys, sinr_db = presets.sinr_map(50e-6)
+        assert np.array_equal(xs, np.linspace(-0.03, 0.03, 61)) and np.array_equal(ys, xs)
+        assert sinr_db.shape == (61, 61)
+        assert presets.sinr_map(50e-6, grid_step=1e-3)[2].tobytes() == sinr_db.tobytes()
 
     def test_sinr_map_center_vs_corner_ordering(self, tmp_path):
         paths = preset_sinr_map(tmp_path, grid_step=6e-3)

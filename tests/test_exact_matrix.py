@@ -203,9 +203,11 @@ def test_mixed_pair_distances_zero_only_the_bad_entries():
 
 
 def test_integrand_calls_stay_within_the_chunk(integrand_points):
-    # config-iii under receiver tilt: 2025 unique pairs, over a million points
+    # config-iii under receiver tilt: 2025 unique pairs under each of two
+    # beams, over two million points; the 50 um beam's wide spot lights the
+    # pairs that the 100 um beam misses, whose integrals skip order 8
     state = MisalignmentState(psi_a=rad(10.0), psi_e=rad(5.0))
-    mimo_matrix(BeamParams(850e-9, 100e-6), L, TX, CONFIG_III, state)
+    mimo_matrix([BeamParams(850e-9, 50e-6), BeamParams(850e-9, 100e-6)], L, TX, CONFIG_III, state)
     sizes = integrand_points["sizes"]
     assert sum(sizes) > 100 * quadrature._CHUNK_POINTS
     assert max(sizes) <= quadrature._CHUNK_POINTS
@@ -318,10 +320,11 @@ def test_lone_gain_runs_through_integrate_disk_and_the_point_kernel(monkeypatch)
 
 # The point kernel computes in place, by rewrites that are exact in IEEE
 # arithmetic; these are its textbook expressions, one temporary per
-# operation, which it must equal bit for bit.
+# operation, which it must equal bit for bit. The textbook kernel takes
+# and ignores the exact-zero path that the integrand chooses per table.
 
 
-def reference_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se):
+def reference_point_frame(x, y, L, x_de, y_de, a, b, c, on_axis, ca, sa, ce, se, path=None):
     u, v, w = x * ca + y * sa * se, y * ce, x * sa - y * ca * se
     up = u - x_de
     vp = v - y_de
@@ -779,7 +782,7 @@ def _contract_tol(reference):
 def _reference_gains(beams, radius, links):
     """The (P, K) gains of link rows under P beams at radial order 64,
     after checking the reference against order 128."""
-    integrand, live = channel._link_integrand(beams, links)
+    integrand, live, _ = channel._link_integrand(beams, links)
     integrals = np.arange(len(beams) * len(live))
     reference, fine = (
         quadrature._fixed_order(integrand, radius, order, integrals).reshape(len(beams), -1)
@@ -845,7 +848,7 @@ def test_a_short_link_keeps_the_accuracy_contract():
     row = (0.031336, 0.0020818, -0.0012187, 0.0015305, 0.0057381, 0.73906, 0.75655)
     beams = [BeamParams(850e-9, 50e-6)]
     gains = channel._exact_gains(beams, PD, [row], lambda k: f"row {k}")
-    integrand, live = channel._link_integrand(beams, [row])
+    integrand, live, _ = channel._link_integrand(beams, [row])
     reference = quadrature._fixed_order(integrand, PD.radius, 4 * _CONTRACT_ORDER, live)
     assert np.all(np.abs(gains[0] - reference) <= _contract_tol(reference))
 
@@ -869,3 +872,100 @@ def test_a_beam_stack_keeps_the_accuracy_contract(tx, rx, state, distance, waist
     stack = mimo_matrix(beams, distance, tx, rx, state)
     reference = _reference_gains(beams, PD.radius, links)[:, slot]
     assert np.all(np.abs(stack - reference) <= _contract_tol(reference))
+
+
+# The certificate of the exact route: an integral whose bound B
+# (channel._integral_bound) is at most _ABS_TOL/2 skips the quadrature's
+# order-8 pass, because both estimates of the first convergence test lie in
+# [0, B] and the test accepts it whatever its order-8 value is.
+
+
+def reference_bound(row, beam, radius):
+    """B of one link row under one beam, from the textbook kernel at the
+    detector centre; inf where the disk reaches within r of the waist plane."""
+    *consts, cos_theta = geometry._link_constants(*np.array(row)[[0, 3, 4, 5, 6]])
+    z_c, rho_c_sq = reference_point_frame(0.0, 0.0, *row[:3], *consts)
+    if not z_c - radius > 0.0:
+        return math.inf
+
+    def w_sq(z):
+        return beam.waist_radius**2 * (1.0 + (z / beam.rayleigh_range) ** 2)
+
+    reach = max(math.sqrt(rho_c_sq) - radius, 0.0)
+    return (2.0 * radius**2 / w_sq(z_c - radius) * cos_theta
+            * math.exp(-2.0 * reach**2 / w_sq(z_c + radius)))
+
+
+def _uncertified(compute):
+    """``compute()`` with a certificate that settles no integral."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(channel, "_integral_bound",
+                        lambda terms, radius: np.full(len(terms[0]), np.inf))
+        return compute()
+
+
+@settings(max_examples=60)
+@given(rows=st.lists(st.tuples(st.floats(0.25, 3.0), *[st.floats(-20e-3, 20e-3)] * 2,
+                               *[st.floats(-rad(1.5), rad(1.5))] * 2,
+                               *[st.floats(-rad(60.0), rad(60.0))] * 2), min_size=1, max_size=6),
+       waists=_CONTRACT_WAISTS)
+@example(rows=[(L, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (L, 20e-3, 0.0, 0.0, 0.0, 0.0, 0.0),
+               (0.25, 20e-3, -20e-3, rad(1.5), rad(-1.5), rad(60.0), rad(-60.0))],
+         waists=[50e-6, 100e-6])
+def test_the_certificate_bounds_both_estimates_of_every_integral_it_settles(rows, waists):
+    beams = [BeamParams(850e-9, w0) for w0 in waists]
+    integrand, live, terms = channel._link_integrand(beams, rows)
+    bound = channel._integral_bound(terms, PD.radius)
+    expected = [reference_bound(rows[k], beam, PD.radius) for beam in beams for k in live]
+    assert np.allclose(bound, expected, rtol=1e-12, atol=0.0)
+    assert np.array_equal(np.isinf(bound), np.isinf(expected))
+    settled = bound <= quadrature._ABS_TOL / 2.0
+    integrals = np.arange(len(bound))
+    for order in (8, 16):
+        estimates = quadrature._fixed_order(integrand, PD.radius, order, integrals)
+        assert np.all(estimates >= 0.0)
+        # B bounds every integral, up to the rounding of a lit one's estimate
+        assert np.all(estimates <= bound * (1.0 + 1e-9))
+        assert np.all(estimates[settled] <= bound[settled])
+        assert np.all(estimates[settled] <= quadrature._ABS_TOL / 2.0)
+
+    def gains():
+        return channel._exact_gains(beams, PD, rows, lambda k: f"row {k}")
+
+    assert _same_bits(gains(), _uncertified(gains))
+
+
+def test_a_tilted_transmitter_matrix_settles_most_of_its_integrals(monkeypatch):
+    # a config-iii matrix of the exact-tilt benchmark's kind: the tilted spot
+    # misses most receiver elements, and those integrals skip order 8
+    record = {}
+    batched = channel._integrate_disks
+
+    def spy(f, radius, count, where, settled):
+        record.update(count=count, settled=int(settled.sum()), order_8_points=0)
+
+        def counted(x, y, k):
+            if x.shape[-1] == 16:  # order 8: 16 angles
+                record["order_8_points"] += np.broadcast(k, x).size
+            return f(x, y, k)
+
+        return batched(counted, radius, count, where, settled)
+
+    beam = BeamParams(850e-9, 80e-6)
+    state = MisalignmentState(phi_a=rad(0.5), phi_e=rad(0.5))
+    monkeypatch.setattr(channel, "_integrate_disks", spy)
+    h = mimo_matrix(beam, L, TX, CONFIG_III, state)
+    assert record["count"] == 2025
+    assert record["settled"] >= 0.4 * record["count"]
+    assert record["order_8_points"] == 128 * (record["count"] - record["settled"])
+    monkeypatch.undo()
+    assert _same_bits(h, _uncertified(lambda: mimo_matrix(beam, L, TX, CONFIG_III, state)))
+
+
+def test_a_disk_within_its_radius_of_the_waist_plane_gets_no_bound():
+    # z_c - r <= 0 at 2.5 mm, though this untilted disk stays behind the
+    # plane; at 4 mm the 20 mm offset is a certain miss
+    rows = [(2.5e-3, 20e-3, 0.0, 0.0, 0.0, 0.0, 0.0), (4e-3, 20e-3, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    _, _, terms = channel._link_integrand([BeamParams(850e-9, 50e-6)], rows)
+    bound = channel._integral_bound(terms, PD.radius)
+    assert bound[0] == math.inf and bound[1] <= quadrature._ABS_TOL / 2.0
