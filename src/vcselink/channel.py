@@ -409,22 +409,25 @@ def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
     return unique, inverse.reshape(np.shape(values))
 
 
-def _closed_form_stack(
+def _closed_form_block(
     beams: Sequence[BeamParams],
     L: float,
     tx: ArrayLayout,
     rx: ArrayLayout,
     states: Sequence[MisalignmentState],
     method: GainMethod,
-) -> np.ndarray:
-    """Closed-form gain matrices of one array pair at P points, a (P, N_r,
-    N_t) stack: point p has beam ``beams[p]`` and state ``states[p]``. Every
-    method is the one erf product of :func:`_erf_factors`, fed the tilt
-    (transmitter tilt), the displacement (displacement) or neither (aligned).
-    Each gain is 0.25 fx fy, so erf runs per point only on the distinct
-    (x_i, x_j) pairs, and likewise in y, then gathers: every matrix equals
-    the full elementwise broadcast bit for bit. A warning about ignored state
-    fields fires once per stack; the caller checks ``L``."""
+):
+    """The erf factor tables of one array pair at P points, and a gather
+    from them: returns ``gather(points)``, the closed-form gain matrices of
+    the points a slice selects as a (len, N_r, N_t) stack; point p has beam
+    ``beams[p]`` and state ``states[p]``. Every method is the one erf
+    product of :func:`_erf_factors`, fed the tilt (transmitter tilt), the
+    displacement (displacement) or neither (aligned). Each gain is 0.25 fx
+    fy, so erf runs once per point only on the distinct (x_i, x_j) pairs,
+    and likewise in y (:func:`_factor_entries` of them), and a gather only
+    multiplies: every matrix equals the full elementwise broadcast bit for
+    bit, whatever the slice. A warning about ignored state fields fires once
+    per block; the caller checks ``L``."""
     x_de = y_de = phi_a = phi_e = 0.0  # the state fields the method feeds the kernel
     if method is GainMethod.APPROX_TX_TILT:
         if any(s.x_de != 0.0 or s.y_de != 0.0 or s.psi_a != 0.0 or s.psi_e != 0.0
@@ -443,12 +446,45 @@ def _closed_form_stack(
     w0_sq, z_r = _per_point([(beam.waist_radius**2, beam.rayleigh_range) for beam in beams])
     fx, fy = _erf_factors(w0_sq, z_r, L, rx.pd.equivalent_square_side, ux_i[:, None],
                           uy_i[:, None], ux_j, uy_j, x_de, y_de, phi_a, phi_e)
-    # + 0.0: a zero gain is +0, not -0
-    gains = 0.25 * fx[:, ix_i[:, None], ix_j] * fy[:, iy_i[:, None], iy_j] + 0.0
     if method is GainMethod.ALIGNED_CLOSED_FORM:
         on_axis = (rx_x[:, None] == tx_x) & (rx_y[:, None] == tx_y)
-        gains[:, on_axis] = _per_point([gain_aligned(beam, L, rx.pd) for beam in beams])[:, 0]
-    return gains
+        aligned = _per_point([gain_aligned(beam, L, rx.pd) for beam in beams])[:, 0]
+
+    # the factor index of each entry; np.take keeps the gathered stack in C
+    # order, so each matrix's rows sum as a lone matrix's in the link budget
+    x_pairs, y_pairs = ix_i[:, None] * len(ux_j) + ix_j, iy_i[:, None] * len(uy_j) + iy_j
+    fx, fy = fx.reshape(len(fx), -1), fy.reshape(len(fy), -1)
+
+    def gather(points: slice) -> np.ndarray:
+        # + 0.0: a zero gain is +0, not -0
+        gains = 0.25 * np.take(fx[points], x_pairs, axis=1) * np.take(fy[points], y_pairs,
+                                                                        axis=1) + 0.0
+        if method is GainMethod.ALIGNED_CLOSED_FORM:
+            gains[:, on_axis] = aligned[points]
+        return gains
+
+    return gather
+
+
+def _factor_entries(tx: ArrayLayout, rx: ArrayLayout) -> int:
+    """Entries of one point's erf factor tables in :func:`_closed_form_block`:
+    the distinct (x_i, x_j) pairs plus the distinct (y_i, y_j) pairs."""
+    (rx_x, rx_y), (tx_x, tx_y) = ([len(_distinct(a)[0]) for a in layout.elements.T]
+                                  for layout in (rx, tx))
+    return rx_x * tx_x + rx_y * tx_y
+
+
+def _closed_form_stack(
+    beams: Sequence[BeamParams],
+    L: float,
+    tx: ArrayLayout,
+    rx: ArrayLayout,
+    states: Sequence[MisalignmentState],
+    method: GainMethod,
+) -> np.ndarray:
+    """Closed-form gain matrices of one array pair at P points, a (P, N_r,
+    N_t) stack: the gather of every point of a :func:`_closed_form_block`."""
+    return _closed_form_block(beams, L, tx, rx, states, method)(slice(None))
 
 
 def _pair_keys(L: float, tx: ArrayLayout, rx: ArrayLayout, state: MisalignmentState):

@@ -230,15 +230,32 @@ def aggregate_rate(h, params: LinkParams, mode: Mode | str = Mode.DIRECT) -> Rat
     case of the stacked link budget that sweeps run.
     """
     gains = _as_gains(h, square=Mode(mode) is Mode.DIRECT)
-    return _rate_reports(gains[None], params, mode)[0]
+    return _rate_reports(gains[None], params, mode).report(0)
 
 
-def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str) -> list[RateReport]:
+@dataclass(frozen=True)
+class _RateReports:
+    """The link budget of a (P, N_r, N_t) gain stack: (P, streams) arrays
+    of per-stream SINR, bits and rates, and the (P,) aggregates."""
+
+    sinr: np.ndarray
+    bits: np.ndarray
+    rate: np.ndarray
+    aggregate: np.ndarray
+    mode: Mode
+
+    def report(self, p: int) -> RateReport:
+        """The rate report of matrix ``p``."""
+        return RateReport(self.sinr[p], self.bits[p], self.rate[p], float(self.aggregate[p]),
+                          self.mode)
+
+
+def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str) -> _RateReports:
     """:func:`aggregate_rate` of each matrix of a (P, N_r, N_t) gain stack
     that shares ``params``, computed once for the whole stack (one stacked
-    values-only SVD, one noise, SINR and bits expression). Each report
-    equals the matrix's own ``aggregate_rate`` bit for bit; the 30 dB
-    QAM-fit warning fires once per stack."""
+    values-only SVD, one noise, SINR and bits expression) and returned as
+    stacked arrays. Each matrix's report equals its own ``aggregate_rate``
+    bit for bit; the 30 dB QAM-fit warning fires once per stack."""
     mode = Mode(mode)
     n_t = stack.shape[-1]
     if mode is Mode.DIRECT:
@@ -247,10 +264,7 @@ def _rate_reports(stack: np.ndarray, params: LinkParams, mode: Mode | str) -> li
         sinrs = sinr_svd(_singular_values(stack), noise_variance(stack[:, :n_t], params), params)
     bits = bits_per_symbol(sinrs, params.target_ber)
     rates = params.subcarrier_efficiency * params.bandwidth * bits
-    return [
-        RateReport(sinr, bit, rate, float(total), mode)
-        for sinr, bit, rate, total in zip(sinrs, bits, rates, rates.sum(axis=-1))
-    ]
+    return _RateReports(sinrs, bits, rates, rates.sum(axis=-1), mode)
 
 
 def eye_safe_power_limit(mpe: float, pupil_diameter: float, eta: float = 1.0) -> float:

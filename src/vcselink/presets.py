@@ -252,10 +252,11 @@ def preset_sinr_map(out_dir: Path, grid_step: float = 1e-3) -> list[Path]:
     for w0 in (50e-6, 100e-6):
         xs, ys, sinr_db = sinr_map(w0, grid_step=grid_step)
         path = out_dir / f"sinr_map_w0_{int(round(w0 * 1e6))}um.csv"
+        x_mm = (xs * 1e3).tolist()
         rows = (
-            (xs[ix] * 1e3, ys[iy] * 1e3, sinr_db[iy, ix])
-            for iy in range(len(ys))
-            for ix in range(len(xs))
+            (x, y, sinr)
+            for y, sinr_row in zip((ys * 1e3).tolist(), sinr_db.tolist())
+            for x, sinr in zip(x_mm, sinr_row)
         )
         _write_csv(path, ["x_mm", "y_mm", "sinr_db"], rows)
         written.append(path)

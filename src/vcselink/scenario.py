@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .beam import BeamParams, rayleigh_range
 from .channel import ArrayLayout, GainMethod, LayoutKind, build_layout, mimo_matrix
-from .channel import _closed_form_stack, _write_csv, write_gains_csv
+from .channel import _closed_form_block, _factor_entries, _write_csv, write_gains_csv
 from .geometry import MisalignmentState
 from .linkbudget import LinkParams, Mode, RateReport, _rate_reports, noise_variance
 from .linkbudget import _sinr_db, write_rates_csv
@@ -79,8 +79,10 @@ DEFAULT_CONFIG: dict = {
 # the fields of the optional sweep section; None marks a required one
 _SWEEP = {"parameter": None, "start": None, "stop": None, "steps": None, "scale": "linear"}
 
-# gain entries per chunk of a sweep column; the chunk's matrices and link
-# budget are evaluated as one stack, so this bounds their scratch memory
+# gain entries per chunk of a sweep column, and per-point channel table
+# entries (erf factors of a closed form) per block of chunks; a chunk's
+# matrices and link budget are evaluated as one stack, so this bounds their
+# scratch memory
 _CHUNK_ENTRIES = 1 << 15
 
 # points of one sweep, checked before any is allocated: more than 500 times
@@ -205,7 +207,9 @@ def _check_fields(cfg: dict) -> None:
 def _check_derived(cfg: dict) -> None:
     """Reject fields whose derived values leave the float range, which
     would turn gains or rates into NaN or a silent 0. Each derived value is
-    monotone in every field it reads (in a displacement's magnitude), so
+    monotone in every field it reads (in a displacement's magnitude) or,
+    like the spot radius w(z)^2 = w0^2 + reach^2 wavelength^2/(pi^2 w0^2)
+    in w0, convex in it, so its extremes over an interval lie at the ends:
     valid sweep end points make every point valid."""
     w0, wavelength, distance = cfg["beam"]["w0"], cfg["beam"]["wavelength"], cfg["distance"]
     try:
@@ -393,35 +397,44 @@ def _at(cfg: dict, point: dict) -> dict:
     return cfg
 
 
-def _matrices(cells: list[Scenario]) -> np.ndarray:
+def _matrices(cells: list[Scenario], size: int):
     """Channel matrices of scenarios that differ only in what a sweep
-    point sets, as a (P, N_r, N_t) stack. A closed form runs one stack per
-    run of points that share their layouts and distance, with erf only on
-    the distinct coordinates. The exact route runs one :func:`mimo_matrix`
-    beam stack per run of points that also share their state (every chunk
-    of a beam sweep): its unique element pairs are collected once per
-    call, and their integrals under every beam of the run form one
-    batched quadrature. Points with different states never share a call,
-    since per-link angles would defeat the integrand's shared terms."""
+    point sets, yielded as C-ordered (P, N_r, N_t) stacks of ``size``
+    points (the last may hold fewer), whose rows the link budget sums as a
+    lone matrix's. A closed form computes its erf factor tables
+    once per run of points that share their layouts and distance, with erf
+    only on the distinct coordinates (:func:`_closed_form_block`), and
+    gathers each stack from them. The exact route runs one
+    :func:`mimo_matrix` beam stack per run of points that also share their
+    state (every run of a beam sweep): its unique element pairs are
+    collected once per call, and their integrals under every beam of the
+    run form one batched quadrature. Points with different states never
+    share a call, since per-link angles would defeat the integrand's
+    shared terms."""
     method = cells[0].method
     exact = method is GainMethod.EXACT_GMM
-    stacks = []
+    pieces, filled = [], 0
     for (tx, rx, distance, state), run in groupby(
             cells, key=lambda c: (c.tx, c.rx, c.distance, c.state if exact else None)):
         beams, states = zip(*((cell.beam, cell.state) for cell in run))
-        stacks.append(mimo_matrix(beams, distance, tx, rx, state) if exact else
-                      _closed_form_stack(beams, distance, tx, rx, states, method))
-    return np.concatenate(stacks)
+        gather = (mimo_matrix(beams, distance, tx, rx, state).__getitem__ if exact else
+                  _closed_form_block(beams, distance, tx, rx, states, method))
+        at = 0
+        while at < len(beams):
+            take = min(len(beams) - at, size - filled)
+            pieces.append(gather(slice(at, at + take)))
+            at += take
+            filled += take
+            if filled == size:
+                stack, pieces, filled = _joined(pieces), [], 0
+                yield stack
+    if pieces:
+        yield _joined(pieces)
 
 
-def _reports(matrices: np.ndarray, cells: list[Scenario], mode: Mode) -> list[RateReport]:
-    """Rate reports of a matrix stack: one link-budget stack per run of
-    points with equal link parameters."""
-    reports: list[RateReport] = []
-    for params, run in groupby(cells, key=lambda cell: cell.params):
-        start = len(reports)
-        reports += _rate_reports(matrices[start:start + len(list(run))], params, mode)
-    return reports
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """One C-ordered stack of ``pieces``, without a copy of a lone piece."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _mode_groups(configs: list[dict]) -> list[tuple[dict, list[int]]]:
@@ -433,25 +446,44 @@ def _mode_groups(configs: list[dict]) -> list[tuple[dict, list[int]]]:
 
 
 def _check_points(configs: list[dict], points: list[dict]) -> None:
-    """Hold each distinct point to the rules of :func:`resolve_config`, once
-    per group of resolved configurations equal in all but ``mode``."""
+    """Hold the points to the rules of :func:`resolve_config`, once per
+    group of resolved configurations equal in all but ``mode``. A
+    one-parameter family, points that each set all of one list of fields
+    to one shared float, is checked at its smallest and largest value
+    only, as :func:`resolve_config` checks a sweep's start and stop (see
+    :func:`_check_derived`); any other point set at each distinct point."""
     for field in {field for point in points for field in point}:
         if not all(_sweepable(cfg, field) for cfg in configs):
             raise ConfigError(field, "not a real-valued field of every configuration")
-    distinct = {frozenset(point.items()): point for point in points}.values()
-    for (cfg, _), point in product(_mode_groups(configs), distinct):
+    fields = points[0].keys() if points else {}
+    # each value is a float before the set merges equal ones: True == 1.0
+    shared = [set(point.values()) for point in points if point.keys() == fields
+              and all(isinstance(v, float) and v == v for v in point.values())]  # no NaN
+    values = [value for s in shared if len(s) == 1 for value in s]
+    if fields and len(values) == len(points):
+        checked = [dict.fromkeys(fields, end) for end in (min(values), max(values))]
+    else:
+        checked = {frozenset(point.items()): point for point in points}.values()
+    for (cfg, _), point in product(_mode_groups(configs), checked):
         _check_fields(_at(cfg, point))
 
 
 def _evaluate(configs: list[dict], points: list[dict]):
-    """Evaluate each resolved configuration (column) at each point, a chunk
-    of points at a time, and yield ``(column, number, matrix, report)`` for
-    every column and point number.
+    """Evaluate each resolved configuration (column) at each point and
+    yield ``(column, numbers, matrices, reports)`` for each stack of
+    consecutive distinct points: the numbers of the points equal to each,
+    their (P, N_r, N_t) matrices and their stacked link budget
+    (:func:`_rate_reports`).
 
-    Equal points are evaluated once and share their matrix and report, and
-    columns that differ only in ``mode`` share their matrices. A column's
-    layouts, link parameters, beam, state and distance are built once, and
-    a point rebuilds only the parts built from the sections it sets."""
+    Equal points are evaluated once, and columns that differ only in
+    ``mode`` share their matrices. A column's layouts, link parameters,
+    beam, state and distance are built once, and a point rebuilds only the
+    parts built from the sections it sets. The points run in blocks whose
+    per-point channel tables (a closed form's erf factors, the exact
+    route's matrices) hold at most ``_CHUNK_ENTRIES`` entries, and each
+    block in chunks whose matrices hold at most as many; a block or chunk
+    holds at least one point. The link budget runs once per run of points
+    of a chunk with equal link parameters."""
     if not points:
         return
     distinct: dict = {}  # point items -> numbers of the points
@@ -462,18 +494,30 @@ def _evaluate(configs: list[dict], points: list[dict]):
     sections = {field.partition(".")[0] for point in points for field in point}
     for cfg, columns in _mode_groups(configs):
         first = build_scenario(_at(cfg, points[0]))
-        size = max(1, _CHUNK_ENTRIES // (first.tx.n_elements * first.rx.n_elements))
-        for start in range(0, len(points), size):
+        # a point changes no layout's element count or distinct coordinates,
+        # since every layout keeps its kind, size and a pitch > 0
+        entries = first.tx.n_elements * first.rx.n_elements
+        tables = (entries if first.method is GainMethod.EXACT_GMM else
+                  _factor_entries(first.tx, first.rx))
+        chunk = max(1, _CHUNK_ENTRIES // entries)
+        block = max(1, _CHUNK_ENTRIES // tables)
+        for start in range(0, len(points), block):
             cells = [
                 replace(first, **_parts(_at(cfg, points[number]), sections)) if number else first
-                for number in range(start, min(start + size, len(points)))
+                for number in range(start, min(start + block, len(points)))
             ]
-            matrices = _matrices(cells)
-            for column in columns:
-                reports = _reports(matrices, cells, Mode(configs[column]["mode"]))
-                for equal, matrix, report in zip(numbers[start:start + size], matrices, reports):
-                    for number in equal:
-                        yield column, number, matrix, report
+            at = start
+            for matrices in _matrices(cells, chunk):
+                for column in columns:
+                    mode = Mode(configs[column]["mode"])
+                    lo = at
+                    for params, run in groupby(cells[at - start:at - start + len(matrices)],
+                                               key=lambda cell: cell.params):
+                        hi = lo + len(list(run))
+                        stack = matrices[lo - at:hi - at]
+                        yield column, numbers[lo:hi], stack, _rate_reports(stack, params, mode)
+                        lo = hi
+                at += len(matrices)
 
 
 def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
@@ -484,15 +528,26 @@ def sweep(configs: list[dict], points: list[dict]) -> list[list[RateReport]]:
     share the point's check and matrix, and equal points their reports."""
     _check_points(configs, points)
     rows = [[None] * len(configs) for _ in points]
-    for column, number, _, report in _evaluate(configs, points):
-        rows[number][column] = report
+    for column, numbers, _, reports in _evaluate(configs, points):
+        for p, equal in enumerate(numbers):
+            report = reports.report(p)
+            for number in equal:
+                rows[number][column] = report
     return rows
 
 
-def _sweep_row(value: float, report: RateReport) -> tuple[float, float, float, float]:
-    lit = report.per_link_sinr[~(report.per_link_sinr <= 0)]  # SINR > 0 or NaN
-    lo, hi = (lit.min(), lit.max()) if lit.size else (0.0, 0.0)  # a NaN gives NaN
-    return value, report.aggregate, _sinr_db(lo), _sinr_db(hi)
+def _sweep_rows(reports) -> list[tuple[float, float, float]]:
+    """The aggregate rate and the smallest and largest SINR in dB over the
+    streams with SINR > 0 or NaN of each point of a stacked link budget: a
+    NaN SINR gives NaN, no such stream -inf dB."""
+    sinr = reports.sinr
+    lit = ~(sinr <= 0)  # SINR > 0 or NaN
+    some = lit.any(axis=-1)
+    # np.min and np.max keep a NaN
+    lo = np.where(some, np.where(lit, sinr, np.inf).min(axis=-1), 0.0)
+    hi = np.where(some, np.where(lit, sinr, -np.inf).max(axis=-1), 0.0)
+    return [(aggregate, _sinr_db(a), _sinr_db(b))
+            for aggregate, a, b in zip(reports.aggregate.tolist(), lo.tolist(), hi.tolist())]
 
 
 def _output_dir(out_dir) -> Path:
@@ -524,22 +579,24 @@ def run_scenario(config_path, out_dir, seed: int = 0) -> list[Path]:
         values = np.sort(_sweep_values(cfg["sweep"]))
         points = [{parameter: _get_path(cfg, parameter)},
                   *({parameter: float(v)} for v in values)]
-    reports = [None] * len(points)
-    for _, number, matrix, report in _evaluate([cfg], points):
-        if number == 0:
-            base = matrix
-        reports[number] = report
+    rows = [None] * len(points)
+    for _, numbers, matrices, reports in _evaluate([cfg], points):
+        if numbers[0][0] == 0:  # the base point comes first
+            base, base_report = matrices[0], reports.report(0)
+        for equal, row in zip(numbers, _sweep_rows(reports)):
+            for number in equal:
+                rows[number] = row
 
     gains_path = out / "gains.csv"
     rates_path = out / "rates.csv"
     write_gains_csv(base, gains_path)
-    write_rates_csv(reports[0], rates_path)
+    write_rates_csv(base_report, rates_path)
     written = [gains_path, rates_path]
 
     if cfg["sweep"] is not None:
         sweep_path = out / "sweep.csv"
         header = [parameter, "aggregate_rate_bps", "min_sinr_db", "max_sinr_db"]
-        _write_csv(sweep_path, header, map(_sweep_row, values, reports[1:]))
+        _write_csv(sweep_path, header, ((value, *row) for value, row in zip(values, rows[1:])))
         written.append(sweep_path)
 
     meta = {

@@ -22,7 +22,7 @@ from vcselink.channel import (
     mimo_matrix,
     write_gains_csv,
 )
-from vcselink.channel import _closed_form_stack, _erf, _write_csv
+from vcselink.channel import _closed_form_block, _closed_form_stack, _erf, _write_csv
 from vcselink.geometry import MisalignmentState
 from vcselink.linkbudget import _served_sinr, nmse
 from vcselink.presets import reference_config, sinr_map
@@ -263,6 +263,27 @@ def _closed_form_points(method, rng, count):
     else:
         states = [MisalignmentState()] * count
     return beams, states
+
+
+@pytest.mark.parametrize(
+    "method",
+    [GainMethod.APPROX_DISPLACEMENT, GainMethod.APPROX_TX_TILT, GainMethod.ALIGNED_CLOSED_FORM],
+)
+def test_a_block_gathers_any_slice_in_c_order(method):
+    """Each slice of a closed-form block is those points of the one-block
+    stack bit for bit, as a C-ordered stack: the link budget sums the rows
+    of a C-ordered stack as it sums a lone matrix's rows."""
+    rng = np.random.default_rng(11)
+    tx = build_layout(LayoutKind.SQUARE, k=5, transmitter=True)
+    rx = build_layout(LayoutKind.CONFIG_II)
+    beams, states = _closed_form_points(method, rng, 12)
+    gather = _closed_form_block(beams, 2.0, tx, rx, states, method)
+    stack = _closed_form_stack(beams, 2.0, tx, rx, states, method)
+    for points in (slice(0, 1), slice(3, 7), slice(11, 12), slice(None)):
+        part = gather(points)
+        assert part.flags.c_contiguous
+        assert np.array_equal(part, stack[points])
+        assert np.array_equal(np.signbit(part), np.signbit(stack[points]))
 
 
 @pytest.mark.parametrize("kind", [LayoutKind.CONFIG_I, LayoutKind.CONFIG_II, LayoutKind.CONFIG_III])

@@ -428,13 +428,14 @@ def test_a_stacked_link_budget_is_aggregate_rate_per_matrix(shape, past_chunk, s
     params = LinkParams(p_t=p_t, temperature=float(rng.uniform(200.0, 400.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        reports = _rate_reports(stack, params, mode)
+        stacked = _rate_reports(stack, params, mode)
         alone = [aggregate_rate(h, params, mode) for h in stack]
-    assert len(reports) == count
-    for report, single in zip(reports, alone):
-        for name in ("per_link_sinr", "per_link_bits", "per_link_rate"):
-            assert getattr(report, name).tolist() == getattr(single, name).tolist()
-        assert report.aggregate == single.aggregate and report.mode is single.mode
+    assert stacked.aggregate.shape == (count,)
+    for p, single in enumerate(alone):
+        for name, field in (("per_link_sinr", "sinr"), ("per_link_bits", "bits"),
+                            ("per_link_rate", "rate")):
+            assert getattr(stacked, field)[p].tolist() == getattr(single, name).tolist()
+        assert stacked.aggregate[p] == single.aggregate and stacked.mode is single.mode
 
 
 @settings(max_examples=30)
@@ -456,12 +457,12 @@ def test_singular_values_are_the_values_only_route_everywhere(shape, seed):
     stack = rng.random(shape) ** rng.uniform(1.0, 30.0, (shape[0], 1, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        reports = _rate_reports(stack, LinkParams(), Mode.SVD)
+        stacked = _rate_reports(stack, LinkParams(), Mode.SVD)
         alone = [aggregate_rate(h, LinkParams(), Mode.SVD) for h in stack]
     tolerance = 16 * max(shape[1:]) * np.finfo(float).eps
-    for h, report, single in zip(stack, reports, alone):
-        assert report.per_link_sinr.tolist() == single.per_link_sinr.tolist()
-        assert report.aggregate == single.aggregate
+    for h, sinr, aggregate, single in zip(stack, stacked.sinr, stacked.aggregate, alone):
+        assert sinr.tolist() == single.per_link_sinr.tolist()
+        assert aggregate == single.aggregate
         u, s, v = svd_thin(h)
         assert s.tolist() == np.linalg.svd(h, compute_uv=False).tolist()
         assert np.linalg.norm(u @ np.diag(s) @ v.T - h) <= tolerance * np.linalg.norm(h)

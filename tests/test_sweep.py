@@ -7,15 +7,20 @@ configuration per preset cell with matrices shared through JSON keys."""
 import copy
 import json
 import math
+import tempfile
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcselink import scenario
 from vcselink.beam import BeamParams
 from vcselink.channel import mimo_matrix
-from vcselink.linkbudget import Mode, RateReport, aggregate_rate
+from vcselink.linkbudget import Mode, _RateReports, aggregate_rate
 from vcselink.presets import (
     first_crossing_below,
     preset_rate_vs_displacement,
@@ -28,7 +33,7 @@ from vcselink.presets import (
 from vcselink.scenario import (
     ConfigError,
     _set_path,
-    _sweep_row,
+    _sweep_rows,
     _sweep_values,
     build_scenario,
     load_config,
@@ -189,6 +194,87 @@ def test_sweep_csv_is_byte_identical_to_the_per_point_loop(tmp_path, name):
     assert len(written.splitlines()) == SWEEPS[name]["sweep"]["steps"] + 1
 
 
+# field -> (linear-scale range, log-scale range) of the generated sweeps
+_BLOCK_FIELDS = {
+    "beam.w0": ((20e-6, 200e-6), (20e-6, 200e-6)),
+    "misalignment.x_de": ((-20e-3, 20e-3), (1e-4, 20e-3)),
+    "misalignment.y_de": ((-20e-3, 20e-3), (1e-4, 20e-3)),
+    "misalignment.phi_a_deg": ((-1.5, 1.5), (0.01, 1.5)),
+    "misalignment.phi_e_deg": ((-1.5, 1.5), (0.01, 1.5)),
+    "misalignment.psi_a_deg": ((-30.0, 30.0), (0.5, 30.0)),
+    "misalignment.psi_e_deg": ((-30.0, 30.0), (0.5, 30.0)),
+    "link.temperature": ((100.0, 400.0), (100.0, 400.0)),
+    "distance": ((0.5, 4.0), (0.5, 4.0)),
+}
+_RECEIVERS = {"config-i": 25, "config-ii": 41, "config-iii": 81}
+
+
+@st.composite
+def closed_form_sweeps(draw):
+    """A closed-form simulate config with a sweep, and its matrix size."""
+    method = draw(st.sampled_from(["approx-displacement", "approx-tx-tilt",
+                                   "aligned-closed-form"]))
+    kind = draw(st.sampled_from(sorted(_RECEIVERS)))
+    mode = draw(st.sampled_from(["direct", "svd"] if kind == "config-i" else ["svd"]))
+    fields = [field for field in _BLOCK_FIELDS
+              if method != "aligned-closed-form" or not field.startswith("misalignment.")]
+    field = draw(st.sampled_from(fields))
+    scale = draw(st.sampled_from(["linear", "log"]))
+    values = st.floats(*_BLOCK_FIELDS[field][scale == "log"])
+    start, stop = draw(values), draw(values)
+    base = draw(st.sampled_from([start, draw(values)]))  # a base at the start shares point 0
+    cfg = _set_path({"beam": {"w0": 80e-6}, "link": {}, "misalignment": {},
+                     "rx_array": {"kind": kind}, "method": method, "mode": mode}, field, base)
+    cfg["sweep"] = {"parameter": field, "start": start, "stop": stop,
+                    "steps": draw(st.integers(2, 40)), "scale": scale}
+    return cfg, _RECEIVERS[kind] * 25
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=closed_form_sweeps(), matrices=st.integers(1, 3))
+def test_blocks_and_chunks_change_no_byte(case, matrices):
+    """A closed-form sweep writes the same bytes in chunks of 1-3 matrices,
+    which also shrink its blocks, as in chunks of scenario._CHUNK_ENTRIES."""
+    cfg, entries = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ignored fields and the 30 dB fit
+        config = Path(tmp, "c.json")
+        config.write_text(json.dumps(cfg))
+        run_scenario(config, Path(tmp, "as-is"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario, "_CHUNK_ENTRIES", matrices * entries)
+            run_scenario(config, Path(tmp, "chunked"))
+        names = sorted(path.name for path in Path(tmp, "as-is").iterdir())
+        assert names == sorted(path.name for path in Path(tmp, "chunked").iterdir())
+        for name in names:
+            assert Path(tmp, "as-is", name).read_bytes() == Path(tmp, "chunked", name).read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    method=st.sampled_from(["approx-displacement", "approx-tx-tilt"]),
+    distances=st.lists(st.sampled_from([1.5, 2.0]), min_size=1, max_size=30),
+    matrices=st.integers(1, 3),
+)
+def test_runs_of_a_shared_distance_cross_chunks(method, distances, matrices):
+    """Points whose runs of one distance start and end inside chunks give
+    each point the report of its own per-point evaluation, in any chunks."""
+    field = "misalignment.x_de" if method == "approx-displacement" else "misalignment.phi_a_deg"
+    points = [{"distance": d, field: 1e-4 * k} for k, d in enumerate(distances)]
+    cfg = reference_config(method=method, rx_array={"kind": "config-ii"}, mode="svd")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = sweep([cfg], points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario, "_CHUNK_ENTRIES", matrices * 41 * 25)
+            chunked = sweep([cfg], points)
+        alone = [_rates(scenario._at(cfg, point)) for point in points]
+    for (report,), (again,), single in zip(rows, chunked, alone):
+        for other in (again, single):
+            assert report.per_link_sinr.tolist() == other.per_link_sinr.tolist()
+            assert report.aggregate == other.aggregate
+
+
 # -- rate presets at small resolution -----------------------------------------
 
 
@@ -284,6 +370,43 @@ def test_mode_only_columns_share_one_matrix_per_point(monkeypatch):
     assert [row[1].mode.value for row in rows] == ["svd"] * 3
 
 
+def test_matrices_come_in_chunks_of_the_given_size():
+    """Runs of one distance that start and end inside chunks fill every
+    chunk to its size but the last, and the chunks are the points of the
+    one-chunk stack in order."""
+    cfg = reference_config(method="approx-displacement", rx_array={"kind": "config-ii"},
+                           mode="svd")
+    first = build_scenario(cfg)
+    distances = [1.5, 1.5, 2.0, 2.0, 2.0, 1.5, 2.5]
+    cells = [replace(first, **scenario._parts(
+        scenario._at(cfg, {"distance": d, "misalignment.x_de": 1e-4 * k}),
+        {"distance", "misalignment"})) for k, d in enumerate(distances)]
+    (whole,) = scenario._matrices(cells, len(cells))
+    for size in (1, 2, 3, 4):
+        chunks = list(scenario._matrices(cells, size))
+        assert [len(chunk) for chunk in chunks] == [
+            min(size, len(cells) - at) for at in range(0, len(cells), size)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def test_a_block_holds_the_points_whose_factor_tables_fit_a_chunk(monkeypatch):
+    """90 factor entries a point on config-iii: 10 points fit 900 entries,
+    and each block's factors are computed once."""
+    blocks = []
+    real = scenario._closed_form_block
+
+    def recording(beams, *args):
+        blocks.append(len(beams))
+        return real(beams, *args)
+
+    monkeypatch.setattr(scenario, "_closed_form_block", recording)
+    monkeypatch.setattr(scenario, "_CHUNK_ENTRIES", 900)
+    cfg = reference_config(method="approx-displacement", rx_array={"kind": "config-iii"},
+                           mode="svd")
+    rows = sweep([cfg], [{"misalignment.x_de": 1e-4 * k} for k in range(25)])
+    assert blocks == [10, 10, 5] and len(rows) == 25
+
+
 def test_a_point_leaves_its_base_config_unchanged():
     base = reference_config(method="approx-displacement")
     before = copy.deepcopy(base)
@@ -319,6 +442,43 @@ def test_a_point_is_held_to_the_config_rules(methods, point, field):
     with pytest.raises(ConfigError) as excinfo:
         sweep(configs, [{}, point])
     assert excinfo.value.field == field
+
+
+def test_a_one_parameter_family_is_checked_at_its_ends(monkeypatch):
+    configs = [reference_config(method="approx-displacement"),
+               reference_config(method="approx-displacement", mode="svd")]
+    checked = []
+    real = scenario._check_fields
+    monkeypatch.setattr(scenario, "_check_fields", lambda cfg: checked.append(cfg) or real(cfg))
+    fields = ["misalignment.x_de", "misalignment.y_de"]
+    points = [dict.fromkeys(fields, x) for x in (2e-3, -1e-3, 5e-3, 0.0, 2e-3)]
+    sweep(configs, points)
+    ends = [(cfg["misalignment"]["x_de"], cfg["misalignment"]["y_de"]) for cfg in checked]
+    assert ends == [(-1e-3, -1e-3), (5e-3, 5e-3)]
+    checked.clear()  # two fields of unequal values make no family: each point is checked
+    sweep(configs[:1], [{"misalignment.x_de": 1e-3, "misalignment.y_de": 2e-3}, {}])
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize("values", [
+    (1e-3, 1e200, 2e-3),  # a family whose largest value is out of the domain
+    (1e-3, math.nan, 2e-3),  # NaN is no real value: every point is checked
+    (1e-3, "1e-3"),
+    (1e-3, True),
+], ids=["largest", "nan", "string", "bool"])
+def test_a_family_with_one_bad_point_is_rejected(values):
+    points = [dict.fromkeys(["link.p_t", "link.responsivity"], value) for value in values]
+    with pytest.raises(ConfigError) as excinfo:
+        sweep([reference_config(method="approx-displacement")], points)
+    assert excinfo.value.field == "link.p_t"
+
+
+def test_a_point_whose_values_are_equal_but_not_all_floats_is_no_family():
+    """True == 1.0, but a bool is no number: the point is checked as set."""
+    with pytest.raises(ConfigError) as excinfo:
+        sweep([reference_config(method="approx-displacement")],
+              [{"link.p_t": 1.0, "link.responsivity": True}])
+    assert excinfo.value.field == "link.responsivity"
 
 
 def test_no_points_give_no_rows():
@@ -465,8 +625,14 @@ def test_a_warning_names_the_line_that_called_into_the_package(tmp_path, case):
     ([math.nan, 0.0, 10.0], (math.nan, math.nan)),
 ], ids=["dark", "all-dark", "nan", "nan-first"])
 def test_a_sweep_row_keeps_a_nan_sinr(sinr, expected):
-    sinr = np.array(sinr)
-    report = RateReport(sinr, sinr, sinr, 1e12, Mode.DIRECT)
-    value, aggregate, lo, hi = _sweep_row(0.5, report)
-    assert (value, aggregate) == (0.5, 1e12)
-    assert np.array_equal([lo, hi], expected, equal_nan=True)
+    """The row of each point of a stacked link budget, alone and between
+    two lit points whose rows it must not change."""
+    lit = [1.0] * len(sinr)
+    stack = np.array([lit, sinr, lit])
+    reports = _RateReports(stack, stack, stack, np.array([1.0, 1e12, 2.0]), Mode.DIRECT)
+    alone = _RateReports(stack[1:2], stack[1:2], stack[1:2], np.array([1e12]), Mode.DIRECT)
+    for rows in (_sweep_rows(alone), _sweep_rows(reports)[1:2]):
+        ((aggregate, lo, hi),) = rows
+        assert aggregate == 1e12
+        assert np.array_equal([lo, hi], expected, equal_nan=True)
+    assert _sweep_rows(reports)[::2] == [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
